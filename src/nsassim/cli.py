@@ -14,7 +14,7 @@ import os
 import sys
 
 from .config import ConfigFieldError, ExperimentConfig, load_config
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, InvalidFieldError, SolverError
 
 
 def build_parser():
@@ -77,7 +77,7 @@ def main(argv=None):
         print(f"ERROR {exc.fieldname}: {exc.args[0].split(': ', 1)[-1]}",
               file=sys.stderr)
         return 2
-    except (ConfigurationError, SolverError) as exc:
+    except (ConfigurationError, InvalidFieldError, SolverError) as exc:
         print(f"ERROR run: {exc}", file=sys.stderr)
         return 1
     return 0

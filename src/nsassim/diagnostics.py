@@ -232,13 +232,7 @@ def el_residual(c_star, p, setup, model, test_bank=None):
     p = p if isinstance(p, PExponent) else PExponent(float(p))
     state = assemble_state(c_star, setup, model)
     w = state.weight
-    m_y = dual_weight(
-        WeightedSamples(state.y_int.reshape(-1, 2), np.full(state.y_int.size // 2, w)), p
-    ).values.reshape(state.y_int.shape)
-    m_k = dual_weight(
-        WeightedSamples(state.K.values.reshape(-1, model.n),
-                        np.full(state.K.values.size // model.n, w)), p
-    ).values.reshape(state.K.values.shape)
+    m_k, m_y = state.dual_weights(p)
 
     u_star = state.u.values[1:]
     gu_star = state.grad_u
@@ -303,13 +297,7 @@ def bank_pairings(c_star, p, setup, model, test_bank=None):
     p = p if isinstance(p, PExponent) else PExponent(float(p))
     state = assemble_state(c_star, setup, model)
     w = state.weight
-    m_y = dual_weight(
-        WeightedSamples(state.y_int.reshape(-1, 2), np.full(state.y_int.size // 2, w)), p
-    ).values.reshape(state.y_int.shape)
-    m_k = dual_weight(
-        WeightedSamples(state.K.values.reshape(-1, model.n),
-                        np.full(state.K.values.size // model.n, w)), p
-    ).values.reshape(state.K.values.shape)
+    m_k, m_y = state.dual_weights(p)
     u_int = state.u.values[1:, 1:-1, 1:-1]
     k_eta = eval_K_eta_kernel(u_int, model)
     k_a = eval_K_A_kernel(u_int, model)

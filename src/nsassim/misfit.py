@@ -19,7 +19,7 @@ operator, so analytic directional derivatives match central finite
 differences to the tolerance set by floating-point cancellation alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,9 @@ from .grid import (
     scalar_gradient_kernel, scalar_gradient_transpose_kernel,
     trapezoid_weights_2d,
 )
-from .norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, sup_norm
+from .norms import (
+    PExponent, dual_factor, lp_norm_from_magnitudes, magnitudes, reg_abs,
+)
 from .nse import ControlVector, extend_interior_transpose, state_from_control
 from .observation import (
     ObsField, eval_K_A_kernel, eval_K_eta_kernel, eval_K_kernel,
@@ -64,6 +66,36 @@ class AssembledState:
     y_int: np.ndarray       # (nt, ny-2, nx-2, 2)
     grad_u: np.ndarray      # (nt, ny, nx, 4), levels 1..nt
     weight: float           # uniform quadrature weight
+    _lp: dict = field(default_factory=dict, repr=False, compare=False)  # p -> lp_norms(p)
+
+    def channels(self):
+        """The K and y samples as flat (n, m) arrays, in that order."""
+        return tuple(v.reshape(-1, v.shape[-1]) for v in (self.K.values, self.y_int))
+
+    def lp_norms(self, p):
+        """(r, norm) per channel (K, y): regularized magnitudes and p-norm.
+
+        Computed once per finite exponent and shared by the report and the
+        gradient, with the arithmetic of dotted_lp_norm on the same samples
+        (equal to the bit).  The samples were checked finite when
+        VectorField and ObsField were built, so nothing is validated here.
+        """
+        out = self._lp.get(p.value)
+        if out is None:
+            out = tuple((r, lp_norm_from_magnitudes(r, self.weight, p.value))
+                        for r in (reg_abs(flat, p) for flat in self.channels()))
+            self._lp[p.value] = out
+        return out
+
+    def dual_weights(self, p):
+        """Dual-weight maps of the K and y channels, shaped like their fields.
+
+        Equal to the bit to dual_weight on the same samples.
+        """
+        return tuple(
+            (flat * dual_factor(r, norm, p.value)[:, None]).reshape(v.shape)
+            for v, flat, (r, norm) in zip(
+                (self.K.values, self.y_int), self.channels(), self.lp_norms(p)))
 
 
 def assemble_state(c, setup, model):
@@ -98,19 +130,12 @@ def assemble_state(c, setup, model):
         y_int=y_int, grad_u=grad_u, weight=g.interior_weight())
 
 
-def _samples(values, weight):
-    flat = values.reshape(-1, values.shape[-1])
-    return WeightedSamples(flat, np.full(flat.shape[0], weight))
-
-
 def report_from_state(state, setup, p):
     """Misfit report at exponent p (finite or infinite) for assembled state."""
     p = p if isinstance(p, PExponent) else PExponent(float(p))
-    k_s = _samples(state.K.values, state.weight)
-    y_s = _samples(state.y_int, state.weight)
-    s_k, s_y = sup_norm(k_s), sup_norm(y_s)
+    s_k, s_y = (float(np.max(magnitudes(flat))) for flat in state.channels())
     if p.is_finite:
-        n_k, n_y = dotted_lp_norm(k_s, p), dotted_lp_norm(y_s, p)
+        (_, n_k), (_, n_y) = state.lp_norms(p)
     else:
         n_k, n_y = s_k, s_y
     term_k = (1.0 - setup.lam) * n_k
@@ -148,6 +173,7 @@ def gradient_from_state(state, setup, model, p, channels=("obs", "model")):
     g = setup.grid
     w = state.weight
     nt = g.nt
+    m_k, m_y = state.dual_weights(p)
 
     u_slab = state.u.values[1:]
     ubar = np.zeros((nt, g.ny, g.nx, 2))
@@ -155,7 +181,6 @@ def gradient_from_state(state, setup, model, p, channels=("obs", "model")):
     gbar = np.zeros((nt, g.ny, g.nx, 4))
 
     if "model" in channels:
-        m_y = dual_weight(_samples(state.y_int, w), p).values.reshape(state.y_int.shape)
         ybar = np.zeros((nt, g.ny, g.nx, 2))
         ybar[:, 1:-1, 1:-1] = (setup.lam * w) * m_y
 
@@ -176,7 +201,6 @@ def gradient_from_state(state, setup, model, p, channels=("obs", "model")):
         pbar += scalar_gradient_transpose_kernel(ybar, g)
 
     if "obs" in channels:
-        m_k = dual_weight(_samples(state.K.values, w), p).values.reshape(state.K.values.shape)
         kbar = ((1.0 - setup.lam) * w) * m_k
         u_int = u_slab[:, 1:-1, 1:-1]
         k_eta = eval_K_eta_kernel(u_int, model)

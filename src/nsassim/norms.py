@@ -92,7 +92,12 @@ class WeightedSamples:
 
     @property
     def magnitudes(self):
-        return np.sqrt(np.einsum("ij,ij->i", self.values, self.values))
+        return magnitudes(self.values)
+
+
+def magnitudes(values):
+    """Euclidean magnitude of each row of an (n, m) array."""
+    return np.sqrt(np.einsum("ij,ij->i", values, values))
 
 
 def reg_abs(v, p):
@@ -109,21 +114,41 @@ def reg_abs(v, p):
     return np.sqrt(sq + p.value ** -2)
 
 
+def lp_norm_from_magnitudes(r, weights, p):
+    """Averaged p-norm from regularized magnitudes r (float p, finite).
+
+    r holds the positively weighted samples only; weights is their weight
+    array or one uniform weight.  Computed as m * (sum_i w_i (r_i/m)^p)^(1/p)
+    with m the largest magnitude, so no intermediate power overflows.  No
+    input is validated: dotted_lp_norm is the checked entry point.
+    """
+    log_m = np.log(np.max(r))
+    s = np.sum(weights * np.exp(p * (np.log(r) - log_m)))
+    return float(np.exp(log_m + np.log(s) / p))
+
+
+def dual_factor(r, norm, p):
+    """Per-sample factor r^(p-2) / norm^(p-1) of the dual-weight map (float p).
+
+    Evaluated in log space; the exponent is clipped only for zero-weight
+    samples, which carry no mass.  dual_weight is the checked entry point.
+    """
+    expo = (p - 2.0) * np.log(r) - (p - 1.0) * math.log(norm)
+    return np.exp(np.minimum(expo, _EXP_CLIP))
+
+
 def dotted_lp_norm(h, p):
     """Averaged p-norm of the regularized magnitude.
 
-    Computed as m * (sum_i w_i (r_i/m)^p)^(1/p) with m the largest magnitude
-    among positively weighted samples, so no intermediate power overflows.
-    The result is at least 1/p.
+    The largest magnitude among positively weighted samples is factored out
+    (see lp_norm_from_magnitudes).  The result is at least 1/p.
     """
     p = _as_p(p)
     if not p.is_finite:
         raise ConfigurationError("dotted_lp_norm requires a finite exponent")
     r = reg_abs(h.values, p)
     pos = h.weights > 0.0
-    log_m = np.log(np.max(r[pos]))
-    s = np.sum(h.weights[pos] * np.exp(p.value * (np.log(r[pos]) - log_m)))
-    return float(np.exp(log_m + np.log(s) / p.value))
+    return lp_norm_from_magnitudes(r[pos], h.weights[pos], p.value)
 
 
 def sup_norm(h):
@@ -136,17 +161,15 @@ def dual_weight(h, p):
     """Pointwise dual-weight map |v|_(p)^(p-2) v / norm^(p-1).
 
     The output carries the same weights and lies in the unit ball of the
-    averaged conjugate-exponent norm.  Evaluated in log space; the exponent
-    is clipped only for zero-weight samples, which carry no mass.
+    averaged conjugate-exponent norm.
     """
     p = _as_p(p)
     if not p.is_finite:
         raise ConfigurationError("dual_weight requires a finite exponent")
     r = reg_abs(h.values, p)
-    log_norm = math.log(dotted_lp_norm(h, p))
-    expo = (p.value - 2.0) * np.log(r) - (p.value - 1.0) * log_norm
-    factor = np.exp(np.minimum(expo, _EXP_CLIP))
-    return WeightedSamples(h.values * factor[:, None], h.weights)
+    pos = h.weights > 0.0
+    norm = lp_norm_from_magnitudes(r[pos], h.weights[pos], p.value)
+    return WeightedSamples(h.values * dual_factor(r, norm, p.value)[:, None], h.weights)
 
 
 def holder_gap(q, p):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidFieldError
 from .misfit import assemble_state, gradient_from_state, report_from_state
 from .norms import PExponent
 from .nse import ControlVector
@@ -109,8 +109,9 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     """Descend the p-misfit from c0 to stationarity.
 
     Returns the best iterate with its report and a monotone objective
-    trace.  A line search that exhausts its backtracks flags the result as
-    stalled and returns the best point found so far.
+    trace.  A trial point whose state is not finite fails the Armijo test
+    and is backtracked.  A line search that exhausts its backtracks flags
+    the result as stalled and returns the best point found so far.
     """
     opts = opts or OptimOptions()
     p = p if isinstance(p, PExponent) else PExponent(float(p))
@@ -143,8 +144,12 @@ def minimize_E_p(c0, setup, model, p, opts=None):
         accepted = None
         for _ in range(opts.max_backtracks + 1):
             x_try = x + alpha * d
-            report_try, state_try = forward(x_try)
-            if report_try.e_p <= report.e_p + opts.armijo_slope * alpha * descent:
+            try:
+                report_try, state_try = forward(x_try)
+            except InvalidFieldError:
+                report_try = None
+            if (report_try is not None
+                    and report_try.e_p <= report.e_p + opts.armijo_slope * alpha * descent):
                 accepted = (x_try, report_try, state_try)
                 break
             alpha *= opts.armijo_factor

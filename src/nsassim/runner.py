@@ -382,6 +382,11 @@ def run_sweep(cfg, param, values, out_dir=None, plots=None, log=print):
     """One twin run per value of `param`, plus a combined keyed table."""
     if not values:
         raise ConfigFieldError("sweep.values", "no values given")
+    for raw in map(str, values):
+        # each value names a subdirectory of the output directory; keep it there
+        if ".." in raw or any(sep and sep in raw for sep in ("/", os.sep, os.altsep)):
+            raise ConfigFieldError(
+                "sweep.values", f"value {raw!r} contains a path separator or '..'")
     base_out = out_dir or cfg.directory
     os.makedirs(base_out, exist_ok=True)
     key = param.split(".")[-1]

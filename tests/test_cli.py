@@ -4,6 +4,7 @@ import pytest
 
 from nsassim.cli import main
 from nsassim.config import load_config
+from nsassim.errors import InvalidFieldError
 from nsassim.runner import run_twin
 
 SMALL = """
@@ -97,6 +98,16 @@ class TestTwin:
         assert code != 0
         assert "ERROR physics.lambda" in err
 
+    def test_invalid_field_is_a_run_error(self, tmp_path, capsys, monkeypatch):
+        def not_finite(*args, **kwargs):
+            raise InvalidFieldError("velocity field contains non-finite values")
+
+        monkeypatch.setattr("nsassim.runner.run_twin", not_finite)
+        code = main(["twin", "--config", str(write_cfg(tmp_path))])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip() == "ERROR run: velocity field contains non-finite values"
+
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         assert main(["twin", "--config", str(cfg_path), "--out",
@@ -160,3 +171,14 @@ class TestSweep:
                      "--param", "physics.lambda", "--values", " , "])
         assert code == 2
         assert "ERROR sweep.values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["../escape", "a/b", ".."])
+    def test_path_like_values_rejected(self, tmp_path, capsys, value):
+        cfg_path = write_cfg(tmp_path)
+        code = main(["sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "sweep"), "--no-plots",
+                     "--param", "output.directory", "--values", f"ok,{value}"])
+        assert code == 2
+        assert "ERROR sweep.values" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+        assert not (tmp_path / "escape").exists()

@@ -4,10 +4,10 @@ import pytest
 from nsassim.errors import ConfigurationError
 from nsassim.grid import GridSpec, VectorField
 from nsassim.misfit import (
-    MisfitReport, assemble_E_inf, assemble_E_p, assemble_state, gradient_E_p,
-    value_and_gradient,
+    AssembledState, MisfitReport, assemble_E_inf, assemble_E_p, assemble_state,
+    gradient_E_p, gradient_from_state, report_from_state, value_and_gradient,
 )
-from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight
+from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, sup_norm
 from nsassim.nse import ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset
 from nsassim.observation import ObservationModel, default_mask, n_components, synth_data
 
@@ -224,3 +224,34 @@ def test_sup_misfit_bounded_by_high_exponent_norms():
         gaps.append(abs(rep.e_p - rep_inf.e_p))
     assert gaps[-1] <= gaps[0]
     assert gaps[-1] <= gaps[-2] <= gaps[-3]
+
+
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_reused_norms_equal_public_api_bitwise(kind, monkeypatch):
+    # the report and gradient reuse one norm evaluation per state; they must
+    # give exactly what the validated public norm functions give
+    g = grid()
+    rng = np.random.default_rng(9)
+    truth = VectorField(g, 0.2 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    model = synth_data(truth, kind, 0.2, seed=7, mask_stride=2)
+    setup = setup_for(g)
+    state = assemble_state(random_control(g, rng), setup, model)
+    fields = (state.K.values, state.y_int)
+    h_k, h_y = (WeightedSamples(v.reshape(-1, v.shape[-1]),
+                                np.full(v.size // v.shape[-1], state.weight))
+                for v in fields)
+
+    def public_dual_weights(self, p):
+        return tuple(dual_weight(h, p).values.reshape(v.shape)
+                     for h, v in zip((h_k, h_y), fields))
+
+    for p in (2.0, 16.0, 128.0):
+        rep = report_from_state(state, setup, p)
+        assert rep.term_K == (1.0 - setup.lam) * dotted_lp_norm(h_k, p)
+        assert rep.term_y == setup.lam * dotted_lp_norm(h_y, p)
+        assert (rep.sup_K, rep.sup_y) == (sup_norm(h_k), sup_norm(h_y))
+        grad = gradient_from_state(state, setup, model, p).to_flat()
+        with monkeypatch.context() as m:
+            m.setattr(AssembledState, "dual_weights", public_dual_weights)
+            expect = gradient_from_state(state, setup, model, p).to_flat()
+        assert np.array_equal(grad, expect)

@@ -3,8 +3,11 @@ import pytest
 
 from nsassim.errors import ConfigurationError, InvalidFieldError, SolverError
 from nsassim.grid import (
-    GridSpec, ScalarField, VectorField, curl_kernel, divergence,
-    spatial_gradient, trapezoid_weights_2d, zero_boundary_ring,
+    GridSpec, ScalarField, VectorField, curl_kernel, curl_transpose_kernel,
+    divergence, gradient_kernel, gradient_transpose_kernel, laplacian_kernel,
+    laplacian_transpose_kernel, scalar_gradient_kernel,
+    scalar_gradient_transpose_kernel, spatial_gradient, trapezoid_weights_2d,
+    zero_boundary_ring,
 )
 from nsassim.nse import (
     ControlVector, PhysicsSetup, consistent_forcing, extend_interior,
@@ -74,6 +77,62 @@ class TestExtension:
         lhs = float(np.sum(extend_interior(a, g) * b))
         rhs = float(np.sum(a * extend_interior_transpose(b, g)))
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    @pytest.mark.parametrize("nx, ny", [(10, 10), (9, 13), (5, 7)])
+    def test_matches_dense_extension_matrix(self, nx, ny):
+        # reference: the dense definition E_y a E_x^T evaluated term by term,
+        # adding (E_y[r, b] * a[b, c]) * E_x[s, c] in row-major (b, c) order;
+        # the slice version sums in the same order, so it agrees to the bit
+        def dense(n):
+            e = np.zeros((n, n - 2))
+            e[1:-1] = np.eye(n - 2)
+            e[0, :3] = (3.0, -3.0, 1.0)
+            e[-1, -3:] = (1.0, -3.0, 3.0)
+            return e
+
+        def term_by_term(ey, a, ex):
+            out = np.zeros((a.shape[0], ey.shape[0], ex.shape[0]))
+            for b in range(a.shape[1]):
+                for c in range(a.shape[2]):
+                    term = ey[None, :, b, None] * a[:, b, c, None, None]
+                    out += term * ex[None, None, :, c]
+            return out
+
+        g = grid(nx=nx, ny=ny, nt=3)
+        ex, ey = dense(nx), dense(ny)
+        rng = np.random.default_rng(nx * ny)
+        a = rng.standard_normal((g.nt, ny - 2, nx - 2))
+        b = rng.standard_normal((g.nt, ny, nx))
+        assert np.array_equal(extend_interior(a, g), term_by_term(ey, a, ex))
+        assert np.array_equal(extend_interior_transpose(b, g), term_by_term(ey.T, b, ex.T))
+
+
+# (forward, transpose, input shape, output shape) on an (nt, ny, nx) grid
+ADJOINT_PAIRS = {
+    "curl": (curl_kernel, curl_transpose_kernel,
+             lambda t, y, x: (t, y, x), lambda t, y, x: (t, y, x, 2)),
+    "gradient": (gradient_kernel, gradient_transpose_kernel,
+                 lambda t, y, x: (t, y, x, 2), lambda t, y, x: (t, y, x, 4)),
+    "laplacian": (laplacian_kernel, laplacian_transpose_kernel,
+                  lambda t, y, x: (t, y, x), lambda t, y, x: (t, y, x)),
+    "scalar-gradient": (scalar_gradient_kernel, scalar_gradient_transpose_kernel,
+                        lambda t, y, x: (t, y, x), lambda t, y, x: (t, y, x, 2)),
+    "extension": (extend_interior, extend_interior_transpose,
+                  lambda t, y, x: (t, y - 2, x - 2), lambda t, y, x: (t, y, x)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_PAIRS))
+def test_dot_product_identity(name):
+    # <A v, w> = <v, A^T w> on a non-square grid, so swapped axes cannot cancel
+    fwd, bwd, in_shape, out_shape = ADJOINT_PAIRS[name]
+    g = grid(nx=9, ny=13, nt=3)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(in_shape(g.nt, g.ny, g.nx))
+    w = rng.standard_normal(out_shape(g.nt, g.ny, g.nx))
+    lhs = float(np.sum(fwd(v, g) * w))
+    rhs = float(np.sum(v * bwd(w, g)))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestPhysicsSetup:

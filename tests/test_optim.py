@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsassim.errors import ConfigurationError
+from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import GridSpec, VectorField
 from nsassim.misfit import assemble_E_p, assemble_state
 from nsassim.nse import (
@@ -87,6 +87,25 @@ class TestMinimize:
                                OptimOptions(max_iters=40, grad_tol=1e-10))
             values = [row[1] for row in res.trace]
             assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_non_finite_trial_point_backtracks(self, monkeypatch):
+        g, setup, model = small_problem()
+        calls = []
+
+        def first_trial_not_finite(c, setup_, model_):
+            calls.append(c)
+            if len(calls) == 2:  # call 1 is the start point, call 2 the first trial
+                raise InvalidFieldError("velocity field contains non-finite values")
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr("nsassim.optim.assemble_state", first_trial_not_finite)
+        res = minimize_E_p(ControlVector.zeros(g), setup, model, 4.0,
+                           OptimOptions(max_iters=5, grad_tol=1e-12))
+        assert res.iterations == 5 and not res.stalled
+        # the failed trial was backtracked: the next trial is half as far out
+        assert np.allclose(calls[2].to_flat(), 0.5 * calls[1].to_flat())
+        values = [row[1] for row in res.trace]
+        assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_converged_gradient_below_tolerance(self):
         g, setup, model = small_problem()
