@@ -228,9 +228,9 @@ class TensorField:
 # ---------------------------------------------------------------------------
 # raw-array kernels (used directly by the misfit chain and its adjoint)
 
-def curl_kernel(psi, grid):
-    """(d psi/dy, -d psi/dx) for psi shaped (..., ny, nx)."""
-    return np.stack([apply_y(psi, grid.d1y()), -apply_x(psi, grid.d1x())], axis=-1)
+def curl_kernel(psi, grid, axis=-1):
+    """(d psi/dy, -d psi/dx) for psi shaped (..., ny, nx), components along axis."""
+    return np.stack([apply_y(psi, grid.d1y()), -apply_x(psi, grid.d1x())], axis=axis)
 
 
 def curl_transpose_kernel(ubar, grid):
@@ -362,18 +362,34 @@ def time_derivative(u, u0):
     return VectorField(g, out)
 
 
+@lru_cache(maxsize=None)
 def trapezoid_weights_2d(grid):
-    """Normalized trapezoidal quadrature weights over the full spatial grid."""
+    """Normalized trapezoidal quadrature weights over the full spatial grid.
+
+    Cached per grid and read-only, like the 1D derivative matrices.
+    """
     wx = np.ones(grid.nx)
     wx[0] = wx[-1] = 0.5
     wy = np.ones(grid.ny)
     wy[0] = wy[-1] = 0.5
     w = np.outer(wy, wx)
-    return w / w.sum()
+    w = w / w.sum()
+    w.setflags(write=False)
+    return w
+
+
+def zero_mean_kernel(p, grid):
+    """Subtract the trapezoidal spatial mean from each level of (t, ny, nx)."""
+    means = np.einsum("yx,tyx->t", trapezoid_weights_2d(grid), p)
+    return p - means[:, None, None]
+
+
+def zero_mean_transpose_kernel(pbar, grid):
+    """Transpose of zero_mean_kernel."""
+    tw = trapezoid_weights_2d(grid)
+    return pbar - tw[None] * pbar.sum(axis=(1, 2))[:, None, None]
 
 
 def zero_mean_project(p):
     """Subtract the trapezoidal-weighted spatial mean at every time level."""
-    w = trapezoid_weights_2d(p.grid)
-    means = np.einsum("yx,tyx->t", w, p.values)
-    return ScalarField(p.grid, p.values - means[:, None, None])
+    return ScalarField(p.grid, zero_mean_kernel(p.values, p.grid))

@@ -23,7 +23,7 @@ from .grid import (
     GridSpec, ScalarField, VectorField,
     advection_kernel, apply_x, apply_y, curl_kernel, divergence_kernel,
     gradient_kernel, laplacian_kernel, scalar_gradient_kernel,
-    trapezoid_weights_2d, zero_boundary_ring, _d1_matrix,
+    zero_boundary_ring, zero_mean_kernel, _d1_matrix,
 )
 
 
@@ -134,14 +134,17 @@ def extend_interior_transpose(levels_bar, grid):
     return out
 
 
+@lru_cache(maxsize=None)
 def interior_trapezoid_weights(grid):
-    """Normalized trapezoidal weights over the interior subgrid."""
+    """Normalized trapezoidal weights over the interior subgrid (read-only)."""
     wx = np.ones(grid.nx - 2)
     wx[0] = wx[-1] = 0.5
     wy = np.ones(grid.ny - 2)
     wy[0] = wy[-1] = 0.5
     w = np.outer(wy, wx)
-    return w / w.sum()
+    w = w / w.sum()
+    w.setflags(write=False)
+    return w
 
 
 @dataclass
@@ -248,17 +251,36 @@ def state_from_control(c, setup):
     g = setup.grid
     if c.grid != g:
         raise ConfigurationError("control grid does not match setup grid")
-    psi_full = np.zeros((g.nt, g.ny, g.nx))
-    psi_full[:, 2:-2, 2:-2] = c.psi
     uvals = np.zeros((g.nt + 1, g.ny, g.nx, 2))
-    uvals[1:] = zero_boundary_ring(curl_kernel(psi_full, g))
+    uvals[1:] = np.moveaxis(velocity_map(c.psi, g), 0, -1)
     uvals[0] = setup.u0
     pvals = np.zeros((g.nt + 1, g.ny, g.nx))
-    ext = extend_interior(c.pr, g)
-    w = trapezoid_weights_2d(g)
-    means = np.einsum("yx,tyx->t", w, ext)
-    pvals[1:] = ext - means[:, None, None]
+    pvals[1:] = pressure_map(c.pr, g)
     return VectorField(g, uvals), ScalarField(g, pvals)
+
+
+def velocity_map(psi, grid):
+    """Velocity at levels 1..nt from the stream-function block (linear).
+
+    The curl of the zero-padded stream function with the boundary ring
+    zeroed, component axis first: shaped (2, nt, ny, nx).
+    misfit.state_map_transpose holds its transpose.
+    """
+    psi_full = np.zeros((grid.nt, grid.ny, grid.nx))
+    psi_full[:, 2:-2, 2:-2] = psi
+    u = curl_kernel(psi_full, grid, axis=0)
+    u[:, :, [0, -1]] = 0.0
+    u[..., [0, -1]] = 0.0
+    return u
+
+
+def pressure_map(pr, grid):
+    """Pressure at levels 1..nt from the pressure block (linear).
+
+    The extension to the boundary minus the trapezoidal mean per level;
+    misfit.state_map_transpose holds its transpose.
+    """
+    return zero_mean_kernel(extend_interior(pr, grid), grid)
 
 
 def momentum_terms_kernel(uvals, pvals, setup, u0=None):

@@ -132,41 +132,42 @@ def eval_K(u, du, model):
     return ObsField(model.grid, eval_K_kernel(_interior(u.values), _interior(du.values), model))
 
 
-def eval_K_eta_kernel(u_int, model):
-    """dK/d(state): array (nt, niy, nix, N, 2)."""
-    nt, niy, nix = u_int.shape[:3]
+def eval_K_jvp(u, du, dgrad, model):
+    """Tangent of K at the state u along (du, dgrad), component axis first.
+
+    u and du are velocities shaped (2, nt, ny-2, nx-2), dgrad the tangent
+    of the spatial gradient (4, nt, ny-2, nx-2), all on interior nodes; the
+    result is shaped (N, nt, ny-2, nx-2).  eval_K_vjp is its transpose.
+    """
     kind = model.kind
-    out = np.zeros((nt, niy, nix, model.n, 2))
     if kind == "masked-velocity":
-        m = model.interior_mask().astype(np.float64)
-        out[..., 0, 0] = m
-        out[..., 1, 1] = m
+        return du * model.interior_mask()
+    if kind == "vorticity":
+        return (dgrad[2] - dgrad[1])[None]
+    if kind == "speed-squared":
+        return (2.0 * (u[0] * du[0] + u[1] * du[1]))[None]
+    raise ConfigurationError(f"unknown observation kind {kind!r}")
+
+
+def eval_K_vjp(u_int, kbar, model, ubar_int, gbar_int):
+    """Transpose of eval_K_jvp: add the cotangents of K to ubar_int and gbar_int.
+
+    Here the component axis is last, as in the adjoint: u_int is the
+    interior velocity (nt, ny-2, nx-2, 2), kbar is shaped like K (..., N),
+    and the velocity and gradient cotangents ubar_int (..., 2) and gbar_int
+    (..., 4) are updated in place.  The Jacobian entries are 0, +-1 and 2u,
+    so each product is exact or a single rounding.
+    """
+    kind = model.kind
+    if kind == "masked-velocity":
+        ubar_int += kbar * model.interior_mask()[:, :, None]
+    elif kind == "vorticity":
+        gbar_int[..., 1] -= kbar[..., 0]
+        gbar_int[..., 2] += kbar[..., 0]
     elif kind == "speed-squared":
-        out[..., 0, 0] = 2.0 * u_int[..., 0]
-        out[..., 0, 1] = 2.0 * u_int[..., 1]
-    return out
-
-
-def eval_K_A_kernel(u_int, model):
-    """dK/d(spatial gradient): array (nt, niy, nix, N, 4)."""
-    nt, niy, nix = u_int.shape[:3]
-    out = np.zeros((nt, niy, nix, model.n, 4))
-    if model.kind == "vorticity":
-        out[..., 0, 1] = -1.0
-        out[..., 0, 2] = 1.0
-    return out
-
-
-def eval_K_eta(u, du, model):
-    if u.grid != model.grid:
-        raise ConfigurationError("state grid does not match observation grid")
-    return eval_K_eta_kernel(_interior(u.values), model)
-
-
-def eval_K_A(u, du, model):
-    if u.grid != model.grid:
-        raise ConfigurationError("state grid does not match observation grid")
-    return eval_K_A_kernel(_interior(u.values), model)
+        ubar_int += (2.0 * u_int) * kbar
+    else:
+        raise ConfigurationError(f"unknown observation kind {kind!r}")
 
 
 def synth_data(u_truth, kind, noise_amplitude, seed, mask=None, mask_stride=4):

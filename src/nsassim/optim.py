@@ -3,17 +3,19 @@
 The inner solver is L-BFGS with Armijo backtracking.  For large p the
 misfit is a smoothed minimax and badly conditioned, so the continuation
 warm-starts every stage from the previous minimizer and tightens the
-per-stage gradient tolerance geometrically; curvature built at small p
-transfers through the warm start.
+per-stage gradient tolerance like sqrt(p_first/p).  Only the iterate
+carries over: every stage starts with an empty L-BFGS history and a first
+step of 1/max(1, ||g0||), so curvature built at small p is not reused.
 
 The iteration runs in preconditioned variables: the stream-function and
 pressure blocks are rescaled by constant factors matching their dominant
 chain sensitivities (see preconditioner_scales), and gradient norms quoted
 in traces and reports refer to those variables.  Convergence is declared
 when that norm falls below grad_tol * max(1, ||g0||) with g0 the gradient
-at the entry point, so a fixed tolerance ratio between two runs from the
-same start translates into the same ratio of final gradient norms.  All
-arithmetic is deterministic.
+at the entry point.  Two runs from the same start with different
+tolerances therefore end with final gradient norms bounded by those
+tolerances, not in their ratio: the last step may land anywhere below its
+bound.  All arithmetic is deterministic.
 """
 
 import time

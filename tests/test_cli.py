@@ -58,7 +58,7 @@ class TestTwin:
         assert main(["twin", "--config", str(cfg_path)]) == 0
         out = tmp_path / "out"
         lines = (out / "stages.csv").read_text().splitlines()
-        assert lines[0] == "p,iterations,e_p,e_inf,grad_norm"
+        assert lines[0] == "p,iterations,e_p,e_inf,grad_norm,converged,stalled"
         assert len(lines) == 3  # header + two stages
         # the p = 2 misfit can be worse than the feasible truth only by slack
         cfg = load_config(path=str(cfg_path))
@@ -107,6 +107,26 @@ class TestTwin:
         err = capsys.readouterr().err
         assert code == 1
         assert err.strip() == "ERROR run: velocity field contains non-finite values"
+
+    def test_capped_stage_reads_unconverged(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, out="capped", **{"max_iters = 300": "max_iters = 2"})
+        assert main(["twin", "--config", str(cfg_path), "--no-plots"]) == 0
+        lines = (tmp_path / "capped" / "stages.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["iterations"] == "2"
+            assert (row["converged"], row["stalled"]) == ("0", "0")
+
+    def test_ref_tol_enforced(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, out="strict",
+                             **{"u0_amplitude = 0.1": "u0_amplitude = 0.1\nref_tol = 1e-6"})
+        code = main(["twin", "--config", str(cfg_path), "--no-plots"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ERROR run: reference sup residual ")
+        assert "exceeds physics.ref_tol 1e-06" in err
+        assert not (tmp_path / "strict" / "stages.csv").exists()
 
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path)

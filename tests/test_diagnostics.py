@@ -7,9 +7,15 @@ from nsassim.diagnostics import (
     default_test_bank, density_bound_check, el_residual,
     sigma_infty_support_check,
 )
-from nsassim.grid import GridSpec, VectorField
-from nsassim.norms import reg_abs
-from nsassim.nse import ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset
+from nsassim.grid import (
+    GridSpec, VectorField, advection_kernel, curl_kernel, gradient_kernel,
+    laplacian_kernel, scalar_gradient_kernel, zero_boundary_ring,
+)
+from nsassim.misfit import assemble_state
+from nsassim.norms import PExponent, reg_abs
+from nsassim.nse import (
+    ControlVector, PhysicsSetup, extend_interior, forcing_preset, initial_velocity_preset,
+)
 from nsassim.observation import synth_data
 from nsassim.optim import OptimOptions, minimize_E_p
 
@@ -213,3 +219,87 @@ class TestElResidual:
         for label, sig, big in rows:
             assert isinstance(label, str)
             assert np.isfinite(sig) and np.isfinite(big)
+
+
+def direct_bank_evaluation(c_star, p, setup, model, bank):
+    """Reference: every bank direction pushed through the chain on its own.
+
+    The stationarity residuals and pairings written out per direction with
+    the full-grid stencil kernels, as el_residual and bank_pairings
+    evaluated them before the tangent existed.
+    """
+    g = setup.grid
+    state = assemble_state(c_star, setup, model)
+    w, lam = state.weight, setup.lam
+    m_k, m_y = state.dual_weights(PExponent(p))
+    u_star, gu_star = state.u.values[1:], state.grad_u
+    inner = (slice(None), slice(1, -1), slice(1, -1))
+    mask = model.interior_mask()[:, :, None] if model.mask is not None else None
+
+    def k_direction(u_t, du_t):
+        u_t, du_t = u_t[inner], du_t[inner]
+        if model.kind == "masked-velocity":
+            return u_t * mask
+        if model.kind == "vorticity":
+            return (du_t[..., 2] - du_t[..., 1])[..., None]
+        return 2.0 * (u_star[inner][..., :1] * u_t[..., :1]
+                      + u_star[inner][..., 1:] * u_t[..., 1:])
+
+    r_mom = r_pr = 0.0
+    rows = []
+    for pair in bank:
+        sig = big = 0.0
+        if pair.psi is not None:
+            psi_full = np.zeros((g.nt, g.ny, g.nx))
+            psi_full[:, 2:-2, 2:-2] = pair.psi
+            u_t = zero_boundary_ring(curl_kernel(psi_full, g))
+            du_t = gradient_kernel(u_t, g)
+            k_dir = k_direction(u_t, du_t)
+            prev = np.concatenate([np.zeros_like(u_t[:1]), u_t[:-1]], axis=0)
+            lin = (u_t - prev) / g.dt - setup.nu * np.stack(
+                [laplacian_kernel(u_t[..., 0], g), laplacian_kernel(u_t[..., 1], g)], axis=-1)
+            if setup.include_advection:
+                lin = lin + advection_kernel(u_t, gu_star) + advection_kernel(u_star, du_t)
+            lin = lin[inner]
+            pairing = (1 - lam) * w * np.sum(k_dir * m_k) + lam * w * np.sum(lin * m_y)
+            scale = np.sqrt(w * (np.sum(u_t[inner] ** 2) + np.sum(du_t[inner] ** 2)
+                                 + np.sum(lin ** 2)))
+            r_mom = max(r_mom, abs(pairing) / scale)
+            sig = w * np.sum(u_t[inner] * m_y)
+            big = w * np.sum(k_dir * m_k)
+        if pair.pr is not None:
+            dp = scalar_gradient_kernel(extend_interior(pair.pr, g), g)[inner]
+            sig = w * np.sum(dp * m_y)
+            r_pr = max(r_pr, abs(sig) / np.sqrt(w * np.sum(dp ** 2)))
+        rows.append((pair.label, sig, big))
+    return (r_mom, r_pr), rows
+
+
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_diagnostics_match_direct_per_direction_evaluation(kind, advection):
+    g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
+    setup = PhysicsSetup(grid=g, nu=0.02, lam=0.4, f=forcing_preset(g, "swirl", 0.2),
+                         u0=initial_velocity_preset(g, "vortex", 0.1),
+                         include_advection=advection)
+    rng = np.random.default_rng(31)
+    truth = VectorField(g, 0.2 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    model = synth_data(truth, kind, 0.2, seed=5, mask_stride=2)
+    c = ControlVector(g, 0.2 * rng.standard_normal((g.nt, g.ny - 4, g.nx - 4)),
+                      0.2 * rng.standard_normal((g.nt, g.ny - 2, g.nx - 2)))
+    bank = default_test_bank(g)
+    # one pair with both blocks: el_residual pairs them separately, and the
+    # pressure pairing takes the sigma column
+    bank.append(TestPair("both", psi=bank[0].psi, pr=bank[-1].pr))
+    (r_mom, r_pr), rows = direct_bank_evaluation(c, 4.0, setup, model, bank)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-10 * abs(b) + 1e-15
+
+    got_mom, got_pr = el_residual(c, 4.0, setup, model, bank)
+    assert close(got_mom, r_mom) and close(got_pr, r_pr)
+    for (label, sig, big), (ref_label, ref_sig, ref_big) in zip(
+            bank_pairings(c, 4.0, setup, model, bank), rows):
+        assert label == ref_label
+        assert close(sig, ref_sig), (label, sig, ref_sig)
+        assert close(big, ref_big), (label, big, ref_big)

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from nsassim.errors import ConfigurationError
-from nsassim.grid import GridSpec, VectorField
+from nsassim.grid import GridSpec, VectorField, gradient_kernel
 from nsassim.misfit import (
-    AssembledState, MisfitReport, assemble_E_inf, assemble_E_p, assemble_state,
-    gradient_E_p, gradient_from_state, report_from_state, value_and_gradient,
+    AssembledState, MisfitReport, adjoint_from_state, assemble_E_inf, assemble_E_p,
+    assemble_state, gradient_E_p, gradient_from_state, report_from_state,
+    tangent_from_state, value_and_gradient,
 )
 from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, sup_norm
-from nsassim.nse import ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset
+from nsassim.nse import (
+    ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset, state_from_control,
+)
 from nsassim.observation import ObservationModel, default_mask, n_components, synth_data
 
 
@@ -255,3 +258,43 @@ def test_reused_norms_equal_public_api_bitwise(kind, monkeypatch):
             m.setattr(AssembledState, "dual_weights", public_dual_weights)
             expect = gradient_from_state(state, setup, model, p).to_flat()
         assert np.array_equal(grad, expect)
+
+
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_tangent_is_transpose_of_adjoint(kind, advection):
+    # full chain: <J dc, (kbar, ybar)> = <dc, J^T (kbar, ybar)> on a
+    # non-square grid, so swapped axes cannot cancel
+    g = grid(nx=9, ny=13, nt=4)
+    rng = np.random.default_rng(21)
+    truth = VectorField(g, 0.2 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    model = synth_data(truth, kind, 0.2, seed=3, mask_stride=2)
+    setup = setup_for(g, advection=advection)
+    state = assemble_state(random_control(g, rng), setup, model)
+    dc = random_control(g, rng)
+    kbar = rng.standard_normal(state.K.values.shape)
+    ybar = rng.standard_normal(state.y_int.shape)
+
+    t = tangent_from_state(state, setup, model, dc)
+    back = adjoint_from_state(state, setup, model, kbar, ybar)
+    lhs = float(np.vdot(t.K, np.moveaxis(kbar, -1, 0)) + np.vdot(t.y, np.moveaxis(ybar, -1, 0)))
+    rhs = float(np.vdot(dc.psi, back.psi) + np.vdot(dc.pr, back.pr))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+    # the velocity block alone, and the tangent's u and grad u
+    du = tangent_from_state(state, setup, model, ControlVector(g, dc.psi, 0 * dc.pr))
+    u_full = state_from_control(ControlVector(g, dc.psi, 0 * dc.pr), setup)[0].values[1:]
+    assert np.allclose(np.moveaxis(du.u, 0, -1), u_full[:, 1:-1, 1:-1], rtol=0, atol=1e-14)
+    grad_full = gradient_kernel(u_full, g)[:, 1:-1, 1:-1]
+    assert np.allclose(np.moveaxis(du.grad_u, 0, -1), grad_full, rtol=1e-12, atol=1e-12)
+
+
+def test_gradient_is_adjoint_of_scaled_dual_weights():
+    g = grid()
+    rng = np.random.default_rng(4)
+    setup, model = setup_for(g), noisy_model(g)
+    state = assemble_state(random_control(g, rng), setup, model)
+    m_k, m_y = state.dual_weights(PExponent(8.0))
+    w = state.weight
+    expect = adjoint_from_state(state, setup, model, (1 - setup.lam) * w * m_k,
+                                setup.lam * w * m_y).to_flat()
+    assert np.array_equal(gradient_from_state(state, setup, model, 8.0).to_flat(), expect)

@@ -7,7 +7,7 @@ from nsassim.grid import (
     divergence, gradient_kernel, gradient_transpose_kernel, laplacian_kernel,
     laplacian_transpose_kernel, scalar_gradient_kernel,
     scalar_gradient_transpose_kernel, spatial_gradient, trapezoid_weights_2d,
-    zero_boundary_ring,
+    zero_boundary_ring, zero_mean_kernel, zero_mean_transpose_kernel,
 )
 from nsassim.nse import (
     ControlVector, PhysicsSetup, consistent_forcing, extend_interior,
@@ -119,7 +119,18 @@ ADJOINT_PAIRS = {
                         lambda t, y, x: (t, y, x), lambda t, y, x: (t, y, x, 2)),
     "extension": (extend_interior, extend_interior_transpose,
                   lambda t, y, x: (t, y - 2, x - 2), lambda t, y, x: (t, y, x)),
+    "zero-mean-projection": (zero_mean_kernel, zero_mean_transpose_kernel,
+                             lambda t, y, x: (t, y, x), lambda t, y, x: (t, y, x)),
 }
+
+
+@pytest.mark.parametrize("weights", [trapezoid_weights_2d, interior_trapezoid_weights])
+def test_quadrature_weights_cached_read_only(weights):
+    g = grid(nx=9, ny=13)
+    w = weights(g)
+    assert weights(GridSpec(nx=9, ny=13, nt=g.nt, t_end=g.t_end)) is w
+    assert not w.flags.writeable
+    assert w.sum() == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("name", sorted(ADJOINT_PAIRS))

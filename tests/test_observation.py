@@ -4,8 +4,8 @@ import pytest
 from nsassim.errors import ConfigurationError
 from nsassim.grid import GridSpec, TensorField, VectorField, spatial_gradient
 from nsassim.observation import (
-    KINDS, ObsField, ObservationModel, default_mask, eval_K, eval_K_A,
-    eval_K_eta, n_components, synth_data,
+    KINDS, ObsField, ObservationModel, default_mask, eval_K, eval_K_jvp, eval_K_vjp,
+    n_components, synth_data,
 )
 
 
@@ -98,31 +98,46 @@ class TestEvalK:
             eval_K(u, du, model)
 
 
+def interior_cf(values):
+    """Interior levels 1..nt of a (nt+1, ny, nx, c) array, component axis first."""
+    return np.moveaxis(values[1:, 1:-1, 1:-1], -1, 0)
+
+
+def constant_direction(d, grid):
+    """The same component vector d at every interior node, component axis first."""
+    return np.multiply.outer(d, np.ones((grid.nt, grid.ny - 2, grid.nx - 2)))
+
+
 class TestDerivatives:
     def test_masked_velocity_identity_on_mask(self, grid):
         model = ObservationModel("masked-velocity", grid,
                                  zero_q(grid, "masked-velocity"),
                                  mask=default_mask(grid, 2))
-        u = VectorField.zeros(grid)
-        k_eta = eval_K_eta(u, spatial_gradient(u), model)
+        u = interior_cf(VectorField.zeros(grid).values)
+        no_grad = np.zeros((4,) + u.shape[1:])
         on = model.interior_mask()
-        assert np.allclose(k_eta[:, on][..., 0, 0], 1.0)
-        assert np.allclose(k_eta[:, on][..., 1, 1], 1.0)
-        assert np.abs(k_eta[:, on][..., 0, 1]).max() == 0.0
-        assert np.abs(k_eta[:, ~on]).max() == 0.0
+        for c in range(2):
+            dk = eval_K_jvp(u, constant_direction(np.eye(2)[c], grid), no_grad, model)
+            assert np.allclose(dk[c][:, on], 1.0)
+            assert np.abs(dk[1 - c][:, on]).max() == 0.0
+            assert np.abs(dk[:, :, ~on]).max() == 0.0
 
     def test_speed_squared_eta(self, grid):
         u = VectorField.sample(grid, lambda x, y, t: (3.0, 4.0))
         model = ObservationModel("speed-squared", grid, zero_q(grid, "speed-squared"))
-        k_eta = eval_K_eta(u, spatial_gradient(u), model)
-        assert np.allclose(k_eta[..., 0, 0], 6.0)
-        assert np.allclose(k_eta[..., 0, 1], 8.0)
+        u_int = interior_cf(u.values)
+        no_grad = np.zeros((4,) + u_int.shape[1:])
+        for d, expect in (((1.0, 0.0), 6.0), ((0.0, 1.0), 8.0)):
+            dk = eval_K_jvp(u_int, constant_direction(np.array(d), grid), no_grad, model)
+            assert np.allclose(dk[0], expect)
 
     def test_vorticity_tensor_derivative(self, grid):
-        u = VectorField.zeros(grid)
+        u = interior_cf(VectorField.zeros(grid).values)
         model = ObservationModel("vorticity", grid, zero_q(grid, "vorticity"))
-        k_a = eval_K_A(u, spatial_gradient(u), model)
-        assert np.allclose(k_a[..., 0, :], np.array([0.0, -1.0, 1.0, 0.0]))
+        no_u = np.zeros(u.shape)
+        for j, expect in enumerate((0.0, -1.0, 1.0, 0.0)):
+            dk = eval_K_jvp(u, no_u, constant_direction(np.eye(4)[j], grid), model)
+            assert np.allclose(dk[0], expect)
 
     def test_central_difference_agreement(self, grid):
         # 100 random states per kind, both arguments
@@ -136,12 +151,15 @@ class TestDerivatives:
                 u = VectorField(grid, 0.7 * rng.standard_normal(
                     (grid.nt + 1, grid.ny, grid.nx, 2)))
                 du = spatial_gradient(u)
+                u_int = interior_cf(u.values)
                 d_eta = rng.standard_normal(2)
                 d_eta /= np.linalg.norm(d_eta)
                 fd = (eval_K(VectorField(grid, u.values + eps * d_eta), du, model).values
                       - eval_K(VectorField(grid, u.values - eps * d_eta), du, model).values
                       ) / (2 * eps)
-                an = np.einsum("...nc,c->...n", eval_K_eta(u, du, model), d_eta)
+                an = eval_K_jvp(u_int, constant_direction(d_eta, grid),
+                                np.zeros((4,) + u_int.shape[1:]), model)
+                an = np.moveaxis(an, 0, -1)
                 denom = max(float(np.abs(fd).max()), 1e-9)
                 worst = max(worst, float(np.abs(an - fd).max()) / denom)
 
@@ -150,10 +168,30 @@ class TestDerivatives:
                 fd = (eval_K(u, TensorField(grid, du.values + eps * d_a), model).values
                       - eval_K(u, TensorField(grid, du.values - eps * d_a), model).values
                       ) / (2 * eps)
-                an = np.einsum("...nj,j->...n", eval_K_A(u, du, model), d_a)
+                an = eval_K_jvp(u_int, np.zeros(u_int.shape),
+                                constant_direction(d_a, grid), model)
+                an = np.moveaxis(an, 0, -1)
                 denom = max(float(np.abs(fd).max()), 1e-9)
                 worst = max(worst, float(np.abs(an - fd).max()) / denom)
             assert worst <= 1e-6, f"{kind}: {worst}"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_jvp_vjp_dot_product(self, grid, kind):
+        # <J (du, dA), kbar> = <(du, dA), J^T kbar>, random fields everywhere
+        rng = np.random.default_rng(7)
+        model = ObservationModel(kind, grid, zero_q(grid, kind), mask=default_mask(grid, 2))
+        shape = (grid.nt, grid.ny - 2, grid.nx - 2)
+        u = rng.standard_normal(shape + (2,))
+        du = rng.standard_normal(shape + (2,))
+        da = rng.standard_normal(shape + (4,))
+        kbar = rng.standard_normal(shape + (model.n,))
+        dk = eval_K_jvp(np.moveaxis(u, -1, 0), np.moveaxis(du, -1, 0),
+                        np.moveaxis(da, -1, 0), model)
+        ubar, abar = np.zeros(du.shape), np.zeros(da.shape)
+        eval_K_vjp(u, kbar, model, ubar, abar)
+        lhs = float(np.vdot(np.moveaxis(dk, 0, -1), kbar))
+        rhs = float(np.vdot(du, ubar) + np.vdot(da, abar))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestSynthData:
