@@ -28,8 +28,12 @@ def build_parser():
     twin.add_argument("--out", metavar="DIR", help="override output directory")
     twin.add_argument("--no-plots", action="store_true", help="skip SVG figures")
 
-    verify = sub.add_parser("verify", help="run the property suites")
-    verify.add_argument("--config", metavar="PATH", help="configuration file")
+    verify = sub.add_parser(
+        "verify", help="run the property suites",
+        description="Run the property suites at their built-in sizes.  They "
+                    "read no configuration: --config only validates the file.")
+    verify.add_argument("--config", metavar="PATH",
+                        help="configuration file to validate; the suites do not use it")
     verify.add_argument("--suite", metavar="NAME", help="run one named suite")
 
     sweep = sub.add_parser("sweep", help="run one twin per parameter value")
@@ -67,7 +71,7 @@ def main(argv=None):
                             plots=False if args.no_plots else None)
             return 0
         if args.command == "verify":
-            return 0 if runner.run_verify(cfg, suite_filter=args.suite) else 1
+            return 0 if runner.run_verify(suite_filter=args.suite) else 1
         if args.command == "sweep":
             values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
             runner.run_sweep(cfg, args.param, values, out_dir=args.out,

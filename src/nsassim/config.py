@@ -25,17 +25,6 @@ class ConfigFieldError(ConfigurationError):
         super().__init__(f"{fieldname}: {message}")
 
 
-_SCHEMA = {
-    "grid": {"nx", "ny", "nt", "lx", "ly", "t_end"},
-    "physics": {"nu", "lambda", "forcing", "forcing_amplitude",
-                "u0", "u0_amplitude", "ref_tol", "ref_sweeps"},
-    "observation": {"kind", "mask_stride", "noise_amplitude", "seed"},
-    "schedule": {"p_list", "warm_start"},
-    "optimizer": {"max_iters", "grad_tol", "memory"},
-    "output": {"directory", "plots"},
-}
-
-
 @dataclass
 class ExperimentConfig:
     nx: int = 16
@@ -122,43 +111,27 @@ class ExperimentConfig:
                             memory=self.memory)
 
     def to_ini(self):
-        """Deterministic text echo of the resolved configuration."""
-        lines = []
-        values = {
-            "grid": [("nx", self.nx), ("ny", self.ny), ("nt", self.nt),
-                     ("lx", repr(self.lx)), ("ly", repr(self.ly)),
-                     ("t_end", repr(self.t_end))],
-            "physics": [("nu", repr(self.nu)), ("lambda", repr(self.lam)),
-                        ("forcing", self.forcing),
-                        ("forcing_amplitude", repr(self.forcing_amplitude)),
-                        ("u0", self.u0), ("u0_amplitude", repr(self.u0_amplitude)),
-                        ("ref_sweeps", self.ref_sweeps)]
-            + ([("ref_tol", repr(self.ref_tol))] if self.ref_tol is not None else []),
-            "observation": [("kind", self.kind), ("mask_stride", self.mask_stride),
-                            ("noise_amplitude", repr(self.noise_amplitude)),
-                            ("seed", self.seed)],
-            "schedule": [("p_list", ",".join(repr(p) for p in self.p_list)),
-                         ("warm_start", str(self.warm_start).lower())],
-            "optimizer": [("max_iters", self.max_iters),
-                          ("grad_tol", repr(self.grad_tol)),
-                          ("memory", self.memory)],
-            "output": [("directory", self.directory),
-                       ("plots", str(self.plots).lower())],
-        }
-        for section, pairs in values.items():
-            lines.append(f"[{section}]")
-            for key, val in pairs:
-                lines.append(f"{key} = {val}")
-            lines.append("")
-        return "\n".join(lines)
+        """Deterministic text echo of the resolved configuration.
+
+        Keys follow _KEYS; an unset optional key (ref_tol) is left out.
+        """
+        lines, section = [], None
+        for sec, key, attr, _, fmt in _KEYS:
+            if sec != section:
+                lines += ([""] if section else []) + [f"[{sec}]"]
+                section = sec
+            value = getattr(self, attr)
+            if value is not None:
+                lines.append(f"{key} = {fmt(value)}")
+        return "\n".join(lines) + "\n"
 
 
-def _get(parser, section, key, cast, fieldname):
+def _get(parser, section, key, cast):
     raw = parser.get(section, key)
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigFieldError(fieldname, f"cannot parse {raw!r}") from exc
+        raise ConfigFieldError(f"{section}.{key}", f"cannot parse {raw!r}") from exc
 
 
 def _bool(raw):
@@ -172,6 +145,49 @@ def _bool(raw):
 
 def _p_list(raw):
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _lower(value):
+    return str(value).lower()
+
+
+def _joined(values):
+    return ",".join(repr(v) for v in values)
+
+
+# Every configuration key once: (section, key, ExperimentConfig attribute,
+# parser of the INI text, formatter for the echo).  Schema checks, parsing
+# and to_ini all read this table; the echo lists keys in this order.
+_KEYS = (
+    ("grid", "nx", "nx", int, str),
+    ("grid", "ny", "ny", int, str),
+    ("grid", "nt", "nt", int, str),
+    ("grid", "lx", "lx", float, repr),
+    ("grid", "ly", "ly", float, repr),
+    ("grid", "t_end", "t_end", float, repr),
+    ("physics", "nu", "nu", float, repr),
+    ("physics", "lambda", "lam", float, repr),
+    ("physics", "forcing", "forcing", str, str),
+    ("physics", "forcing_amplitude", "forcing_amplitude", float, repr),
+    ("physics", "u0", "u0", str, str),
+    ("physics", "u0_amplitude", "u0_amplitude", float, repr),
+    ("physics", "ref_sweeps", "ref_sweeps", int, str),
+    ("physics", "ref_tol", "ref_tol", float, repr),
+    ("observation", "kind", "kind", str, str),
+    ("observation", "mask_stride", "mask_stride", int, str),
+    ("observation", "noise_amplitude", "noise_amplitude", float, repr),
+    ("observation", "seed", "seed", int, str),
+    ("schedule", "p_list", "p_list", _p_list, _joined),
+    ("schedule", "warm_start", "warm_start", _bool, _lower),
+    ("optimizer", "max_iters", "max_iters", int, str),
+    ("optimizer", "grad_tol", "grad_tol", float, repr),
+    ("optimizer", "memory", "memory", int, str),
+    ("output", "directory", "directory", str, str),
+    ("output", "plots", "plots", _bool, _lower),
+)
+
+
+_KNOWN = {(section, key) for section, key, *_ in _KEYS}
 
 
 def load_config(text=None, path=None):
@@ -188,48 +204,23 @@ def load_config(text=None, path=None):
         raise ConfigFieldError("file", f"malformed configuration: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {known_section for known_section, _ in _KNOWN}:
             raise ConfigFieldError(section, "unknown section")
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KNOWN:
                 raise ConfigFieldError(f"{section}.{key}", "unknown key")
 
     cfg = ExperimentConfig()
-    casts = {
-        ("grid", "nx"): ("nx", int), ("grid", "ny"): ("ny", int),
-        ("grid", "nt"): ("nt", int), ("grid", "lx"): ("lx", float),
-        ("grid", "ly"): ("ly", float), ("grid", "t_end"): ("t_end", float),
-        ("physics", "nu"): ("nu", float), ("physics", "lambda"): ("lam", float),
-        ("physics", "forcing"): ("forcing", str),
-        ("physics", "forcing_amplitude"): ("forcing_amplitude", float),
-        ("physics", "u0"): ("u0", str),
-        ("physics", "u0_amplitude"): ("u0_amplitude", float),
-        ("physics", "ref_tol"): ("ref_tol", float),
-        ("physics", "ref_sweeps"): ("ref_sweeps", int),
-        ("observation", "kind"): ("kind", str),
-        ("observation", "mask_stride"): ("mask_stride", int),
-        ("observation", "noise_amplitude"): ("noise_amplitude", float),
-        ("observation", "seed"): ("seed", int),
-        ("schedule", "p_list"): ("p_list", _p_list),
-        ("schedule", "warm_start"): ("warm_start", _bool),
-        ("optimizer", "max_iters"): ("max_iters", int),
-        ("optimizer", "grad_tol"): ("grad_tol", float),
-        ("optimizer", "memory"): ("memory", int),
-        ("output", "directory"): ("directory", str),
-        ("output", "plots"): ("plots", _bool),
-    }
-    for (section, key), (attr, cast) in casts.items():
+    for section, key, attr, parse, _ in _KEYS:
         if parser.has_option(section, key):
-            setattr(cfg, attr, _get(parser, section, key, cast,
-                                    f"{section}.{key}"))
+            setattr(cfg, attr, _get(parser, section, key, parse))
     cfg.validate()
     return cfg
 
 
 def apply_override(cfg, dotted_key, raw_value):
     """Set one `section.key` from a string value, with validation."""
-    known = {f"{s}.{k}" for s, keys in _SCHEMA.items() for k in keys}
-    if dotted_key not in known:
+    if tuple(dotted_key.split(".", 1)) not in _KNOWN:
         raise ConfigFieldError(dotted_key, "unknown parameter")
     section, key = dotted_key.split(".", 1)
     base = cfg.to_ini()

@@ -59,8 +59,21 @@ class DiscreteMeasure:
         return float(np.sum(self.cell_volumes[cells]))
 
 
-def _measure_from_values(values, weight, p):
-    flat = values.reshape(-1, values.shape[-1])
+def _measure(field, p, weight, samples):
+    """Dual-weighted measure of a field object or of a raw (..., m) array.
+
+    A field object contributes samples(field.values) with the grid's
+    interior weight; a raw array is used as given, with the explicit weight
+    or, by default, the uniform weight over its cells.
+    """
+    if hasattr(field, "grid"):
+        vals = samples(field.values)
+        weight = field.grid.interior_weight()
+    else:
+        vals = np.asarray(field)
+        if weight is None:
+            weight = 1.0 / (vals.size // vals.shape[-1])
+    flat = vals.reshape(-1, vals.shape[-1])
     vols = np.full(flat.shape[0], weight)
     dw = dual_weight(WeightedSamples(flat, vols), p)
     mags = np.sqrt(np.einsum("ij,ij->i", flat, flat))
@@ -73,26 +86,12 @@ def build_sigma(y_field, p, weight=None):
     Accepts the full-grid residual VectorField (interior levels extracted)
     or a raw (nt, ny-2, nx-2, 2) array with an explicit cell weight.
     """
-    if hasattr(y_field, "grid"):
-        vals = y_field.values[1:, 1:-1, 1:-1]
-        weight = y_field.grid.interior_weight()
-    else:
-        vals = np.asarray(y_field)
-        if weight is None:
-            weight = 1.0 / (vals.size // vals.shape[-1])
-    return _measure_from_values(vals, weight, p)
+    return _measure(y_field, p, weight, lambda v: v[1:, 1:-1, 1:-1])
 
 
 def build_Sigma(k_field, p, weight=None):
     """Dual-weighted measure of the observation misfit at exponent p."""
-    if hasattr(k_field, "grid"):
-        vals = k_field.values
-        weight = k_field.grid.interior_weight()
-    else:
-        vals = np.asarray(k_field)
-        if weight is None:
-            weight = 1.0 / (vals.size // vals.shape[-1])
-    return _measure_from_values(vals, weight, p)
+    return _measure(k_field, p, weight, lambda v: v)
 
 
 def concentration_mass(measure, eps):

@@ -1,10 +1,12 @@
-"""Uniform space-time grids, field containers, and finite-difference operators.
+"""Uniform space-time grids, field containers, and finite-difference kernels.
 
 The domain is a node-centered rectangle [0,lx] x [0,ly] sampled at nx x ny
 nodes, with nt time levels after t = 0 (level 0 holds initial data).  All
 spatial derivatives are second-order: centered three-point stencils at
-interior nodes, one-sided second-order stencils at boundary nodes.  The time
-derivative is the first-order backward difference.
+interior nodes, one-sided second-order stencils at boundary nodes.  The
+kernels act on raw arrays over the trailing (ny, nx[, component]) axes; the
+backward time difference lives with the rest of the momentum expression in
+nse.momentum_terms_kernel.
 
 Derivative operators along each axis are dense 1D matrices applied by
 matmul, so operators acting on different axes commute exactly.  That makes
@@ -163,13 +165,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros((grid.nt + 1, grid.ny, grid.nx)))
 
-    @classmethod
-    def sample(cls, grid, fn):
-        """Sample fn(x, y, t) on the grid."""
-        xx, yy = grid.mesh()
-        vals = np.stack([fn(xx, yy, t) * np.ones_like(xx) for t in grid.t_nodes()])
-        return cls(grid, vals)
-
 
 @dataclass
 class VectorField:
@@ -194,16 +189,6 @@ class VectorField:
     def zeros(cls, grid):
         return cls(grid, np.zeros((grid.nt + 1, grid.ny, grid.nx, 2)))
 
-    @classmethod
-    def sample(cls, grid, fn):
-        """Sample fn(x, y, t) -> (u1, u2) on the grid."""
-        xx, yy = grid.mesh()
-        levels = []
-        for t in grid.t_nodes():
-            u1, u2 = fn(xx, yy, t)
-            levels.append(np.stack([u1 * np.ones_like(xx), u2 * np.ones_like(xx)], axis=-1))
-        return cls(grid, np.stack(levels))
-
 
 @dataclass
 class TensorField:
@@ -226,7 +211,7 @@ class TensorField:
 
 
 # ---------------------------------------------------------------------------
-# raw-array kernels (used directly by the misfit chain and its adjoint)
+# raw-array kernels
 
 def curl_kernel(psi, grid, axis=-1):
     """(d psi/dy, -d psi/dx) for psi shaped (..., ny, nx), components along axis."""
@@ -301,81 +286,25 @@ def zero_boundary_ring(u):
     return out
 
 
-# ---------------------------------------------------------------------------
-# field-level operations
-
-def curl_stream(psi):
-    """Velocity (d psi/dy, -d psi/dx) from a stream function.
-
-    Centered differences at interior nodes, one-sided second-order at the
-    boundary.  Because the x- and y-derivative matrices act on different
-    axes they commute exactly, so the centered discrete divergence of the
-    result vanishes to round-off at interior nodes for any psi.  When psi
-    vanishes on the spatial boundary the normal velocity component is
-    exactly zero there as well.
-    """
-    _check_finite(psi.values, "stream function")
-    return VectorField(psi.grid, curl_kernel(psi.values, psi.grid))
-
-
-def spatial_gradient(u):
-    """Gradient tensor of a velocity field, second-order stencils."""
-    return TensorField(u.grid, gradient_kernel(u.values, u.grid))
-
-
-def laplacian(u):
-    """Componentwise Laplacian: 5-point stencil interior, one-sided at edges."""
-    g = u.grid
-    vals = np.stack(
-        [laplacian_kernel(u.values[..., 0], g), laplacian_kernel(u.values[..., 1], g)],
-        axis=-1)
-    return VectorField(g, vals)
-
-
-def advection(u):
-    """(u . D)u computed pointwise from the spatial gradient."""
-    return VectorField(u.grid, advection_kernel(u.values, gradient_kernel(u.values, u.grid)))
-
-
-def divergence(u):
-    return ScalarField(u.grid, divergence_kernel(u.values, u.grid))
-
-
-def vorticity(u):
-    return ScalarField(u.grid, vorticity_kernel(u.values, u.grid))
-
-
-def time_derivative(u, u0):
-    """Backward difference (u^k - u^(k-1))/dt at levels 1..nt with u^0 := u0.
-
-    u0 is the initial spatial slice, shaped (ny, nx, 2).  Level 0 of the
-    output is zero and unused by the residual.
-    """
-    g = u.grid
-    u0 = np.asarray(u0, dtype=np.float64)
-    if u0.shape != (g.ny, g.nx, 2):
-        raise ConfigurationError(
-            f"initial slice shape {u0.shape} != {(g.ny, g.nx, 2)}")
-    out = np.zeros_like(u.values)
-    prev = np.concatenate([u0[None], u.values[1:-1]], axis=0)
-    out[1:] = (u.values[1:] - prev) / g.dt
-    return VectorField(g, out)
-
-
 @lru_cache(maxsize=None)
-def trapezoid_weights_2d(grid):
-    """Normalized trapezoidal quadrature weights over the full spatial grid.
+def trapezoid_weights(ny, nx):
+    """Normalized trapezoidal quadrature weights on an ny x nx node block.
 
-    Cached per grid and read-only, like the 1D derivative matrices.
+    Cached per shape and read-only, like the 1D derivative matrices.
     """
-    wx = np.ones(grid.nx)
+    wx = np.ones(nx)
     wx[0] = wx[-1] = 0.5
-    wy = np.ones(grid.ny)
+    wy = np.ones(ny)
     wy[0] = wy[-1] = 0.5
     w = np.outer(wy, wx)
     w = w / w.sum()
     w.setflags(write=False)
     return w
+
+
+def trapezoid_weights_2d(grid):
+    """Trapezoidal weights over the full spatial grid (shared, read-only)."""
+    return trapezoid_weights(grid.ny, grid.nx)
 
 
 def zero_mean_kernel(p, grid):
@@ -388,8 +317,3 @@ def zero_mean_transpose_kernel(pbar, grid):
     """Transpose of zero_mean_kernel."""
     tw = trapezoid_weights_2d(grid)
     return pbar - tw[None] * pbar.sum(axis=(1, 2))[:, None, None]
-
-
-def zero_mean_project(p):
-    """Subtract the trapezoidal-weighted spatial mean at every time level."""
-    return ScalarField(p.grid, zero_mean_kernel(p.values, p.grid))

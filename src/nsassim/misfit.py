@@ -32,16 +32,16 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import (
     ScalarField, VectorField, curl_transpose_kernel, gradient_kernel,
-    gradient_transpose_kernel, laplacian_kernel, laplacian_transpose_kernel,
-    scalar_gradient_kernel, scalar_gradient_transpose_kernel,
-    zero_boundary_ring, zero_mean_transpose_kernel,
+    gradient_transpose_kernel, laplacian_transpose_kernel,
+    scalar_gradient_transpose_kernel, zero_boundary_ring,
+    zero_mean_transpose_kernel,
 )
 from .norms import (
     PExponent, dual_factor, lp_norm_from_magnitudes, magnitudes, reg_abs,
 )
 from .nse import (
-    ControlVector, extend_interior_transpose, pressure_map, state_from_control,
-    velocity_map,
+    ControlVector, extend_interior_transpose, momentum_terms_kernel, pressure_map,
+    state_from_control, velocity_map,
 )
 from .observation import ObsField, eval_K_jvp, eval_K_kernel, eval_K_vjp
 
@@ -126,20 +126,7 @@ def assemble_state(c, setup, model):
         raise ConfigurationError("observation grid does not match setup grid")
     u, pfield = state_from_control(c, setup)
     grad_u = gradient_kernel(u.values[1:], g)
-
-    prev = np.concatenate([setup.u0[None], u.values[1:-1]], axis=0)
-    expr = (u.values[1:] - prev) / g.dt
-    lap = np.stack(
-        [laplacian_kernel(u.values[1:, ..., 0], g), laplacian_kernel(u.values[1:, ..., 1], g)],
-        axis=-1)
-    expr = expr - setup.nu * lap + scalar_gradient_kernel(pfield.values[1:], g)
-    if setup.include_advection:
-        u1 = u.values[1:, ..., 0]
-        u2 = u.values[1:, ..., 1]
-        adv = np.stack(
-            [u1 * grad_u[..., 0] + u2 * grad_u[..., 1],
-             u1 * grad_u[..., 2] + u2 * grad_u[..., 3]], axis=-1)
-        expr = expr + adv
+    expr = momentum_terms_kernel(u.values, pfield.values, setup, grad_u=grad_u)
     y_int = expr[:, 1:-1, 1:-1] - setup.f.values[1:, 1:-1, 1:-1]
 
     yvals = np.zeros_like(u.values)

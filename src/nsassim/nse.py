@@ -22,7 +22,7 @@ from .errors import ConfigurationError, InvalidFieldError, SolverError
 from .grid import (
     GridSpec, ScalarField, VectorField,
     advection_kernel, apply_x, apply_y, curl_kernel, divergence_kernel,
-    gradient_kernel, laplacian_kernel, scalar_gradient_kernel,
+    gradient_kernel, laplacian_kernel, scalar_gradient_kernel, trapezoid_weights,
     zero_boundary_ring, zero_mean_kernel, _d1_matrix,
 )
 
@@ -134,17 +134,9 @@ def extend_interior_transpose(levels_bar, grid):
     return out
 
 
-@lru_cache(maxsize=None)
 def interior_trapezoid_weights(grid):
-    """Normalized trapezoidal weights over the interior subgrid (read-only)."""
-    wx = np.ones(grid.nx - 2)
-    wx[0] = wx[-1] = 0.5
-    wy = np.ones(grid.ny - 2)
-    wy[0] = wy[-1] = 0.5
-    w = np.outer(wy, wx)
-    w = w / w.sum()
-    w.setflags(write=False)
-    return w
+    """Trapezoidal weights over the interior subgrid (shared, read-only)."""
+    return trapezoid_weights(grid.ny - 2, grid.nx - 2)
 
 
 @dataclass
@@ -283,8 +275,12 @@ def pressure_map(pr, grid):
     return zero_mean_kernel(extend_interior(pr, grid), grid)
 
 
-def momentum_terms_kernel(uvals, pvals, setup, u0=None):
-    """Sum of all momentum terms except the forcing, levels 1..nt, full grid."""
+def momentum_terms_kernel(uvals, pvals, setup, u0=None, grad_u=None):
+    """Sum of all momentum terms except the forcing, levels 1..nt, full grid.
+
+    grad_u, when given, is gradient_kernel(uvals[1:]) computed by the
+    caller; it is then not computed again for the advection term.
+    """
     g = setup.grid
     u0 = setup.u0 if u0 is None else u0
     prev = np.concatenate([u0[None], uvals[1:-1]], axis=0)
@@ -294,7 +290,9 @@ def momentum_terms_kernel(uvals, pvals, setup, u0=None):
         axis=-1)
     out = dtu - setup.nu * lap + scalar_gradient_kernel(pvals[1:], g)
     if setup.include_advection:
-        out = out + advection_kernel(uvals[1:], gradient_kernel(uvals[1:], g))
+        if grad_u is None:
+            grad_u = gradient_kernel(uvals[1:], g)
+        out = out + advection_kernel(uvals[1:], grad_u)
     return out
 
 

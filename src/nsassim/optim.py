@@ -19,7 +19,7 @@ bound.  All arithmetic is deterministic.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,13 +216,7 @@ def run_continuation(c0, setup, model, schedule=None, opts=None):
     current = c0
     p_first = schedule.p_list[0]
     for p in schedule.p_list:
-        stage_opts = OptimOptions(
-            max_iters=opts.max_iters,
-            grad_tol=stage_tolerance(opts, p_first, p),
-            memory=opts.memory,
-            armijo_factor=opts.armijo_factor,
-            armijo_slope=opts.armijo_slope,
-            max_backtracks=opts.max_backtracks)
+        stage_opts = replace(opts, grad_tol=stage_tolerance(opts, p_first, p))
         t0 = time.perf_counter()
         result = minimize_E_p(current, setup, model, p, stage_opts)
         wall_ms = (time.perf_counter() - t0) * 1e3

@@ -20,8 +20,8 @@ from .diagnostics import (
     sigma_infty_support_check,
 )
 from .errors import ConfigurationError, SolverError
-from .grid import GridSpec, ScalarField, VectorField
-from .misfit import assemble_state
+from .grid import GridSpec, ScalarField, TensorField, VectorField, gradient_kernel
+from .misfit import assemble_E_p, assemble_state, gradient_E_p
 from .norms import (
     PExponent, WeightedSamples, dotted_lp_norm, dual_weight, holder_gap,
     oscillating_step_profile, reg_abs,
@@ -30,7 +30,10 @@ from .nse import (
     ControlVector, PhysicsSetup, consistent_forcing, forcing_preset,
     initial_velocity_preset, reference_solve, residual_y,
 )
-from .observation import eval_K, eval_K_jvp, synth_data
+from .observation import (
+    KINDS, ObservationModel, default_mask, eval_K, eval_K_jvp, n_components,
+    synth_data,
+)
 from .optim import run_continuation
 
 
@@ -185,72 +188,110 @@ def run_twin(cfg, out_dir=None, plots=None, log=print):
 
 
 # ---------------------------------------------------------------------------
-# verification suites (cmd_verify)
+# verification checks: the `verify` suites and the acceptance tests call
+# these, each at its own seed and sizes; the tolerances are fixed here
 
-def _suite_norms():
-    rng = np.random.default_rng(2024)
-    p_grid = [1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
-    worst = 0.0
-    for _ in range(60):
-        n = int(rng.integers(8, 200))
+_NORM_EXPONENTS = (1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+
+
+def _random_samples(seed, trials):
+    """Random weighted vector samples: 4..249 points, 1..3 components."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        n = int(rng.integers(4, 250))
         m = int(rng.integers(1, 4))
-        vals = rng.normal(scale=rng.uniform(0.05, 3.0), size=(n, m))
-        w = rng.uniform(0.1, 1.0, size=n)
-        h = WeightedSamples(vals, w / w.sum())
-        norms = {p: dotted_lp_norm(h, p) for p in p_grid}
-        for i, q in enumerate(p_grid):
-            for p in p_grid[i:]:
-                gap = norms[q] - norms[p] - holder_gap(q, p)
-                worst = max(worst, gap)
+        vals = rng.uniform(0.02, 4.0) * rng.standard_normal((n, m))
+        w = rng.uniform(0.05, 1.0, size=n)
+        yield WeightedSamples(vals, w / w.sum())
+
+
+def check_holder(seed=2024, trials=60):
+    """Modified Hoelder inequality between exponents and the 1/p floor."""
+    worst = -np.inf
+    for h in _random_samples(seed, trials):
+        norms = {p: dotted_lp_norm(h, p) for p in _NORM_EXPONENTS}
+        for i, q in enumerate(_NORM_EXPONENTS):
+            for p in _NORM_EXPONENTS[i:]:
+                worst = max(worst, norms[q] - norms[p] - holder_gap(q, p))
+    zero = WeightedSamples.uniform(np.zeros((64, 2)))
+    floor_err = max(abs(dotted_lp_norm(zero, p) - 1.0 / p) for p in _NORM_EXPONENTS)
+    return (worst <= 1e-10 and floor_err <= 1e-15,
+            f"largest defect {worst:.2e}, zero-field floor error {floor_err:.1e}")
+
+
+def check_dual_weights(seed=2024, trials=60):
+    """Dual weights lie in the conjugate unit ball and pair back to the norm."""
+    worst_ball = worst_ident = 0.0
+    for h in _random_samples(seed, trials):
         for p in (2.0, 8.0, 32.0, 128.0):
             dw = dual_weight(h, p)
             pc = PExponent(p).conjugate
-            ball = float(np.sum(h.weights * _mags(dw.values) ** pc) ** (1.0 / pc))
-            if ball > 1.0 + 1e-10:
-                return False, f"unit-ball bound violated: {ball}"
-            pair = float(np.sum(h.weights * np.einsum("ij,ij->i", dw.values, vals)))
+            worst_ball = max(worst_ball,
+                             float(np.sum(h.weights * _mags(dw.values) ** pc) ** (1.0 / pc)))
+            norm = dotted_lp_norm(h, p)
+            pair = float(np.sum(h.weights * np.einsum("ij,ij->i", dw.values, h.values)))
             reg = float(np.sum(
-                h.weights * np.exp((p - 2.0) * np.log(reg_abs(vals, p))
-                                   - (p - 1.0) * np.log(norms[p])))) * p ** -2
-            ident = abs(pair + reg - norms[p]) / norms[p]
-            if ident > 1e-10:
-                return False, f"duality identity off by {ident}"
-    if worst > 1e-10:
-        return False, f"Hoelder defect {worst}"
-    zero = WeightedSamples.uniform(np.zeros((16, 2)))
-    for p in p_grid:
-        if abs(dotted_lp_norm(zero, p) - 1.0 / p) > 1e-15:
-            return False, "norm of zero is not 1/p"
-    return True, f"largest Hoelder defect {worst:.2e}"
+                h.weights * np.exp((p - 2.0) * np.log(reg_abs(h.values, p))
+                                   - (p - 1.0) * np.log(norm)))) * p ** -2
+            worst_ident = max(worst_ident, abs(pair + reg - norm) / norm)
+    return (worst_ball <= 1.0 + 1e-10 and worst_ident <= 1e-10,
+            f"largest conjugate norm {worst_ball:.12f}, "
+            f"duality identity defect {worst_ident:.1e}")
 
 
-def _suite_gradient():
-    from .misfit import assemble_E_p, gradient_E_p
+def check_norms():
+    """check_holder and check_dual_weights on the same samples."""
+    results = (check_holder(), check_dual_weights())
+    return all(ok for ok, _ in results), "; ".join(detail for _, detail in results)
+
+
+def check_gradient(seed=17, directions=5):
+    """Analytic gradient against central differences along random directions."""
     g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
     setup = PhysicsSetup(grid=g, nu=0.01, lam=0.5,
                          f=forcing_preset(g, "none", 0.0),
                          u0=initial_velocity_preset(g, "vortex", 0.1))
-    truth = VectorField.zeros(g)
-    model = synth_data(truth, "masked-velocity", 0.25, seed=9, mask_stride=2)
-    rng = np.random.default_rng(17)
-    c = ControlVector(g, 0.2 * rng.standard_normal((g.nt, g.ny - 4, g.nx - 4)),
-                      0.2 * rng.standard_normal((g.nt, g.ny - 2, g.nx - 2)))
+    model = synth_data(VectorField.zeros(g), "masked-velocity", 0.25,
+                       seed=9, mask_stride=2)
+    rng = np.random.default_rng(seed)
+    c = ControlVector(g, 0.3 * rng.standard_normal((g.nt, g.ny - 4, g.nx - 4)),
+                      0.3 * rng.standard_normal((g.nt, g.ny - 2, g.nx - 2)))
+    eps = 1e-6  # 1e-6 times the O(1) problem scale
     worst = 0.0
     for p in (2.0, 6.0):
         flat = gradient_E_p(c, setup, model, p).to_flat()
-        for _ in range(5):
+        for _ in range(directions):
             d = rng.standard_normal(flat.size)
             d /= np.linalg.norm(d)
-            eps = 1e-6
             cp = ControlVector.from_flat(g, c.to_flat() + eps * d)
             cm = ControlVector.from_flat(g, c.to_flat() - eps * d)
             fd = (assemble_E_p(cp, setup, model, p).e_p
                   - assemble_E_p(cm, setup, model, p).e_p) / (2 * eps)
             worst = max(worst, abs(float(flat @ d) - fd) / max(abs(fd), 1e-30))
-    return worst <= 1e-5, f"max relative gradient error {worst:.2e}"
+    return (worst <= 1e-5,
+            f"max relative error {worst:.2e} over {directions} directions, p in {{2, 6}}")
 
 
-def _manufactured_fields(grid):
+def check_consistent_forcing(u, p):
+    """The forcing consistent_forcing builds for (u, p) cancels the residual.
+
+    Level 0 of u is the initial slice; the cancellation must hold to
+    1e-12 of the forcing scale on every interior node.
+    """
+    g = u.grid
+    zero = np.zeros((g.ny, g.nx, 2))
+    base = PhysicsSetup(grid=g, nu=0.05, lam=0.5, f=forcing_preset(g, "none", 0.0), u0=zero)
+    f = consistent_forcing(u, p, base, u0=u.values[0])
+    setup = PhysicsSetup(grid=g, nu=0.05, lam=0.5, f=f, u0=zero)
+    res = residual_y(u, p, setup, u0=u.values[0])
+    scale = max(1.0, float(np.abs(f.values).max()))
+    peak = float(np.abs(res.values).max())
+    return peak <= 1e-12 * scale, f"consistent residual {peak:.2e} (<= 1e-12*scale)"
+
+
+def check_manufactured():
+    """check_consistent_forcing on a closed-form solenoidal state."""
+    grid = GridSpec(nx=17, ny=17, nt=6, t_end=0.3)
     xx, yy = grid.mesh()
     levels_u, levels_p = [], []
     for t in grid.t_nodes():
@@ -259,50 +300,34 @@ def _manufactured_fields(grid):
         u2 = -a * np.pi * np.sin(2 * np.pi * xx) * np.sin(np.pi * yy) ** 2 / 2.0
         levels_u.append(np.stack([u1, u2], axis=-1))
         levels_p.append(a * np.cos(np.pi * xx) * np.cos(np.pi * yy))
-    return (VectorField(grid, np.stack(levels_u)),
-            ScalarField(grid, np.stack(levels_p)))
+    return check_consistent_forcing(VectorField(grid, np.stack(levels_u)),
+                                    ScalarField(grid, np.stack(levels_p)))
 
 
-def _suite_manufactured():
-    g = GridSpec(nx=17, ny=17, nt=6, t_end=0.3)
-    u_m, p_m = _manufactured_fields(g)
-    base = PhysicsSetup(grid=g, nu=0.05, lam=0.5,
-                        f=forcing_preset(g, "none", 0.0),
-                        u0=np.zeros((g.ny, g.nx, 2)))
-    u0 = u_m.values[0]
-    f = consistent_forcing(u_m, p_m, base, u0=u0)
-    setup = PhysicsSetup(grid=g, nu=0.05, lam=0.5, f=f,
-                         u0=np.zeros((g.ny, g.nx, 2)))
-    res = residual_y(u_m, p_m, setup, u0=u0)
-    scale = max(1.0, float(np.abs(f.values).max()))
-    peak = float(np.abs(res.values).max())
-    if peak > 1e-12 * scale:
-        return False, f"consistent-forcing residual {peak:.2e}"
-    return True, f"consistent-forcing residual {peak:.2e} (scale {scale:.3g})"
-
-
-def _suite_counterexample():
+def check_oscillation():
+    """The oscillating step profile: unit norm, zero pairing, unit L1 distance."""
+    worst_norm = worst_pair = worst_l1 = 0.0
     for p in (4, 16, 64):
         mids, width, vals, limit = oscillating_step_profile(p)
-        n = vals.size
-        lp = (np.sum(np.abs(vals) ** p) / n) ** (1.0 / p)
-        pairing = float(np.sum(vals[mids < 1.0]) * width)
-        l1 = float(np.sum(np.abs(vals - limit)[mids < 1.0]) * width)
-        if abs(lp - 1.0) > 1e-12:
-            return False, f"p={p}: normalized norm {lp}"
-        if abs(pairing) > 1e-12:
-            return False, f"p={p}: pairing {pairing}"
-        if abs(l1 - 1.0) > 1e-12:
-            return False, f"p={p}: L1 distance {l1}"
-    return True, "oscillation profile: norm 1, pairing 0, L1 distance 1"
+        norm = (np.sum(np.abs(vals) ** p) / vals.size) ** (1.0 / p)
+        left = mids < 1.0
+        pairing = float(np.sum(vals[left]) * width)
+        l1 = float(np.sum(np.abs(vals - limit)[left]) * width)
+        worst_norm = max(worst_norm, abs(norm - 1.0))
+        worst_pair = max(worst_pair, abs(pairing))
+        worst_l1 = max(worst_l1, abs(l1 - 1.0))
+    return (worst_norm <= 1e-12 and worst_pair <= 1e-12 and worst_l1 <= 1e-12,
+            f"norm defect {worst_norm:.1e}, pairing {worst_pair:.1e}, "
+            f"L1 defect {worst_l1:.1e} (all <= 1e-12)")
 
 
-def _suite_fields(tmp_base):
+def check_fields():
+    """Field files round-trip bit-exactly and a flipped byte fails the checksum."""
     import tempfile
     g = GridSpec(nx=6, ny=7, nt=3, t_end=0.2)
     rng = np.random.default_rng(3)
     fld = VectorField(g, rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
-    with tempfile.TemporaryDirectory(dir=tmp_base) as td:
+    with tempfile.TemporaryDirectory() as td:
         stem = os.path.join(td, "probe")
         fieldio.write_vector_field(stem, fld)
         back = fieldio.read_vector_field(stem)
@@ -320,53 +345,60 @@ def _suite_fields(tmp_base):
         return False, "corrupted file was not detected"
 
 
-def _suite_observation():
-    from .grid import TensorField, spatial_gradient
-    g = GridSpec(nx=9, ny=9, nt=4, t_end=0.2)
-    rng = np.random.default_rng(5)
-    worst = 0.0
+def check_observation(seed=5, grid=None, trials=30):
+    """Observation tangent eval_K_jvp against central differences of eval_K.
+
+    Per kind, `trials` random states on `grid` (default 9 x 9 x 4), each
+    perturbed along one random constant velocity direction and one random
+    constant gradient direction.
+    """
+    g = grid or GridSpec(nx=9, ny=9, nt=4, t_end=0.2)
+    rng = np.random.default_rng(seed)
     eps = 1e-5
-    for kind in ("masked-velocity", "vorticity", "speed-squared"):
-        truth = VectorField(g, 0.5 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
-        model = synth_data(truth, kind, 0.1, seed=8, mask_stride=2)
-        for _ in range(30):
-            u = VectorField(g, 0.5 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
-            du = spatial_gradient(u)
+    shape = (g.nt, g.ny - 2, g.nx - 2)
+    ones = np.ones(shape)
+
+    def relative_error(an, fd):
+        return (float(np.abs(np.moveaxis(an, 0, -1) - fd).max())
+                / max(float(np.abs(fd).max()), 1e-9))
+
+    worst = 0.0
+    for kind in KINDS:
+        model = ObservationModel(kind, g, np.zeros(shape + (n_components(kind),)),
+                                 mask=default_mask(g, 2))
+        for _ in range(trials):
+            u = VectorField(g, 0.7 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+            du = TensorField(g, gradient_kernel(u.values, g))
             u_int = np.moveaxis(u.values[1:, 1:-1, 1:-1], -1, 0)
-            shape = u_int.shape[1:]
             d = rng.standard_normal(2)
             d /= np.linalg.norm(d)
             fd = (eval_K(VectorField(g, u.values + eps * d), du, model).values
                   - eval_K(VectorField(g, u.values - eps * d), du, model).values
                   ) / (2 * eps)
-            an = np.moveaxis(eval_K_jvp(u_int, np.multiply.outer(d, np.ones(shape)),
-                                        np.zeros((4,) + shape), model), 0, -1)
-            denom = max(float(np.abs(fd).max()), 1e-9)
-            worst = max(worst, float(np.abs(an - fd).max()) / denom)
+            an = eval_K_jvp(u_int, np.multiply.outer(d, ones), np.zeros((4,) + shape), model)
+            worst = max(worst, relative_error(an, fd))
 
             e = rng.standard_normal(4)
             e /= np.linalg.norm(e)
             fd = (eval_K(u, TensorField(g, du.values + eps * e), model).values
                   - eval_K(u, TensorField(g, du.values - eps * e), model).values
                   ) / (2 * eps)
-            an = np.moveaxis(eval_K_jvp(u_int, np.zeros((2,) + shape),
-                                        np.multiply.outer(e, np.ones(shape)), model), 0, -1)
-            denom = max(float(np.abs(fd).max()), 1e-9)
-            worst = max(worst, float(np.abs(an - fd).max()) / denom)
+            an = eval_K_jvp(u_int, np.zeros((2,) + shape), np.multiply.outer(e, ones), model)
+            worst = max(worst, relative_error(an, fd))
     return worst <= 1e-6, f"max relative derivative error {worst:.2e}"
 
 
 SUITES = {
-    "norms": lambda cfg: _suite_norms(),
-    "gradient": lambda cfg: _suite_gradient(),
-    "manufactured": lambda cfg: _suite_manufactured(),
-    "counterexample": lambda cfg: _suite_counterexample(),
-    "fields": lambda cfg: _suite_fields(None),
-    "observation": lambda cfg: _suite_observation(),
+    "norms": check_norms,
+    "gradient": check_gradient,
+    "manufactured": check_manufactured,
+    "counterexample": check_oscillation,
+    "fields": check_fields,
+    "observation": check_observation,
 }
 
 
-def run_verify(cfg, suite_filter=None, log=print):
+def run_verify(suite_filter=None, log=print):
     """Run the named verification suites; returns True iff all pass."""
     names = list(SUITES)
     if suite_filter:
@@ -377,7 +409,7 @@ def run_verify(cfg, suite_filter=None, log=print):
         names = [suite_filter]
     all_ok = True
     for name in names:
-        ok, detail = SUITES[name](cfg)
+        ok, detail = SUITES[name]()
         all_ok &= ok
         log(f"{name:16s} {'PASS' if ok else 'FAIL'}  {detail}")
     return all_ok

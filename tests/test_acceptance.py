@@ -15,18 +15,17 @@ import pytest
 from nsassim.config import ExperimentConfig
 from nsassim.diagnostics import el_residual
 from nsassim.grid import GridSpec, ScalarField, VectorField
-from nsassim.misfit import assemble_E_p, gradient_E_p
-from nsassim.norms import (
-    PExponent, WeightedSamples, dotted_lp_norm, dual_weight, holder_gap,
-    oscillating_step_profile,
-)
+from nsassim.misfit import assemble_E_p
 from nsassim.nse import (
-    ControlVector, PhysicsSetup, consistent_forcing, forcing_preset,
-    initial_velocity_preset, residual_y,
+    ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset,
+    residual_y,
 )
 from nsassim.observation import synth_data
 from nsassim.optim import OptimOptions, minimize_E_p
-from nsassim.runner import run_twin
+from nsassim.runner import (
+    check_consistent_forcing, check_dual_weights, check_gradient, check_holder,
+    check_oscillation, run_twin,
+)
 
 
 def report(name, ok, detail):
@@ -70,69 +69,18 @@ def noisy_run(tmp_path_factory):
 
 
 def test_criterion_1_dotted_norm_calculus():
-    rng = np.random.default_rng(1001)
-    ps = [1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
-    worst = -np.inf
-    for _ in range(200):
-        n = int(rng.integers(4, 250))
-        m = int(rng.integers(1, 4))
-        vals = rng.uniform(0.02, 4.0) * rng.standard_normal((n, m))
-        w = rng.uniform(0.05, 1.0, size=n)
-        h = WeightedSamples(vals, w / w.sum())
-        norms = {p: dotted_lp_norm(h, p) for p in ps}
-        for i, q in enumerate(ps):
-            for p in ps[i:]:
-                worst = max(worst, norms[q] - norms[p] - holder_gap(q, p))
-    ok = worst <= 1e-10
-    zero = WeightedSamples.uniform(np.zeros((64, 2)))
-    floor_err = max(abs(dotted_lp_norm(zero, p) - 1.0 / p) for p in ps)
-    ok = ok and floor_err <= 1e-15
-    report("criterion 1 (modified Hoelder + 1/p floor)", ok,
-           f"largest defect {worst:.2e}, zero-field floor error {floor_err:.1e}")
+    report("criterion 1 (modified Hoelder + 1/p floor)",
+           *check_holder(seed=1001, trials=200))
 
 
 def test_criterion_2_unit_ball_bound():
-    rng = np.random.default_rng(1002)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(4, 250))
-        m = int(rng.integers(1, 4))
-        vals = rng.uniform(0.02, 4.0) * rng.standard_normal((n, m))
-        w = rng.uniform(0.05, 1.0, size=n)
-        h = WeightedSamples(vals, w / w.sum())
-        for p in (2.0, 8.0, 32.0, 128.0):
-            dw = dual_weight(h, p)
-            pc = PExponent(p).conjugate
-            mags = np.sqrt(np.einsum("ij,ij->i", dw.values, dw.values))
-            worst = max(worst, float(np.sum(h.weights * mags ** pc) ** (1.0 / pc)))
-    report("criterion 2 (dual-weight unit ball)", worst <= 1.0 + 1e-10,
-           f"largest conjugate norm {worst:.12f}")
+    report("criterion 2 (dual-weight unit ball)",
+           *check_dual_weights(seed=1002, trials=200))
 
 
 def test_criterion_3_gradient_exactness():
-    g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
-    setup = PhysicsSetup(grid=g, nu=0.01, lam=0.5,
-                         f=forcing_preset(g, "none", 0.0),
-                         u0=initial_velocity_preset(g, "vortex", 0.1))
-    model = synth_data(VectorField.zeros(g), "masked-velocity", 0.25,
-                       seed=9, mask_stride=2)
-    rng = np.random.default_rng(1003)
-    c = ControlVector(g, 0.3 * rng.standard_normal((g.nt, g.ny - 4, g.nx - 4)),
-                      0.3 * rng.standard_normal((g.nt, g.ny - 2, g.nx - 2)))
-    eps = 1e-6  # 1e-6 times the O(1) problem scale
-    worst = 0.0
-    for p in (2.0, 6.0):
-        flat = gradient_E_p(c, setup, model, p).to_flat()
-        for _ in range(20):
-            d = rng.standard_normal(flat.size)
-            d /= np.linalg.norm(d)
-            cp = ControlVector.from_flat(g, c.to_flat() + eps * d)
-            cm = ControlVector.from_flat(g, c.to_flat() - eps * d)
-            fd = (assemble_E_p(cp, setup, model, p).e_p
-                  - assemble_E_p(cm, setup, model, p).e_p) / (2 * eps)
-            worst = max(worst, abs(float(flat @ d) - fd) / max(abs(fd), 1e-30))
-    report("criterion 3 (gradient vs central differences)", worst <= 1e-5,
-           f"max relative error {worst:.2e} over 20 directions, p in {{2, 6}}")
+    report("criterion 3 (gradient vs central differences)",
+           *check_gradient(seed=1003, directions=20))
 
 
 def _sympy_forcing(psi_expr, p_expr, nu):
@@ -177,16 +125,7 @@ def test_criterion_4_manufactured_solution():
         (1 + t / 2) * sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2 / 4,
         sp.cos(sp.pi * x) * sp.cos(sp.pi * y), 0.05)
     _, u_m, p_m = _manufactured_residual(g0, fns)
-    base = PhysicsSetup(grid=g0, nu=0.05, lam=0.5,
-                        f=forcing_preset(g0, "none", 0.0),
-                        u0=initial_velocity_preset(g0, "zero", 0.0))
-    f_c = consistent_forcing(u_m, p_m, base, u0=u_m.values[0])
-    setup_c = PhysicsSetup(grid=g0, nu=0.05, lam=0.5, f=f_c,
-                           u0=initial_velocity_preset(g0, "zero", 0.0))
-    res_c = residual_y(u_m, p_m, setup_c, u0=u_m.values[0])
-    scale = max(1.0, float(np.abs(f_c.values).max()))
-    consistent_peak = float(np.abs(res_c.values).max())
-    ok = consistent_peak <= 1e-12 * scale
+    ok, consistent = check_consistent_forcing(u_m, p_m)
 
     # spatial order: state linear in time makes the time difference exact
     psi_space = (1 + t / 2) * sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2 / 4
@@ -211,8 +150,7 @@ def test_criterion_4_manufactured_solution():
     ok = ok and 0.7 <= slope_time <= 1.3
 
     report("criterion 4 (manufactured solutions)", ok,
-           f"consistent residual {consistent_peak:.2e} (<= 1e-12*scale), "
-           f"space slope {slope_space:.3f}, time slope {slope_time:.3f}")
+           f"{consistent}, space slope {slope_space:.3f}, time slope {slope_time:.3f}")
 
 
 def test_criterion_5_truth_feasibility(zero_noise_run):
@@ -286,21 +224,7 @@ def test_criterion_8_stationarity_residuals():
 
 
 def test_criterion_9_oscillation_profile():
-    worst_norm = worst_pair = worst_l1 = 0.0
-    for p in (4, 16, 64):
-        mids, width, vals, limit = oscillating_step_profile(p)
-        n = vals.size
-        norm = (np.sum(np.abs(vals) ** p) / n) ** (1.0 / p)
-        left = mids < 1.0
-        pairing = float(np.sum(vals[left]) * width)
-        l1 = float(np.sum(np.abs(vals - limit)[left]) * width)
-        worst_norm = max(worst_norm, abs(norm - 1.0))
-        worst_pair = max(worst_pair, abs(pairing))
-        worst_l1 = max(worst_l1, abs(l1 - 1.0))
-    ok = worst_norm <= 1e-12 and worst_pair <= 1e-12 and worst_l1 <= 1e-12
-    report("criterion 9 (oscillating sequence identities)", ok,
-           f"norm defect {worst_norm:.1e}, pairing {worst_pair:.1e}, "
-           f"L1 defect {worst_l1:.1e} (all <= 1e-12)")
+    report("criterion 9 (oscillating sequence identities)", *check_oscillation())
 
 
 def test_criterion_10_determinism(zero_noise_run, tmp_path):

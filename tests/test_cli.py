@@ -156,6 +156,13 @@ class TestVerify:
         assert "counterexample" in out
         assert "gradient" not in out
 
+    def test_malformed_config_is_still_rejected(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, **{"lambda = 0.5": "lambda = 1.5"})
+        assert main(["verify", "--config", str(cfg_path), "--suite", "counterexample"]) == 2
+        captured = capsys.readouterr()
+        assert "ERROR physics.lambda" in captured.err
+        assert "counterexample" not in captured.out
+
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
         assert "ERROR verify.suite" in capsys.readouterr().err

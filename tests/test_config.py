@@ -1,8 +1,13 @@
+import configparser
+import os
+
 import pytest
 
 from nsassim.config import (
-    ConfigFieldError, ExperimentConfig, apply_override, load_config,
+    _KEYS, ConfigFieldError, ExperimentConfig, apply_override, load_config,
 )
+
+EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.ini")
 
 GOOD = """
 [grid]
@@ -91,6 +96,32 @@ def test_round_trip_through_ini():
     cfg = load_config(text=GOOD)
     again = load_config(text=cfg.to_ini())
     assert again == cfg
+
+
+def test_every_key_round_trips_through_ini():
+    cfg = ExperimentConfig(
+        nx=9, ny=10, nt=5, lx=2.0, ly=1.5, t_end=0.5,
+        nu=0.01, lam=0.3, forcing="swirl", forcing_amplitude=0.2, u0="zero",
+        u0_amplitude=0.1, ref_tol=0.05, ref_sweeps=2,
+        kind="vorticity", mask_stride=3, noise_amplitude=0.1, seed=7,
+        p_list=(2.0, 3.0), warm_start=False,
+        max_iters=20, grad_tol=1e-5, memory=5,
+        directory="runs/elsewhere", plots=False)
+    cfg.validate()
+    default = ExperimentConfig()
+    for _, key, attr, _, _ in _KEYS:
+        assert getattr(cfg, attr) != getattr(default, attr), key
+    text = cfg.to_ini()
+    assert load_config(text=text) == cfg
+    echo = configparser.ConfigParser()
+    echo.read_string(text)
+    for section, key, _, _, _ in _KEYS:
+        assert echo.has_option(section, key), f"{section}.{key}"
+
+
+def test_example_config_round_trips():
+    cfg = load_config(path=EXAMPLE)
+    assert load_config(text=cfg.to_ini()) == cfg
 
 
 def test_apply_override():

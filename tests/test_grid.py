@@ -3,14 +3,41 @@ import pytest
 
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import (
-    GridSpec, ScalarField, VectorField, advection, curl_stream, divergence,
-    laplacian, spatial_gradient, time_derivative, trapezoid_weights_2d,
-    vorticity, zero_boundary_ring, zero_mean_project,
+    GridSpec, ScalarField, advection_kernel, curl_kernel, divergence_kernel,
+    gradient_kernel, laplacian_kernel, trapezoid_weights_2d, vorticity_kernel,
+    zero_boundary_ring, zero_mean_kernel,
 )
+from nsassim.nse import PhysicsSetup, forcing_preset, momentum_terms_kernel
 
 
 def grid(nx=17, ny=17, nt=4, t_end=0.4):
     return GridSpec(nx=nx, ny=ny, nt=nt, t_end=t_end)
+
+
+def steady(g, *components):
+    """(nt+1, ny, nx[, c]) array equal to the given mesh arrays or constants
+    at every level; one component gives a scalar field."""
+    xx, _ = g.mesh()
+    vals = np.stack([c * np.ones_like(xx) for c in components], axis=-1)
+    if len(components) == 1:
+        vals = vals[..., 0]
+    return np.broadcast_to(vals, (g.nt + 1,) + vals.shape)
+
+
+def vector_laplacian(u, g):
+    """Componentwise Laplacian of (..., ny, nx, 2), component axis kept last."""
+    return np.moveaxis(laplacian_kernel(np.moveaxis(u, -1, 0), g), 0, -1)
+
+
+def backward_difference(u, u0, g):
+    """The time-difference term of momentum_terms_kernel, levels 1..nt.
+
+    u is spatially constant, so the viscous and advective terms vanish
+    and no pressure enters.
+    """
+    setup = PhysicsSetup(grid=g, nu=1.0, lam=0.5, f=forcing_preset(g, "none", 0.0),
+                         u0=np.zeros((g.ny, g.nx, 2)), include_advection=False)
+    return momentum_terms_kernel(u, np.zeros(u.shape[:-1]), setup, u0=u0)
 
 
 class TestGridSpec:
@@ -40,33 +67,31 @@ class TestGridSpec:
 class TestCurlStream:
     def test_zero(self):
         g = grid()
-        u = curl_stream(ScalarField.zeros(g))
-        assert np.all(u.values == 0.0)
+        u = curl_kernel(np.zeros((g.nt + 1, g.ny, g.nx)), g)
+        assert np.all(u == 0.0)
 
     def test_linear_stream(self):
         # psi = y gives u = (1, 0); exact for second-order stencils
         g = grid()
-        psi = ScalarField.sample(g, lambda x, y, t: y)
-        u = curl_stream(psi)
-        assert np.allclose(u.values[..., 0], 1.0, atol=1e-13)
-        assert np.allclose(u.values[..., 1], 0.0, atol=1e-13)
+        _, yy = g.mesh()
+        u = curl_kernel(steady(g, yy), g)
+        assert np.allclose(u[..., 0], 1.0, atol=1e-13)
+        assert np.allclose(u[..., 1], 0.0, atol=1e-13)
 
     def test_divergence_free_sine_bump(self):
         g = GridSpec(nx=65, ny=65, nt=2, t_end=0.1)
-        psi = ScalarField.sample(
-            g, lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y))
-        u = curl_stream(psi)
-        div = divergence(u).values[:, 1:-1, 1:-1]
-        assert np.abs(div).max() <= 1e-12 * np.abs(u.values).max()
+        xx, yy = g.mesh()
+        u = curl_kernel(steady(g, np.sin(np.pi * xx) * np.sin(np.pi * yy)), g)
+        div = divergence_kernel(u, g)[:, 1:-1, 1:-1]
+        assert np.abs(div).max() <= 1e-12 * np.abs(u).max()
 
     def test_divergence_free_random(self):
         # commuting 1D stencils cancel for any stream function
         g = grid()
         rng = np.random.default_rng(0)
-        psi = ScalarField(g, rng.standard_normal((g.nt + 1, g.ny, g.nx)))
-        u = curl_stream(psi)
-        grad = spatial_gradient(u).values
-        div = divergence(u).values[:, 1:-1, 1:-1]
+        u = curl_kernel(rng.standard_normal((g.nt + 1, g.ny, g.nx)), g)
+        grad = gradient_kernel(u, g)
+        div = divergence_kernel(u, g)[:, 1:-1, 1:-1]
         assert np.abs(div).max() <= 1e-12 * (1.0 + np.abs(grad).max())
 
     def test_non_finite_rejected(self):
@@ -80,13 +105,12 @@ class TestCurlStream:
 class TestSpatialGradient:
     def test_constant(self):
         g = grid()
-        u = VectorField.sample(g, lambda x, y, t: (3.0, -2.0))
-        assert np.abs(spatial_gradient(u).values).max() <= 1e-13
+        assert np.abs(gradient_kernel(steady(g, 3.0, -2.0), g)).max() <= 1e-13
 
     def test_linear_exact(self):
         g = grid()
-        u = VectorField.sample(g, lambda x, y, t: (x, -y))
-        dv = spatial_gradient(u).values
+        xx, yy = g.mesh()
+        dv = gradient_kernel(steady(g, xx, -yy), g)
         assert np.allclose(dv[..., 0], 1.0, atol=1e-12)
         assert np.allclose(dv[..., 1], 0.0, atol=1e-12)
         assert np.allclose(dv[..., 2], 0.0, atol=1e-12)
@@ -95,9 +119,8 @@ class TestSpatialGradient:
     def test_second_order_convergence(self):
         def err(n):
             g = GridSpec(nx=n, ny=n, nt=2, t_end=0.1)
-            u = VectorField.sample(g, lambda x, y, t: (np.sin(y), np.cos(x)))
-            dv = spatial_gradient(u).values[0]
             xx, yy = g.mesh()
+            dv = gradient_kernel(steady(g, np.sin(yy), np.cos(xx)), g)[0]
             exact = np.stack(
                 [np.zeros_like(xx), np.cos(yy), -np.sin(xx), np.zeros_like(xx)],
                 axis=-1)
@@ -108,49 +131,51 @@ class TestSpatialGradient:
 
     def test_vorticity_of_rotation(self):
         g = grid()
-        u = VectorField.sample(g, lambda x, y, t: (y, -x))
-        assert np.allclose(vorticity(u).values, -2.0, atol=1e-12)
+        xx, yy = g.mesh()
+        assert np.allclose(vorticity_kernel(steady(g, yy, -xx), g), -2.0, atol=1e-12)
 
 
 class TestLaplacian:
     def test_linear_is_zero(self):
         g = grid()
-        u = VectorField.sample(g, lambda x, y, t: (2 * x + y, x - y))
-        assert np.abs(laplacian(u).values).max() <= 1e-11
+        xx, yy = g.mesh()
+        assert np.abs(vector_laplacian(steady(g, 2 * xx + yy, xx - yy), g)).max() <= 1e-11
 
     def test_quadratic_exact(self):
         g = grid()
-        u = VectorField.sample(g, lambda x, y, t: (x ** 2 + y ** 2, 0.0))
-        lap = laplacian(u).values
+        xx, yy = g.mesh()
+        lap = vector_laplacian(steady(g, xx ** 2 + yy ** 2, 0.0), g)
         assert np.allclose(lap[:, 1:-1, 1:-1, 0], 4.0, atol=1e-10)
         assert np.abs(lap[..., 1]).max() <= 1e-10
 
     def test_second_order_convergence(self):
         def err(n):
             g = GridSpec(nx=n, ny=n, nt=2, t_end=0.1)
-            u = VectorField.sample(
-                g, lambda x, y, t: (np.sin(np.pi * x) * np.sin(np.pi * y), 0.0))
-            lap = laplacian(u).values[0, 1:-1, 1:-1, 0]
-            exact = -2 * np.pi ** 2 * u.values[0, 1:-1, 1:-1, 0]
+            xx, yy = g.mesh()
+            psi = steady(g, np.sin(np.pi * xx) * np.sin(np.pi * yy))
+            lap = laplacian_kernel(psi, g)[0, 1:-1, 1:-1]
+            exact = -2 * np.pi ** 2 * psi[0, 1:-1, 1:-1]
             return np.abs(lap - exact).max()
 
         ratio = err(33) / err(65)
         assert 3.5 <= ratio <= 4.5
 
 
+def advection(u, g):
+    return advection_kernel(u, gradient_kernel(u, g))
+
+
 class TestAdvection:
     def test_zero_and_constant(self):
         g = grid()
-        assert np.all(advection(VectorField.zeros(g)).values == 0.0)
-        u = VectorField.sample(g, lambda x, y, t: (1.5, -0.5))
-        assert np.abs(advection(u).values).max() <= 1e-13
+        assert np.all(advection(np.zeros((g.nt + 1, g.ny, g.nx, 2)), g) == 0.0)
+        assert np.abs(advection(steady(g, 1.5, -0.5), g)).max() <= 1e-13
 
     def test_bilinear_hand_value(self):
         # u = (y, x): (u.D)u = (x, y), exact for linear fields
         g = grid()
-        u = VectorField.sample(g, lambda x, y, t: (y, x))
-        adv = advection(u).values
         xx, yy = g.mesh()
+        adv = advection(steady(g, yy, xx), g)
         assert np.allclose(adv[0, ..., 0], xx, atol=1e-12)
         assert np.allclose(adv[0, ..., 1], yy, atol=1e-12)
 
@@ -159,58 +184,52 @@ class TestTimeDerivative:
     def test_constant_in_time(self):
         g = grid()
         u0 = np.ones((g.ny, g.nx, 2))
-        u = VectorField(g, np.ones((g.nt + 1, g.ny, g.nx, 2)))
-        assert np.abs(time_derivative(u, u0).values).max() <= 1e-14
+        u = np.ones((g.nt + 1, g.ny, g.nx, 2))
+        assert np.abs(backward_difference(u, u0, g)).max() <= 1e-14
 
     def test_linear_in_time_exact(self):
         g = grid()
         c = np.array([0.7, -0.3])
         vals = np.stack([k * g.dt * np.ones((g.ny, g.nx, 2)) * c
                          for k in range(g.nt + 1)])
-        dt_u = time_derivative(VectorField(g, vals), np.zeros((g.ny, g.nx, 2)))
-        assert np.allclose(dt_u.values[1:], c, atol=1e-12)
+        dt_u = backward_difference(vals, np.zeros((g.ny, g.nx, 2)), g)
+        assert np.allclose(dt_u, c, atol=1e-12)
 
     def test_first_order_convergence(self):
         def err(nt):
             g = GridSpec(nx=6, ny=6, nt=nt, t_end=1.0)
             ts = g.t_nodes()
             vals = np.stack([np.sin(t) * np.ones((g.ny, g.nx, 2)) for t in ts])
-            du = time_derivative(VectorField(g, vals), vals[0]).values
+            du = backward_difference(vals, vals[0], g)
             exact = np.stack([np.cos(t) * np.ones((g.ny, g.nx, 2)) for t in ts])
-            return np.abs(du[1:] - exact[1:]).max()
+            return np.abs(du - exact[1:]).max()
 
         ratio = err(16) / err(32)
         assert 1.7 <= ratio <= 2.3
-
-    def test_shape_mismatch(self):
-        g = grid()
-        with pytest.raises(ConfigurationError):
-            time_derivative(VectorField.zeros(g), np.zeros((3, 3, 2)))
 
 
 class TestZeroMeanProject:
     def test_constant_killed(self):
         g = grid()
-        p = ScalarField(g, 7.0 * np.ones((g.nt + 1, g.ny, g.nx)))
-        assert np.abs(zero_mean_project(p).values).max() <= 1e-13
+        p = 7.0 * np.ones((g.nt + 1, g.ny, g.nx))
+        assert np.abs(zero_mean_kernel(p, g)).max() <= 1e-13
 
     def test_idempotent_projection(self):
         g = grid()
         rng = np.random.default_rng(1)
-        p = ScalarField(g, rng.standard_normal((g.nt + 1, g.ny, g.nx)))
-        once = zero_mean_project(p)
-        twice = zero_mean_project(once)
-        assert np.abs(twice.values - once.values).max() <= 1e-14 * np.abs(p.values).max()
+        p = rng.standard_normal((g.nt + 1, g.ny, g.nx))
+        once = zero_mean_kernel(p, g)
+        twice = zero_mean_kernel(once, g)
+        assert np.abs(twice - once).max() <= 1e-14 * np.abs(p).max()
         w = trapezoid_weights_2d(g)
-        means = np.einsum("yx,tyx->t", w, once.values)
-        assert np.abs(means).max() <= 1e-14 * max(1.0, np.abs(p.values).max())
+        means = np.einsum("yx,tyx->t", w, once)
+        assert np.abs(means).max() <= 1e-14 * max(1.0, np.abs(p).max())
 
     def test_linear_field_mean(self):
         # trapezoidal mean of x over the unit square is exactly 1/2
         g = grid()
-        p = ScalarField.sample(g, lambda x, y, t: x)
-        out = zero_mean_project(p).values
         xx, _ = g.mesh()
+        out = zero_mean_kernel(steady(g, xx), g)
         assert np.allclose(out, xx - 0.5, atol=1e-14)
 
     def test_linearity(self):
@@ -218,9 +237,8 @@ class TestZeroMeanProject:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((g.nt + 1, g.ny, g.nx))
         b = rng.standard_normal((g.nt + 1, g.ny, g.nx))
-        lhs = zero_mean_project(ScalarField(g, 2.0 * a - 3.0 * b)).values
-        rhs = (2.0 * zero_mean_project(ScalarField(g, a)).values
-               - 3.0 * zero_mean_project(ScalarField(g, b)).values)
+        lhs = zero_mean_kernel(2.0 * a - 3.0 * b, g)
+        rhs = 2.0 * zero_mean_kernel(a, g) - 3.0 * zero_mean_kernel(b, g)
         assert np.abs(lhs - rhs).max() <= 1e-13
 
 
@@ -229,9 +247,9 @@ def test_operator_linearity_on_random_fields():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((g.nt + 1, g.ny, g.nx, 2))
     b = rng.standard_normal((g.nt + 1, g.ny, g.nx, 2))
-    for op in (spatial_gradient, laplacian, divergence):
-        lhs = op(VectorField(g, 1.3 * a + 0.7 * b)).values
-        rhs = 1.3 * op(VectorField(g, a)).values + 0.7 * op(VectorField(g, b)).values
+    for op in (gradient_kernel, vector_laplacian, divergence_kernel):
+        lhs = op(1.3 * a + 0.7 * b, g)
+        rhs = 1.3 * op(a, g) + 0.7 * op(b, g)
         scale = max(np.abs(lhs).max(), 1.0)
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 

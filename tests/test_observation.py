@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from nsassim.errors import ConfigurationError
-from nsassim.grid import GridSpec, TensorField, VectorField, spatial_gradient
+from nsassim.grid import GridSpec, TensorField, VectorField, gradient_kernel
 from nsassim.observation import (
     KINDS, ObsField, ObservationModel, default_mask, eval_K, eval_K_jvp, eval_K_vjp,
     n_components, synth_data,
 )
+from nsassim.runner import check_observation
 
 
 @pytest.fixture
@@ -16,6 +17,17 @@ def grid():
 
 def zero_q(grid, kind):
     return np.zeros((grid.nt, grid.ny - 2, grid.nx - 2, n_components(kind)))
+
+
+def steady(grid, u1, u2):
+    """Velocity field equal to (u1, u2) at every level; mesh arrays or constants."""
+    xx, _ = grid.mesh()
+    vals = np.stack([u1 * np.ones_like(xx), u2 * np.ones_like(xx)], axis=-1)
+    return VectorField(grid, np.broadcast_to(vals, (grid.nt + 1,) + vals.shape))
+
+
+def gradient(u):
+    return TensorField(u.grid, gradient_kernel(u.values, u.grid))
 
 
 class TestObservationModel:
@@ -58,15 +70,15 @@ class TestEvalK:
     def test_identity_cancellation(self, grid):
         rng = np.random.default_rng(0)
         u = VectorField(grid, rng.standard_normal((grid.nt + 1, grid.ny, grid.nx, 2)))
-        du = spatial_gradient(u)
+        du = gradient(u)
         q = u.values[1:, 1:-1, 1:-1]
         model = ObservationModel("masked-velocity", grid, q, mask=default_mask(grid, 2))
         k = eval_K(u, du, model).values
         assert np.abs(k).max() == 0.0
 
     def test_off_mask_is_zero(self, grid):
-        u = VectorField.sample(grid, lambda x, y, t: (1.0, 2.0))
-        du = spatial_gradient(u)
+        u = steady(grid, 1.0, 2.0)
+        du = gradient(u)
         model = ObservationModel("masked-velocity", grid,
                                  zero_q(grid, "masked-velocity"),
                                  mask=default_mask(grid, 3))
@@ -77,22 +89,23 @@ class TestEvalK:
         assert np.allclose(k[:, on, 0], 1.0) and np.allclose(k[:, on, 1], 2.0)
 
     def test_vorticity_of_rotation(self, grid):
-        u = VectorField.sample(grid, lambda x, y, t: (y, -x))
-        du = spatial_gradient(u)
+        xx, yy = grid.mesh()
+        u = steady(grid, yy, -xx)
+        du = gradient(u)
         model = ObservationModel("vorticity", grid, zero_q(grid, "vorticity"))
         k = eval_K(u, du, model).values
         assert np.allclose(k, -2.0, atol=1e-12)
 
     def test_speed_squared(self, grid):
-        u = VectorField.sample(grid, lambda x, y, t: (3.0, 4.0))
-        du = spatial_gradient(u)
+        u = steady(grid, 3.0, 4.0)
+        du = gradient(u)
         model = ObservationModel("speed-squared", grid, zero_q(grid, "speed-squared"))
         assert np.allclose(eval_K(u, du, model).values, 25.0, atol=1e-12)
 
     def test_grid_mismatch(self, grid):
         other = GridSpec(nx=8, ny=8, nt=4, t_end=0.4)
         u = VectorField.zeros(other)
-        du = spatial_gradient(u)
+        du = gradient(u)
         model = ObservationModel("vorticity", grid, zero_q(grid, "vorticity"))
         with pytest.raises(ConfigurationError):
             eval_K(u, du, model)
@@ -123,7 +136,7 @@ class TestDerivatives:
             assert np.abs(dk[:, :, ~on]).max() == 0.0
 
     def test_speed_squared_eta(self, grid):
-        u = VectorField.sample(grid, lambda x, y, t: (3.0, 4.0))
+        u = steady(grid, 3.0, 4.0)
         model = ObservationModel("speed-squared", grid, zero_q(grid, "speed-squared"))
         u_int = interior_cf(u.values)
         no_grad = np.zeros((4,) + u_int.shape[1:])
@@ -141,39 +154,8 @@ class TestDerivatives:
 
     def test_central_difference_agreement(self, grid):
         # 100 random states per kind, both arguments
-        rng = np.random.default_rng(42)
-        eps = 1e-5
-        for kind in KINDS:
-            model = ObservationModel(kind, grid, zero_q(grid, kind),
-                                     mask=default_mask(grid, 2))
-            worst = 0.0
-            for _ in range(100):
-                u = VectorField(grid, 0.7 * rng.standard_normal(
-                    (grid.nt + 1, grid.ny, grid.nx, 2)))
-                du = spatial_gradient(u)
-                u_int = interior_cf(u.values)
-                d_eta = rng.standard_normal(2)
-                d_eta /= np.linalg.norm(d_eta)
-                fd = (eval_K(VectorField(grid, u.values + eps * d_eta), du, model).values
-                      - eval_K(VectorField(grid, u.values - eps * d_eta), du, model).values
-                      ) / (2 * eps)
-                an = eval_K_jvp(u_int, constant_direction(d_eta, grid),
-                                np.zeros((4,) + u_int.shape[1:]), model)
-                an = np.moveaxis(an, 0, -1)
-                denom = max(float(np.abs(fd).max()), 1e-9)
-                worst = max(worst, float(np.abs(an - fd).max()) / denom)
-
-                d_a = rng.standard_normal(4)
-                d_a /= np.linalg.norm(d_a)
-                fd = (eval_K(u, TensorField(grid, du.values + eps * d_a), model).values
-                      - eval_K(u, TensorField(grid, du.values - eps * d_a), model).values
-                      ) / (2 * eps)
-                an = eval_K_jvp(u_int, np.zeros(u_int.shape),
-                                constant_direction(d_a, grid), model)
-                an = np.moveaxis(an, 0, -1)
-                denom = max(float(np.abs(fd).max()), 1e-9)
-                worst = max(worst, float(np.abs(an - fd).max()) / denom)
-            assert worst <= 1e-6, f"{kind}: {worst}"
+        ok, detail = check_observation(seed=42, grid=grid, trials=100)
+        assert ok, detail
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_jvp_vjp_dot_product(self, grid, kind):
@@ -198,7 +180,7 @@ class TestSynthData:
     def test_exact_data_zero_for_every_kind(self, grid):
         rng = np.random.default_rng(1)
         u = VectorField(grid, rng.standard_normal((grid.nt + 1, grid.ny, grid.nx, 2)))
-        du = spatial_gradient(u)
+        du = gradient(u)
         for kind in KINDS:
             model = synth_data(u, kind, 0.0, seed=9, mask_stride=2)
             assert np.abs(eval_K(u, du, model).values).max() <= 1e-14

@@ -176,6 +176,26 @@ class TestContinuation:
         assert stages[0].report.e_p == direct.report.e_p
         assert stages[0].result.iterations == direct.iterations
 
+    def test_every_option_reaches_every_stage(self, monkeypatch):
+        import nsassim.optim as optim
+        seen = []
+
+        def record(c, setup, model, p, opts):
+            seen.append((p, opts))
+            return minimize_E_p(c, setup, model, p, opts)
+
+        monkeypatch.setattr(optim, "minimize_E_p", record)
+        g, setup, model = small_problem()
+        opts = OptimOptions(max_iters=3, grad_tol=1e-5, memory=4, armijo_factor=0.3,
+                            armijo_slope=1e-3, max_backtracks=7)
+        run_continuation(ControlVector.zeros(g), setup, model,
+                         ContinuationSchedule(p_list=(2.0, 8.0)), opts)
+        assert [p for p, _ in seen] == [2.0, 8.0]
+        for p, stage_opts in seen:
+            assert stage_opts.grad_tol == stage_tolerance(opts, 2.0, p)
+            assert (stage_opts.max_iters, stage_opts.memory, stage_opts.armijo_factor,
+                    stage_opts.armijo_slope, stage_opts.max_backtracks) == (3, 4, 0.3, 1e-3, 7)
+
     def test_stage_records_and_running_min(self):
         g, setup, model = small_problem(noise=0.3)
         stages = run_continuation(ControlVector.zeros(g), setup, model,
