@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidFieldError, SolverError
 from .grid import (
     GridSpec, ScalarField, VectorField,
-    advection_kernel, apply_x, apply_y, curl_kernel, divergence_kernel,
+    advection_kernel, curl_kernel, divergence_kernel,
     gradient_kernel, laplacian_kernel, scalar_gradient_kernel, trapezoid_weights,
     zero_boundary_ring, zero_mean_kernel, _d1_matrix,
 )
@@ -282,7 +282,10 @@ def momentum_terms_kernel(uvals, pvals, setup, u0=None, grad_u=None):
     caller; it is then not computed again for the advection term.
     """
     g = setup.grid
-    u0 = setup.u0 if u0 is None else u0
+    if u0 is None:
+        u0 = setup.u0
+    elif u0.shape != (g.ny, g.nx, 2):
+        raise ConfigurationError(f"u0 shape {u0.shape} != {(g.ny, g.nx, 2)}")
     prev = np.concatenate([u0[None], uvals[1:-1]], axis=0)
     dtu = (uvals[1:] - prev) / g.dt
     lap = np.stack(
@@ -343,95 +346,72 @@ class ReferenceSolution:
         return iter((self.u, self.p))
 
 
-def _interior_d1(grid):
-    return _d1_matrix(grid.nx - 2, grid.hx), _d1_matrix(grid.ny - 2, grid.hy)
+def _pressure_qr(grid):
+    """Householder QR of one level's interior pressure gradient G.
 
-
-def _pressure_cg(rhs_field, grid, tol=1e-11, maxiter=None):
-    """Solve the least-squares pressure recovery via CG on normal equations.
-
-    rhs_field holds the target gradient (nt, ny-2, nx-2, 2).  Returns
-    interior pressure values whose interior-stencil gradient best matches
-    the target; the constant null direction is untouched (iterates start at
-    zero and stay mean-free up to round-off).
+    G maps interior pressure values to their interior-stencil gradient, rows
+    ordered like the flattened (ny-2, nx-2, 2) momentum collocation.  The
+    constant is its only null direction, so G without its last column spans
+    the same range with full column rank.  Returns (q, r): the complete
+    orthogonal factor, whose leading r.shape[0] columns span range(G) and
+    whose remaining columns Z span range(G)^perp, and the square triangle.
     """
-    d1x, d1y = _interior_d1(grid)
-
-    def grad_op(p):
-        return np.stack([apply_x(p, d1x), apply_y(p, d1y)], axis=-1)
-
-    def grad_t(v):
-        return apply_x(v[..., 0], d1x.T) + apply_y(v[..., 1], d1y.T)
-
-    def normal_op(p):
-        return grad_t(grad_op(p))
-
-    b = grad_t(rhs_field)
-    n = b[0].size
-    if maxiter is None:
-        maxiter = 40 * n + 200
-    out = np.zeros_like(b)
-    for k in range(b.shape[0]):
-        bk = b[k]
-        bnorm = np.sqrt(np.sum(bk * bk))
-        if bnorm == 0.0:
-            continue
-        x = np.zeros_like(bk)
-        r = bk.copy()
-        d = r.copy()
-        rr = np.sum(r * r)
-        it = 0
-        while np.sqrt(rr) > tol * bnorm:
-            if it >= maxiter:
-                raise SolverError(
-                    f"pressure CG did not converge at level {k + 1} "
-                    f"({np.sqrt(rr) / bnorm:.2e} after {maxiter} iterations)")
-            ad = normal_op(d)
-            alpha = rr / np.sum(d * ad)
-            x += alpha * d
-            r -= alpha * ad
-            rr_new = np.sum(r * r)
-            d = r + (rr_new / rr) * d
-            rr = rr_new
-            it += 1
-        out[k] = x
-    return out
+    d1x, d1y = _d1_matrix(grid.nx - 2, grid.hx), _d1_matrix(grid.ny - 2, grid.hy)
+    niy, nix = grid.ny - 2, grid.nx - 2
+    g = np.stack([np.kron(np.eye(niy), d1x), np.kron(d1y, np.eye(nix))], axis=1)
+    q, r = np.linalg.qr(g.reshape(2 * niy * nix, -1)[:, :-1], mode="complete")
+    return q, r[:niy * nix - 1].copy()
 
 
-def _step_basis(setup):
-    """Per-level momentum operator columns over the control parametrization.
+def _step_basis(setup, z):
+    """Stream-function basis of one level, its Stokes block reduced by z.
 
-    Returns (stokes_cols, basis_velocities, basis_gradients): the columns of
-    the implicit part u/dt - nu*Lap(u) + Dp collocated at interior nodes,
-    plus the velocity/gradient responses of the stream-function basis needed
-    to assemble the lagged advection block per sweep.  The basis is fixed
-    for a given grid and viscosity.
+    Returns (zs, basis_u, basis_gu): row j of zs is z^T (u_j/dt - nu Lap u_j)
+    collocated at interior nodes, u_j the velocity of the j-th free
+    stream-function unit vector; basis_u and basis_gu hold those velocities
+    and their gradients, which assemble the lagged advection block per sweep.
+    The basis is fixed for a given grid and viscosity.
     """
     g = setup.grid
-    nfy, nfx = g.ny - 4, g.nx - 4
-    niy, nix = g.ny - 2, g.nx - 2
-    d1x_i, d1y_i = _interior_d1(g)
-    basis_u = []
-    cols = []
-    e = np.zeros((g.ny, g.nx))
-    for j in range(nfy):
-        for i in range(nfx):
-            e[2 + j, 2 + i] = 1.0
-            uu = zero_boundary_ring(curl_kernel(e[None], g))[0]
-            e[2 + j, 2 + i] = 0.0
-            basis_u.append(uu)
-            lap = np.stack(
-                [laplacian_kernel(uu[..., 0][None], g)[0],
-                 laplacian_kernel(uu[..., 1][None], g)[0]], axis=-1)
-            cols.append((uu / g.dt - setup.nu * lap)[1:-1, 1:-1].ravel())
-    ep = np.zeros((niy, nix))
-    for j in range(niy * nix):
-        ep.ravel()[j] = 1.0
-        gp = np.stack([apply_x(ep, d1x_i), apply_y(ep, d1y_i)], axis=-1)
-        ep.ravel()[j] = 0.0
-        cols.append(gp.ravel())
-    basis_u = np.array(basis_u)
-    return np.array(cols).T, basis_u, gradient_kernel(basis_u, g)
+    n_psi = (g.ny - 4) * (g.nx - 4)
+    e = np.zeros((n_psi, g.ny, g.nx))
+    e[:, 2:-2, 2:-2] = np.eye(n_psi).reshape(n_psi, g.ny - 4, g.nx - 4)
+    basis_u = zero_boundary_ring(curl_kernel(e, g))
+    lap = np.stack(
+        [laplacian_kernel(basis_u[..., 0], g), laplacian_kernel(basis_u[..., 1], g)], axis=-1)
+    stokes = (basis_u / g.dt - setup.nu * lap)[:, 1:-1, 1:-1].reshape(n_psi, -1)
+    return stokes @ z, basis_u, gradient_kernel(basis_u, g)
+
+
+def _solve_level(z, zs, basis_gu, u_adv, b, advection):
+    """Stream-function dofs of one level and sweep: min |z^T (A psi - b)|.
+
+    A is the momentum collocation over the stream-function basis, its
+    advection block lagged in u_adv when advection is on.  Eliminating the
+    pressure leaves a system with condition number near 10 on the grids
+    used, so the normal equations lose nothing.
+    """
+    m_t = zs
+    if advection:
+        a1 = u_adv[None, ..., 0] * basis_gu[..., 0] + u_adv[None, ..., 1] * basis_gu[..., 1]
+        a2 = u_adv[None, ..., 0] * basis_gu[..., 2] + u_adv[None, ..., 1] * basis_gu[..., 3]
+        adv = np.stack([a1, a2], axis=-1)[:, 1:-1, 1:-1].reshape(zs.shape[0], -1)
+        m_t = zs + adv @ z
+    return np.linalg.solve(m_t @ m_t.T, m_t @ (b @ z))
+
+
+def _recover_pressure(q, r, target):
+    """Interior pressure whose gradient best fits target, all levels at once.
+
+    target is (nt, ny-2, nx-2, 2); the fit is R^-1 Q_G^T target with the
+    dropped last column set to zero, so it is defined up to the constant
+    that ControlVector.normalized() removes.
+    """
+    nt, niy, nix = target.shape[:3]
+    n = r.shape[0]
+    pr = np.zeros((nt, niy * nix))
+    pr[:, :n] = np.linalg.solve(r, (target.reshape(nt, -1) @ q[:, :n]).T).T
+    return pr.reshape(nt, niy, nix)
 
 
 def reference_solve(setup, tol_ref=None, advection_sweeps=3):
@@ -442,10 +422,13 @@ def reference_solve(setup, tol_ref=None, advection_sweeps=3):
     number of lagged sweeps.  The clamped stream-function space
     over-determines the interior momentum collocation (it has no exact
     discrete solution), so each level takes the least-squares solution over
-    the stream-function and pressure degrees of freedom; at that optimum
-    the pressure block coincides with the discrete Poisson recovery, which
-    is re-run per level through the deterministic CG solve to produce the
-    returned pressure with zero-mean normalization.
+    the stream-function and pressure degrees of freedom.  The pressure is
+    eliminated once per grid: one Householder QR of the interior pressure
+    gradient G gives an orthonormal basis Z of range(G)^perp, and each level
+    and sweep solves the small stream-function problem min |Z^T (A psi - b)|.
+    The returned pressure is the least-squares fit of G to the remaining
+    momentum terms, recovered for all levels from the same QR and normalized
+    to zero trapezoidal mean.
 
     The achieved sup-norm of the momentum residual is reported on the
     returned solution together with tol_ref (default 1e-3 times the data
@@ -462,39 +445,30 @@ def reference_solve(setup, tol_ref=None, advection_sweeps=3):
             f"dt={g.dt:.4g} violates the advective CFL bound {cfl:.4g}; "
             "increase nt or shrink t_end")
 
-    nfy, nfx = g.ny - 4, g.nx - 4
-    n_psi = nfy * nfx
-    stokes_cols, basis_u, basis_gu = _step_basis(setup)
+    q, r = _pressure_qr(g)
+    z = q[:, r.shape[0]:]
+    zs, basis_u, basis_gu = _step_basis(setup, z)
 
     uvals = np.zeros((g.nt + 1, g.ny, g.nx, 2))
     uvals[0] = setup.u0
-    psi_dofs = np.zeros((g.nt, nfy, nfx))
+    psi_dofs = np.zeros((g.nt, g.ny - 4, g.nx - 4))
+    sweeps = max(1, advection_sweeps) if setup.include_advection else 1
     for k in range(1, g.nt + 1):
         u_prev = uvals[k - 1]
         b = (u_prev / g.dt + setup.f.values[k])[1:-1, 1:-1].ravel()
         u_adv = u_prev
-        sol = None
-        for _ in range(max(1, advection_sweeps)):
-            a = stokes_cols.copy()
-            if setup.include_advection:
-                a1 = u_adv[None, ..., 0] * basis_gu[..., 0] + u_adv[None, ..., 1] * basis_gu[..., 1]
-                a2 = u_adv[None, ..., 0] * basis_gu[..., 2] + u_adv[None, ..., 1] * basis_gu[..., 3]
-                adv_block = np.stack([a1, a2], axis=-1)[:, 1:-1, 1:-1, :]
-                a[:, :n_psi] += adv_block.reshape(n_psi, -1).T
-            sol = np.linalg.lstsq(a, b, rcond=None)[0]
-            u_adv = np.einsum("j,jyxc->yxc", sol[:n_psi], basis_u)
-            if not setup.include_advection:
-                break
-        psi_dofs[k - 1] = sol[:n_psi].reshape(nfy, nfx)
+        for _ in range(sweeps):
+            psi = _solve_level(z, zs, basis_gu, u_adv, b, setup.include_advection)
+            u_adv = np.einsum("j,jyxc->yxc", psi, basis_u)
+        psi_dofs[k - 1] = psi.reshape(g.ny - 4, g.nx - 4)
         uvals[k] = u_adv
 
     # pressure recovery: fit D p to the remaining momentum terms per level
     zero_p = np.zeros((g.nt + 1, g.ny, g.nx))
     expr = momentum_terms_kernel(uvals, zero_p, setup)
     target = (setup.f.values[1:] - expr)[:, 1:-1, 1:-1]
-    pr_dofs = _pressure_cg(target, g)
 
-    control = ControlVector(g, psi_dofs, pr_dofs).normalized()
+    control = ControlVector(g, psi_dofs, _recover_pressure(q, r, target)).normalized()
     u, p = state_from_control(control, setup)
     res = residual_y(u, p, setup)
     sup_res = float(np.abs(res.values).max())

@@ -207,20 +207,29 @@ def test_criterion_8_stationarity_residuals():
     ref = reference_solve(setup)
     model = synth_data(ref.u, "masked-velocity", 0.3, seed=13, mask_stride=3)
     c0 = ControlVector.zeros(g)
+    # The residual at a stopping point is one projection of the remaining
+    # gradient, so r / |g| wanders by two orders of magnitude under round-off
+    # changes to the truth.  Over one or two decades that noise can mask the
+    # trend; over four, the 5x-per-decade rate has room to show.
     out = {}
-    for tol in (1e-6, 1e-7):
+    for tol in (1e-6, 1e-7, 1e-8, 1e-10):
         res = minimize_E_p(c0, setup, model, 2.0,
                            OptimOptions(max_iters=3000, grad_tol=tol))
         assert res.converged
         out[tol] = el_residual(res.control, 2.0, setup, model)
     rm6, rp6 = out[1e-6]
-    rm7, rp7 = out[1e-7]
-    shrink_m = rm6 / max(rm7, 1e-300)
-    shrink_p = rp6 / max(rp7, 1e-300)
-    ok = rm6 <= 1e-4 and rp6 <= 1e-4 and shrink_m >= 5.0 and shrink_p >= 5.0
+
+    def shrink(tol):
+        rm, rp = out[tol]
+        return rm6 / max(rm, 1e-300), rp6 / max(rp, 1e-300)
+
+    shrink_m, shrink_p = shrink(1e-10)
+    ok = rm6 <= 1e-4 and rp6 <= 1e-4 and shrink_m >= 5.0 ** 4 and shrink_p >= 5.0 ** 4
     report("criterion 8 (stationarity-relation residuals)", ok,
-           f"at 1e-6: r_mom {rm6:.2e}, r_pr {rp6:.2e} (<= 1e-4); "
-           f"tightening to 1e-7 shrinks by {shrink_m:.1f}x / {shrink_p:.1f}x (>= 5x)")
+           f"at 1e-6: r_mom {rm6:.2e}, r_pr {rp6:.2e} (<= 1e-4); tightening shrinks "
+           "r_mom / r_pr by {:.1f}x / {:.1f}x to 1e-7, {:.1f}x / {:.1f}x to 1e-8 and "
+           "{:.1f}x / {:.1f}x to 1e-10 (>= 5^4 = 625x)".format(
+               *shrink(1e-7), *shrink(1e-8), shrink_m, shrink_p))
 
 
 def test_criterion_9_oscillation_profile():

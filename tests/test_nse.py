@@ -1,9 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
+from nsassim.config import load_config
 from nsassim.errors import ConfigurationError, InvalidFieldError, SolverError
 from nsassim.grid import (
-    GridSpec, ScalarField, VectorField, curl_kernel, curl_transpose_kernel,
+    GridSpec, ScalarField, VectorField, advection_kernel, curl_kernel,
+    curl_transpose_kernel,
     divergence_kernel, gradient_kernel, gradient_transpose_kernel, laplacian_kernel,
     laplacian_transpose_kernel, scalar_gradient_kernel,
     scalar_gradient_transpose_kernel, trapezoid_weights_2d,
@@ -12,9 +16,12 @@ from nsassim.grid import (
 from nsassim.nse import (
     ControlVector, PhysicsSetup, consistent_forcing, extend_interior,
     extend_interior_transpose, forcing_preset, initial_velocity_preset,
-    interior_trapezoid_weights, reference_solve, residual_y,
+    interior_trapezoid_weights, pressure_map, reference_solve, residual_y,
     state_from_control, stream_bump,
+    _pressure_qr, _recover_pressure, _solve_level, _step_basis,
 )
+
+EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.ini")
 
 
 def grid(nx=10, ny=10, nt=5, t_end=0.25):
@@ -293,6 +300,14 @@ class TestResidual:
         scale = max(1.0, np.abs(f.values).max())
         assert np.abs(res.values).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("fn", [residual_y, consistent_forcing])
+    def test_misshaped_u0_override_rejected(self, fn):
+        g = GridSpec(nx=8, ny=8, nt=3, t_end=0.1)
+        setup = basic_setup(g)
+        u, p = state_from_control(ControlVector.zeros(g), setup)
+        with pytest.raises(ConfigurationError, match="u0 shape"):
+            fn(u, p, setup, u0=np.zeros((3, 3, 2)))
+
 
 def in_space_manufactured(nx, nt, t_end=0.32, nu=0.01):
     """Manufactured trajectory inside the control parametrization."""
@@ -379,3 +394,59 @@ class TestReferenceSolve:
         ref = reference_solve(setup, tol_ref=0.1)
         assert ref.sup_residual <= ref.tol_ref
         assert ref.tol_ref == 0.1
+
+
+def interior_gradient_columns(g):
+    """Interior momentum rows of the pressure block, one column per interior node."""
+    n_p = (g.ny - 2) * (g.nx - 2)
+    units = np.eye(n_p).reshape(n_p, g.ny - 2, g.nx - 2)
+    grad = scalar_gradient_kernel(pressure_map(units, g), g)
+    return grad[:, 1:-1, 1:-1].reshape(n_p, -1).T
+
+
+class TestReducedLevelSolve:
+    """The pressure-eliminated solve against dense joint least squares."""
+
+    @pytest.mark.parametrize("advection", [True, False])
+    def test_level_psi_matches_joint_lstsq(self, advection):
+        g = grid()
+        setup = basic_setup(g, advection=advection)
+        rng = np.random.default_rng(11)
+        u_adv = 0.7 * setup.u0
+        b = rng.standard_normal(2 * (g.ny - 2) * (g.nx - 2))
+        cols = []
+        e = np.zeros((1, g.ny, g.nx))
+        for j, i in np.ndindex(g.ny - 4, g.nx - 4):
+            e[0, 2 + j, 2 + i] = 1.0
+            u = zero_boundary_ring(curl_kernel(e, g))
+            e[0, 2 + j, 2 + i] = 0.0
+            lap = np.stack([laplacian_kernel(u[..., c], g) for c in (0, 1)], axis=-1)
+            col = u / g.dt - setup.nu * lap
+            if advection:
+                col = col + advection_kernel(u_adv[None], gradient_kernel(u, g))
+            cols.append(col[0, 1:-1, 1:-1].ravel())
+        joint = np.hstack([np.array(cols).T, interior_gradient_columns(g)])
+        psi_ref = np.linalg.lstsq(joint, b, rcond=None)[0][:len(cols)]
+
+        q, r = _pressure_qr(g)
+        z = q[:, r.shape[0]:]
+        zs, _, basis_gu = _step_basis(setup, z)
+        psi = _solve_level(z, zs, basis_gu, u_adv, b, advection)
+        assert np.abs(psi - psi_ref).max() <= 1e-12 * np.abs(psi_ref).max()
+
+    def test_pressure_recovery_matches_min_norm_lstsq(self):
+        g = grid()
+        rng = np.random.default_rng(12)
+        target = rng.standard_normal((g.nt, g.ny - 2, g.nx - 2, 2))
+        gmat = interior_gradient_columns(g)
+        ref = np.stack([np.linalg.lstsq(gmat, t.ravel(), rcond=None)[0] for t in target])
+        zero_psi = np.zeros((g.nt, g.ny - 4, g.nx - 4))
+        expected = ControlVector(g, zero_psi, ref.reshape(g.nt, g.ny - 2, g.nx - 2)).normalized()
+        got = ControlVector(g, zero_psi, _recover_pressure(*_pressure_qr(g), target)).normalized()
+        assert np.abs(got.pr - expected.pr).max() <= 1e-10 * np.abs(expected.pr).max()
+
+    def test_bundled_truth_sup_residual(self):
+        cfg = load_config(path=EXAMPLE)
+        setup = cfg.build_setup(cfg.validate())
+        ref = reference_solve(setup, tol_ref=cfg.ref_tol, advection_sweeps=cfg.ref_sweeps)
+        assert ref.sup_residual == pytest.approx(0.05282840681776, rel=1e-9)
