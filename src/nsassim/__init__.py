@@ -8,23 +8,23 @@ stationarity relations and the measure-concentration behavior of the
 dual-weighted residual fields.
 """
 
-from .grid import GridSpec, ScalarField, TensorField, VectorField
-from .misfit import MisfitReport, assemble_E_inf, assemble_E_p, gradient_E_p
+from .grid import GridSpec, ScalarField, VectorField
+from .misfit import MisfitReport, assemble_state, gradient_from_state, report_from_state
 from .norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, holder_gap, sup_norm
 from .nse import ControlVector, PhysicsSetup, reference_solve, residual_y, state_from_control
-from .observation import ObservationModel, eval_K, synth_data
+from .observation import ObservationModel, synth_data
 from .optim import ContinuationSchedule, OptimOptions, minimize_E_p, run_continuation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridSpec", "ScalarField", "VectorField", "TensorField",
+    "GridSpec", "ScalarField", "VectorField",
     "PExponent", "WeightedSamples", "dotted_lp_norm", "sup_norm",
     "dual_weight", "holder_gap",
-    "ObservationModel", "eval_K", "synth_data",
+    "ObservationModel", "synth_data",
     "ControlVector", "PhysicsSetup", "state_from_control", "residual_y",
     "reference_solve",
-    "MisfitReport", "assemble_E_p", "assemble_E_inf", "gradient_E_p",
+    "MisfitReport", "assemble_state", "report_from_state", "gradient_from_state",
     "OptimOptions", "ContinuationSchedule", "minimize_E_p", "run_continuation",
     "__version__",
 ]

@@ -6,7 +6,8 @@ aborts, 2 on configuration errors (with a machine-readable line
 
 The environment variable NSASSIM_THREADS, when set, is propagated to the
 usual BLAS thread-count variables for this process and its children.
-Results do not depend on it: reductions use fixed-order numpy sums.
+Reruns are byte-identical at a fixed BLAS thread count only: the reference
+solve's matrix products round differently under another thread count.
 """
 
 import argparse

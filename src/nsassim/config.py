@@ -8,9 +8,10 @@ outright; error messages name the offending `section.key`.
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidFieldError
 from .grid import GridSpec
 from .nse import PhysicsSetup, forcing_preset, initial_velocity_preset
 from .observation import KINDS
@@ -73,14 +74,19 @@ class ExperimentConfig:
             raise ConfigFieldError("physics.forcing", f"unknown preset {self.forcing!r}")
         if self.u0 not in ("zero", "vortex"):
             raise ConfigFieldError("physics.u0", f"unknown preset {self.u0!r}")
+        for key in ("forcing_amplitude", "u0_amplitude"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigFieldError(f"physics.{key}", "must be finite")
+        if self.ref_tol is not None and not self.ref_tol >= 0.0:
+            raise ConfigFieldError("physics.ref_tol", f"must be >= 0, got {self.ref_tol}")
         if self.ref_sweeps < 1:
             raise ConfigFieldError("physics.ref_sweeps", "must be >= 1")
         if self.kind not in KINDS:
             raise ConfigFieldError("observation.kind", f"unknown kind {self.kind!r}")
         if self.mask_stride < 1:
             raise ConfigFieldError("observation.mask_stride", "must be >= 1")
-        if self.noise_amplitude < 0.0:
-            raise ConfigFieldError("observation.noise_amplitude", "must be >= 0")
+        if not 0.0 <= self.noise_amplitude < math.inf:
+            raise ConfigFieldError("observation.noise_amplitude", "must be finite and >= 0")
         try:
             ContinuationSchedule(self.p_list, self.warm_start)
         except ConfigurationError as exc:
@@ -92,7 +98,7 @@ class ExperimentConfig:
             raise ConfigFieldError("optimizer", str(exc)) from exc
         try:
             self.build_setup(grid)
-        except ConfigurationError as exc:
+        except (ConfigurationError, InvalidFieldError) as exc:
             raise ConfigFieldError("physics", str(exc)) from exc
         return grid
 

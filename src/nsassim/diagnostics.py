@@ -20,7 +20,7 @@ from .grid import scalar_gradient_transpose_kernel
 from .misfit import (
     adjoint_from_state, assemble_state, state_map_transpose, tangent_from_state,
 )
-from .norms import PExponent, WeightedSamples, dual_weight
+from .norms import PExponent, WeightedSamples, dual_weight, magnitudes
 from .nse import ControlVector, interior_trapezoid_weights
 
 
@@ -45,7 +45,7 @@ class DiscreteMeasure:
 
     @property
     def weight_magnitudes(self):
-        return np.sqrt(np.einsum("ij,ij->i", self.vector_weights, self.vector_weights))
+        return magnitudes(self.vector_weights)
 
     @property
     def mass(self):
@@ -76,8 +76,7 @@ def _measure(field, p, weight, samples):
     flat = vals.reshape(-1, vals.shape[-1])
     vols = np.full(flat.shape[0], weight)
     dw = dual_weight(WeightedSamples(flat, vols), p)
-    mags = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    return DiscreteMeasure(dw.values, vols, mags)
+    return DiscreteMeasure(dw.values, vols, magnitudes(flat))
 
 
 def build_sigma(y_field, p, weight=None):
@@ -105,13 +104,13 @@ def concentration_mass(measure, eps):
     return measure.mass_on(measure.field_magnitudes < peak - eps)
 
 
-def density_bound_check(y_field, p, eps, cells=None, sup_proxy=None, weight=None):
+def density_bound_check(y_field, p, eps, sup_proxy=None, weight=None):
     """Closed-form density estimate for the residual measure.
 
     With M the sup-norm stand-in (by default the field's own maximum), the
     sub-level set A = {|y| <= M - eps} must satisfy
 
-        mass(A & B) / volume(A & B)  <=  (1 - eps/(2M - eps))^(p-1).
+        mass(A) / volume(A)  <=  (1 - eps/(2M - eps))^(p-1).
 
     Returns (lhs, rhs, passed) with passed allowing 1e-8 relative slack.
     """
@@ -121,8 +120,6 @@ def density_bound_check(y_field, p, eps, cells=None, sup_proxy=None, weight=None
     if not (0.0 < eps < m_sup):
         raise ConfigurationError(f"need 0 < eps < M={m_sup}, got {eps}")
     sub = measure.field_magnitudes <= m_sup - eps
-    if cells is not None:
-        sub = sub & np.asarray(cells).ravel()
     vol = measure.volume_on(sub)
     if vol == 0.0:
         raise ConfigurationError("sub-level set is empty; nothing to check")
@@ -131,13 +128,13 @@ def density_bound_check(y_field, p, eps, cells=None, sup_proxy=None, weight=None
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-8))
 
 
-def sigma_infty_support_check(measure, tol, magnitudes=None):
+def sigma_infty_support_check(measure, tol):
     """Fraction of mass carried by cells within tol of the peak magnitude.
 
     A measure with zero mass is supported nowhere in particular; the
     fraction is reported as 1.
     """
-    mags = measure.field_magnitudes if magnitudes is None else np.asarray(magnitudes).ravel()
+    mags = measure.field_magnitudes
     total = measure.mass
     if total == 0.0:
         return 1.0

@@ -190,26 +190,6 @@ class VectorField:
         return cls(grid, np.zeros((grid.nt + 1, grid.ny, grid.nx, 2)))
 
 
-@dataclass
-class TensorField:
-    """Spatial-gradient field, values shaped (nt+1, ny, nx, 4).
-
-    Component ordering is (du1/dx, du1/dy, du2/dx, du2/dy), i.e. entry i*2+j
-    holds the derivative of component i along axis j.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        expected = (self.grid.nt + 1, self.grid.ny, self.grid.nx, 4)
-        if self.values.shape != expected:
-            raise ConfigurationError(
-                f"tensor field shape {self.values.shape} != {expected}")
-        _check_finite(self.values, "tensor field")
-
-
 # ---------------------------------------------------------------------------
 # raw-array kernels
 
@@ -261,11 +241,6 @@ def scalar_gradient_transpose_kernel(gbar, grid):
 def divergence_kernel(u, grid):
     """du1/dx + du2/dy for u shaped (..., ny, nx, 2)."""
     return apply_x(u[..., 0], grid.d1x()) + apply_y(u[..., 1], grid.d1y())
-
-
-def vorticity_kernel(u, grid):
-    """du2/dx - du1/dy for u shaped (..., ny, nx, 2)."""
-    return apply_x(u[..., 1], grid.d1x()) - apply_y(u[..., 0], grid.d1y())
 
 
 def advection_kernel(u, grad_u):

@@ -152,19 +152,6 @@ def report_from_state(state, setup, p):
                         sup_K=s_k, sup_y=s_y)
 
 
-def assemble_E_p(c, setup, model, p):
-    """Build the state from the control and report the p-misfit."""
-    p = p if isinstance(p, PExponent) else PExponent(float(p))
-    if not p.is_finite:
-        raise ConfigurationError("assemble_E_p requires finite p; use assemble_E_inf")
-    return report_from_state(assemble_state(c, setup, model), setup, p)
-
-
-def assemble_E_inf(c, setup, model):
-    """Sup-norm misfit of a control."""
-    return report_from_state(assemble_state(c, setup, model), setup, PExponent.infinity())
-
-
 @dataclass
 class Tangent:
     """Forward-mode derivative of the chain along one control direction.
@@ -282,35 +269,17 @@ def state_map_transpose(ubar, pbar, grid):
     return ControlVector(grid, psi_bar, pr_bar)
 
 
-def gradient_from_state(state, setup, model, p, channels=("obs", "model")):
+def gradient_from_state(state, setup, model, p):
     """Exact gradient of the p-misfit with respect to the control DOFs.
 
-    channels selects which misfit channel contributes: "obs" is the
-    observation term, "model" the residual term.  The full gradient is the
-    sum of the two single-channel gradients.
+    adjoint_from_state applied to the dual weights of both channels, scaled
+    by their misfit weights and the quadrature weight; passing either
+    cotangent alone to adjoint_from_state gives that channel's gradient.
     """
     p = p if isinstance(p, PExponent) else PExponent(float(p))
     if not p.is_finite:
         raise ConfigurationError("the sup-misfit is not differentiable; use finite p")
-    for ch in channels:
-        if ch not in ("obs", "model"):
-            raise ConfigurationError(f"unknown channel {ch!r}")
     w = state.weight
     m_k, m_y = state.dual_weights(p)
-    kbar = ((1.0 - setup.lam) * w) * m_k if "obs" in channels else None
-    ybar = (setup.lam * w) * m_y if "model" in channels else None
-    return adjoint_from_state(state, setup, model, kbar, ybar)
-
-
-def gradient_E_p(c, setup, model, p, channels=("obs", "model")):
-    """Gradient of assemble_E_p at c; runs the forward chain internally."""
-    state = assemble_state(c, setup, model)
-    return gradient_from_state(state, setup, model, p, channels)
-
-
-def value_and_gradient(c, setup, model, p):
-    """One forward pass shared between the report and the gradient."""
-    state = assemble_state(c, setup, model)
-    report = report_from_state(state, setup, p)
-    grad = gradient_from_state(state, setup, model, p)
-    return report, grad
+    return adjoint_from_state(state, setup, model, ((1.0 - setup.lam) * w) * m_k,
+                              (setup.lam * w) * m_y)

@@ -96,8 +96,8 @@ class WeightedSamples:
 
 
 def magnitudes(values):
-    """Euclidean magnitude of each row of an (n, m) array."""
-    return np.sqrt(np.einsum("ij,ij->i", values, values))
+    """Euclidean magnitude over the trailing (component) axis of an array."""
+    return np.sqrt(np.einsum("...i,...i->...", values, values))
 
 
 def reg_abs(v, p):

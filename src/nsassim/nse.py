@@ -14,7 +14,6 @@ one-sided boundary stencils never enter the misfit directly.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,110 +26,41 @@ from .grid import (
 )
 
 
-# An end value of a line is 3a0 - 3a1 + a2 of its three nearest interior
-# values.  Column 0 holds the weights of the first end, column 1 those of
-# the last; rows follow the interior values in ascending index order.
-_END_W = np.array([[3.0, 1.0], [-3.0, -3.0], [1.0, 3.0]])
-
-
-def _end_slots(n):
-    """(dst, src, w) of the extension along a line of n nodes.
-
-    Line node dst[k] is the sum over slots i of w[i, k] * interior[src[i, k]].
-    Only the two end nodes are listed.
-    """
-    return np.array([0, n - 1]), np.array([[0, n - 5], [1, n - 4], [2, n - 3]]), _END_W
-
-
-def _end_slots_transposed(n):
-    """(dst, src, w) of the transposed extension along a line of n nodes.
-
-    Only the interior positions that an end value reads are listed.  Each
-    collects, in ascending order of the line index read, the first end
-    value, its own line value and the last end value; an end that does not
-    read it has weight zero.
-    """
-    dst = np.union1d(np.arange(3), np.arange(n - 5, n - 2))
-    src = np.stack([np.zeros_like(dst), dst + 1, np.full_like(dst, n - 1)])
-    w = np.zeros((3, dst.size))
-    w[1] = 1.0
-    first, last = dst < 3, dst >= n - 5
-    w[0, first] = _END_W[dst[first], 0]
-    w[2, last] = _END_W[dst[last] - (n - 5), 1]
-    return dst, src, w
-
-
-@lru_cache(maxsize=None)
-def _corner_plan(ny, nx, transposed):
-    """Flat gather/scatter indices for the values that mix an x end and a y end.
-
-    Returns (dst, src, wy, wx): value dst[k] of the flattened output level
-    is the sum over slots (i, j) of (wy[i, 0, k] * a[src[i, j, k]]) *
-    wx[0, j, k], with a the flattened input level.
-    """
-    slots = _end_slots_transposed if transposed else _end_slots
-    (dy, sy, wy), (dx, sx, wx) = slots(ny), slots(nx)
-    src_width, dst_width = (nx, nx - 2) if transposed else (nx - 2, nx)
-    src = (sy[:, None, :, None] * src_width + sx[None, :, None, :]).reshape(3, 3, -1)
-    dst = (dy[:, None] * dst_width + dx[None, :]).ravel()
-    plan = (dst, src, np.repeat(wy, dx.size, axis=1)[:, None, :],
-            np.tile(wx, dy.size)[None, :, :])
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
-
-
-def _set_corners(out, a, plan):
-    """Write the mixed x/y end values of out from a, following plan.
-
-    The terms are added one at a time in row-major slot order, the order in
-    which a term-by-term evaluation of the dense definition
-    sum_b sum_c E[r, b] a[b, c] E[s, c] adds them.  Every other value of the
-    extension and its transpose has at most three terms, already summed in
-    that order, so both equal that evaluation to the bit.
-    """
-    dst, src, wy, wx = plan
-    nt = a.shape[0]
-    terms = ((wy * a.reshape(nt, -1)[:, src]) * wx).reshape(nt, 9, -1)
-    acc = terms[:, 0]
-    for k in range(1, 9):
-        acc = acc + terms[:, k]
-    out.reshape(nt, -1)[:, dst] = acc
-
-
 def extend_interior(levels, grid):
     """Extend (nt, ny-2, nx-2) interior values to (nt, ny, nx) full levels.
 
     Boundary values are second-order extrapolations, so centered first
     derivatives of the extended field at interior nodes coincide with
-    one-sided interior-only stencils.  Each end row or column is
-    3a0 - 3a1 + a2 of the three nearest interior ones; a corner combines
-    both directions.  The work is O(1) per node, and
-    extend_interior_transpose is the exact transpose.
+    one-sided interior-only stencils.  Each end row is 3a0 - 3a1 + a2 of
+    the three nearest interior rows; the end columns are then extrapolated
+    the same way over the full height, so a corner combines both
+    directions.  The work is O(1) per node, and extend_interior_transpose
+    is the exact transpose.
     """
     out = np.empty((levels.shape[0], grid.ny, grid.nx))
     out[:, 1:-1, 1:-1] = levels
     out[:, 0, 1:-1] = 3.0 * levels[:, 0] - 3.0 * levels[:, 1] + levels[:, 2]
     out[:, -1, 1:-1] = levels[:, -3] - 3.0 * levels[:, -2] + 3.0 * levels[:, -1]
-    out[:, 1:-1, 0] = 3.0 * levels[..., 0] - 3.0 * levels[..., 1] + levels[..., 2]
-    out[:, 1:-1, -1] = levels[..., -3] - 3.0 * levels[..., -2] + 3.0 * levels[..., -1]
-    _set_corners(out, levels, _corner_plan(grid.ny, grid.nx, False))
+    out[..., 0] = 3.0 * out[..., 1] - 3.0 * out[..., 2] + out[..., 3]
+    out[..., -1] = out[..., -4] - 3.0 * out[..., -3] + 3.0 * out[..., -2]
     return out
 
 
 def extend_interior_transpose(levels_bar, grid):
     """Transpose of extend_interior: (nt, ny, nx) -> (nt, ny-2, nx-2).
 
-    Scatters each end row and column back onto the three interior lines it
-    was extrapolated from; the values that collect from both an x end and a
-    y end are then summed term by term.
+    The steps of extend_interior in reverse: each end column is folded onto
+    the three columns it was extrapolated from, in the interior rows and in
+    the two end rows, and then each end row onto its three interior rows.
     """
+    w = np.array([3.0, -3.0, 1.0])  # first end; the last end reads them reversed
     out = levels_bar[:, 1:-1, 1:-1].copy()
-    out[:, :, :3] += levels_bar[:, 1:-1, :1] * _END_W[:, 0]
-    out[:, :, -3:] += levels_bar[:, 1:-1, -1:] * _END_W[:, 1]
-    out[:, :3] += levels_bar[:, :1, 1:-1] * _END_W[:, :1]
-    out[:, -3:] += levels_bar[:, -1:, 1:-1] * _END_W[:, 1:]
-    _set_corners(out, levels_bar, _corner_plan(grid.ny, grid.nx, True))
+    ends = levels_bar[:, ::grid.ny - 1, 1:-1].copy()  # rows 0 and ny-1
+    for dst, src in ((out, levels_bar[:, 1:-1]), (ends, levels_bar[:, ::grid.ny - 1])):
+        dst[..., :3] += src[..., :1] * w
+        dst[..., -3:] += src[..., -1:] * w[::-1]
+    out[:, :3] += ends[:, :1] * w[:, None]
+    out[:, -3:] += ends[:, 1:] * w[::-1, None]
     return out
 
 
@@ -341,9 +271,6 @@ class ReferenceSolution:
     control: ControlVector
     sup_residual: float
     tol_ref: float
-
-    def __iter__(self):
-        return iter((self.u, self.p))
 
 
 def _pressure_qr(grid):

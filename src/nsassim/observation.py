@@ -13,7 +13,7 @@ restriction applies.  Observation-space fields live on interior nodes at
 time levels 1..nt, sharing the residual quadrature.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,15 +45,13 @@ class ObservationModel:
     """An observation kind, its data q, and (for masked kinds) the mask.
 
     data_q is shaped (nt, ny-2, nx-2, N) over interior nodes and time levels
-    1..nt.  Built-in kinds never observe the time derivative or the
-    pressure, recorded structurally in depends_on_time_derivative_or_pressure.
+    1..nt.
     """
 
     kind: str
     grid: GridSpec
     data_q: np.ndarray
     mask: np.ndarray = None
-    depends_on_time_derivative_or_pressure: bool = field(default=False, init=False)
 
     def __post_init__(self):
         n = n_components(self.kind)
@@ -99,11 +97,6 @@ class ObsField:
             raise InvalidFieldError("observation field contains non-finite values")
 
 
-def _interior(values):
-    """Restrict (nt+1, ny, nx, c) to interior nodes, levels 1..nt."""
-    return values[1:, 1:-1, 1:-1]
-
-
 def eval_Q_kernel(u_int, du_int, model):
     """Predicted observations from interior state/gradient arrays."""
     kind = model.kind
@@ -118,18 +111,12 @@ def eval_Q_kernel(u_int, du_int, model):
 
 
 def eval_K_kernel(u_int, du_int, model):
+    """Misfit K = Q(state) - q from interior state/gradient arrays, levels 1..nt."""
     kind = model.kind
     if kind == "masked-velocity":
         m = model.interior_mask()[None, :, :, None]
         return (u_int - model.data_q) * m
     return eval_Q_kernel(u_int, du_int, model) - model.data_q
-
-
-def eval_K(u, du, model):
-    """Misfit K = Q(state) - q on interior nodes, levels 1..nt."""
-    if u.grid != model.grid:
-        raise ConfigurationError("state grid does not match observation grid")
-    return ObsField(model.grid, eval_K_kernel(_interior(u.values), _interior(du.values), model))
 
 
 def eval_K_jvp(u, du, dgrad, model):
@@ -182,8 +169,8 @@ def synth_data(u_truth, kind, noise_amplitude, seed, mask=None, mask_stride=4):
     grid = u_truth.grid
     if kind == "masked-velocity" and mask is None:
         mask = default_mask(grid, mask_stride)
-    u_int = _interior(u_truth.values)
-    du_int = _interior(gradient_kernel(u_truth.values, grid))
+    u_int = u_truth.values[1:, 1:-1, 1:-1]
+    du_int = gradient_kernel(u_truth.values, grid)[1:, 1:-1, 1:-1]
     probe = ObservationModel(
         kind, grid, np.zeros((grid.nt, grid.ny - 2, grid.nx - 2, n_components(kind))),
         mask=mask)

@@ -20,10 +20,10 @@ from .diagnostics import (
     sigma_infty_support_check,
 )
 from .errors import ConfigurationError, SolverError
-from .grid import GridSpec, ScalarField, TensorField, VectorField, gradient_kernel
-from .misfit import assemble_E_p, assemble_state, gradient_E_p
+from .grid import GridSpec, ScalarField, VectorField, gradient_kernel
+from .misfit import assemble_state, gradient_from_state, report_from_state
 from .norms import (
-    PExponent, WeightedSamples, dotted_lp_norm, dual_weight, holder_gap,
+    PExponent, WeightedSamples, dotted_lp_norm, dual_weight, holder_gap, magnitudes,
     oscillating_step_profile, reg_abs,
 )
 from .nse import (
@@ -31,7 +31,7 @@ from .nse import (
     initial_velocity_preset, reference_solve, residual_y,
 )
 from .observation import (
-    KINDS, ObservationModel, default_mask, eval_K, eval_K_jvp, n_components,
+    KINDS, ObservationModel, default_mask, eval_K_jvp, eval_K_kernel, n_components,
     synth_data,
 )
 from .optim import run_continuation
@@ -48,10 +48,6 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _mags(values):
-    return np.sqrt(np.einsum("...i,...i->...", values, values))
 
 
 class TwinResult:
@@ -101,7 +97,7 @@ def run_twin(cfg, out_dir=None, plots=None, log=print):
 
     bank = default_test_bank(grid)
     largest_state = assemble_state(stages[-1].control, setup, model)
-    m_proxy = float(_mags(largest_state.y_int).max())
+    m_proxy = float(magnitudes(largest_state.y_int).max())
 
     stage_rows, misfit_rows, diag_rows, timing_rows, pairing_rows = [], [], [], [], []
     conc_curve = []
@@ -133,7 +129,7 @@ def run_twin(cfg, out_dir=None, plots=None, log=print):
                 concs.append(concentration_mass(sigma, frac * y_peak))
             else:
                 concs.append(0.0)
-        sub_level = _mags(state.y_int) <= 0.8 * m_proxy
+        sub_level = magnitudes(state.y_int) <= 0.8 * m_proxy
         if m_proxy > 0.0 and sub_level.any():
             lhs, rhs, _ = density_bound_check(state.y, st.p, 0.2 * m_proxy,
                                               sup_proxy=m_proxy)
@@ -180,7 +176,7 @@ def run_twin(cfg, out_dir=None, plots=None, log=print):
             title="residual-measure concentration", xlabel="p",
             ylabel="sub-level mass", logx=True,
             logy=all(c > 0 for c in conc_curve))
-        final_mag = _mags(largest_state.y_int[-1])
+        final_mag = magnitudes(largest_state.y_int[-1])
         svgplot.heatmap(os.path.join(out, "y_heatmap.svg"), final_mag.tolist(),
                         title=f"residual magnitude, final time, p={stages[-1].p:g}")
 
@@ -227,7 +223,7 @@ def check_dual_weights(seed=2024, trials=60):
             dw = dual_weight(h, p)
             pc = PExponent(p).conjugate
             worst_ball = max(worst_ball,
-                             float(np.sum(h.weights * _mags(dw.values) ** pc) ** (1.0 / pc)))
+                             float(np.sum(h.weights * magnitudes(dw.values) ** pc) ** (1.0 / pc)))
             norm = dotted_lp_norm(h, p)
             pair = float(np.sum(h.weights * np.einsum("ij,ij->i", dw.values, h.values)))
             reg = float(np.sum(
@@ -258,15 +254,18 @@ def check_gradient(seed=17, directions=5):
                       0.3 * rng.standard_normal((g.nt, g.ny - 2, g.nx - 2)))
     eps = 1e-6  # 1e-6 times the O(1) problem scale
     worst = 0.0
+
+    def e_p(control, p):
+        return report_from_state(assemble_state(control, setup, model), setup, p).e_p
+
     for p in (2.0, 6.0):
-        flat = gradient_E_p(c, setup, model, p).to_flat()
+        flat = gradient_from_state(assemble_state(c, setup, model), setup, model, p).to_flat()
         for _ in range(directions):
             d = rng.standard_normal(flat.size)
             d /= np.linalg.norm(d)
             cp = ControlVector.from_flat(g, c.to_flat() + eps * d)
             cm = ControlVector.from_flat(g, c.to_flat() - eps * d)
-            fd = (assemble_E_p(cp, setup, model, p).e_p
-                  - assemble_E_p(cm, setup, model, p).e_p) / (2 * eps)
+            fd = (e_p(cp, p) - e_p(cm, p)) / (2 * eps)
             worst = max(worst, abs(float(flat @ d) - fd) / max(abs(fd), 1e-30))
     return (worst <= 1e-5,
             f"max relative error {worst:.2e} over {directions} directions, p in {{2, 6}}")
@@ -346,7 +345,7 @@ def check_fields():
 
 
 def check_observation(seed=5, grid=None, trials=30):
-    """Observation tangent eval_K_jvp against central differences of eval_K.
+    """Observation tangent eval_K_jvp against central differences of eval_K_kernel.
 
     Per kind, `trials` random states on `grid` (default 9 x 9 x 4), each
     perturbed along one random constant velocity direction and one random
@@ -367,23 +366,21 @@ def check_observation(seed=5, grid=None, trials=30):
         model = ObservationModel(kind, g, np.zeros(shape + (n_components(kind),)),
                                  mask=default_mask(g, 2))
         for _ in range(trials):
-            u = VectorField(g, 0.7 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
-            du = TensorField(g, gradient_kernel(u.values, g))
-            u_int = np.moveaxis(u.values[1:, 1:-1, 1:-1], -1, 0)
+            full = 0.7 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2))
+            u, du = full[1:, 1:-1, 1:-1], gradient_kernel(full, g)[1:, 1:-1, 1:-1]
+            u_cf = np.moveaxis(u, -1, 0)
             d = rng.standard_normal(2)
             d /= np.linalg.norm(d)
-            fd = (eval_K(VectorField(g, u.values + eps * d), du, model).values
-                  - eval_K(VectorField(g, u.values - eps * d), du, model).values
-                  ) / (2 * eps)
-            an = eval_K_jvp(u_int, np.multiply.outer(d, ones), np.zeros((4,) + shape), model)
+            fd = (eval_K_kernel(u + eps * d, du, model)
+                  - eval_K_kernel(u - eps * d, du, model)) / (2 * eps)
+            an = eval_K_jvp(u_cf, np.multiply.outer(d, ones), np.zeros((4,) + shape), model)
             worst = max(worst, relative_error(an, fd))
 
             e = rng.standard_normal(4)
             e /= np.linalg.norm(e)
-            fd = (eval_K(u, TensorField(g, du.values + eps * e), model).values
-                  - eval_K(u, TensorField(g, du.values - eps * e), model).values
-                  ) / (2 * eps)
-            an = eval_K_jvp(u_int, np.zeros((2,) + shape), np.multiply.outer(e, ones), model)
+            fd = (eval_K_kernel(u, du + eps * e, model)
+                  - eval_K_kernel(u, du - eps * e, model)) / (2 * eps)
+            an = eval_K_jvp(u_cf, np.zeros((2,) + shape), np.multiply.outer(e, ones), model)
             worst = max(worst, relative_error(an, fd))
     return worst <= 1e-6, f"max relative derivative error {worst:.2e}"
 

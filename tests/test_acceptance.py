@@ -15,7 +15,7 @@ import pytest
 from nsassim.config import ExperimentConfig
 from nsassim.diagnostics import el_residual
 from nsassim.grid import GridSpec, ScalarField, VectorField
-from nsassim.misfit import assemble_E_p
+from nsassim.misfit import assemble_state, report_from_state
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset,
     residual_y,
@@ -155,11 +155,11 @@ def test_criterion_4_manufactured_solution():
 
 def test_criterion_5_truth_feasibility(zero_noise_run):
     cfg, result = zero_noise_run
-    truth = result.reference.control
+    truth_state = assemble_state(result.reference.control, result.setup, result.model)
     worst_gap = -np.inf
     rows = []
     for st in result.stages:
-        truth_rep = assemble_E_p(truth, result.setup, result.model, st.p)
+        truth_rep = report_from_state(truth_state, result.setup, st.p)
         gap = st.report.e_p - truth_rep.e_p
         worst_gap = max(worst_gap, gap)
         rows.append(f"p={st.p:g}: {gap:+.2e}")

@@ -64,9 +64,10 @@ class TestTwin:
         cfg = load_config(path=str(cfg_path))
         result = run_twin(cfg, out_dir=str(tmp_path / "probe"), plots=False,
                           log=lambda *a: None)
-        from nsassim.misfit import assemble_E_p
-        truth_rep = assemble_E_p(result.reference.control, result.setup,
-                                 result.model, 2.0)
+        from nsassim.misfit import assemble_state, report_from_state
+        truth_rep = report_from_state(
+            assemble_state(result.reference.control, result.setup, result.model),
+            result.setup, 2.0)
         e_p2 = float(lines[1].split(",")[2])
         assert e_p2 <= truth_rep.e_p + 1e-6
         for name in ("misfit.csv", "diagnostics.csv", "pairings.csv",
@@ -97,6 +98,14 @@ class TestTwin:
         err = capsys.readouterr().err
         assert code != 0
         assert "ERROR physics.lambda" in err
+
+    def test_non_finite_amplitude_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, **{"u0_amplitude = 0.1": "u0_amplitude = nan"})
+        code = main(["twin", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR physics.u0_amplitude: ")
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_field_is_a_run_error(self, tmp_path, capsys, monkeypatch):
         def not_finite(*args, **kwargs):

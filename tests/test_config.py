@@ -86,6 +86,20 @@ def test_bad_schedule_rejected():
         load_config(text=bad)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("physics.ref_tol", "nan"),
+    ("physics.ref_tol", "-1"),
+    ("observation.noise_amplitude", "nan"),
+    ("physics.u0_amplitude", "nan"),
+    ("physics.forcing_amplitude", "inf"),
+])
+def test_non_finite_or_negative_value_names_field(key, value):
+    section, name = key.split(".")
+    with pytest.raises(ConfigFieldError) as err:
+        load_config(text=f"[{section}]\n{name} = {value}\n")
+    assert err.value.fieldname == key
+
+
 def test_grid_invariants_checked():
     bad = GOOD.replace("nx = 10", "nx = 3")
     with pytest.raises(ConfigFieldError, match="grid"):

@@ -4,7 +4,7 @@ import pytest
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import (
     GridSpec, ScalarField, advection_kernel, curl_kernel, divergence_kernel,
-    gradient_kernel, laplacian_kernel, trapezoid_weights_2d, vorticity_kernel,
+    gradient_kernel, laplacian_kernel, trapezoid_weights_2d,
     zero_boundary_ring, zero_mean_kernel,
 )
 from nsassim.nse import PhysicsSetup, forcing_preset, momentum_terms_kernel
@@ -132,7 +132,8 @@ class TestSpatialGradient:
     def test_vorticity_of_rotation(self):
         g = grid()
         xx, yy = g.mesh()
-        assert np.allclose(vorticity_kernel(steady(g, yy, -xx), g), -2.0, atol=1e-12)
+        du = gradient_kernel(steady(g, yy, -xx), g)
+        assert np.allclose(du[..., 2] - du[..., 1], -2.0, atol=1e-12)
 
 
 class TestLaplacian:

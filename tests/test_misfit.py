@@ -4,9 +4,8 @@ import pytest
 from nsassim.errors import ConfigurationError
 from nsassim.grid import GridSpec, VectorField, gradient_kernel
 from nsassim.misfit import (
-    AssembledState, MisfitReport, adjoint_from_state, assemble_E_inf, assemble_E_p,
-    assemble_state, gradient_E_p, gradient_from_state, report_from_state,
-    tangent_from_state, value_and_gradient,
+    AssembledState, MisfitReport, adjoint_from_state, assemble_state, gradient_from_state,
+    report_from_state, tangent_from_state,
 )
 from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, sup_norm
 from nsassim.nse import (
@@ -31,6 +30,14 @@ def noisy_model(g, amplitude=0.3, seed=11, stride=2):
                       seed=seed, mask_stride=stride)
 
 
+def report_at(c, setup, model, p):
+    return report_from_state(assemble_state(c, setup, model), setup, p)
+
+
+def gradient_at(c, setup, model, p):
+    return gradient_from_state(assemble_state(c, setup, model), setup, model, p)
+
+
 def random_control(g, rng, scale=0.3):
     return ControlVector(g, scale * rng.standard_normal((g.nt, g.ny - 4, g.nx - 4)),
                          scale * rng.standard_normal((g.nt, g.ny - 2, g.nx - 2)))
@@ -40,7 +47,7 @@ class TestReports:
     def test_terms_sum(self):
         g = grid()
         rng = np.random.default_rng(0)
-        rep = assemble_E_p(random_control(g, rng), setup_for(g), noisy_model(g), 4.0)
+        rep = report_at(random_control(g, rng), setup_for(g), noisy_model(g), 4.0)
         assert rep.e_p == pytest.approx(rep.term_K + rep.term_y, abs=1e-15)
 
     def test_floor_terms(self):
@@ -48,8 +55,8 @@ class TestReports:
         lam = 0.3
         rng = np.random.default_rng(1)
         for p in (2.0, 16.0, 128.0):
-            rep = assemble_E_p(random_control(g, rng), setup_for(g, lam=lam),
-                               noisy_model(g), p)
+            rep = report_at(random_control(g, rng), setup_for(g, lam=lam),
+                            noisy_model(g), p)
             assert rep.term_K >= (1 - lam) / p - 1e-15
             assert rep.term_y >= lam / p - 1e-15
             assert rep.e_p >= 1.0 / p - 1e-15
@@ -69,9 +76,9 @@ class TestReports:
         model = ObservationModel("masked-velocity", g, q, mask=default_mask(g, 2))
         c = ControlVector.zeros(g)
         for p in (2.0, 8.0, 64.0):
-            rep = assemble_E_p(c, setup, model, p)
+            rep = report_at(c, setup, model, p)
             assert rep.e_p == pytest.approx(1.0 / p, abs=1e-15)
-        rep_inf = assemble_E_inf(c, setup, model)
+        rep_inf = report_at(c, setup, model, PExponent.infinity())
         assert rep_inf.e_p == 0.0
 
     def test_constant_misfit_sup(self):
@@ -83,7 +90,7 @@ class TestReports:
                              u0=initial_velocity_preset(g, "zero", 0.0))
         q = np.full((g.nt, g.ny - 2, g.nx - 2, 1), -2.5)
         model = ObservationModel("speed-squared", g, q)
-        rep = assemble_E_inf(ControlVector.zeros(g), setup, model)
+        rep = report_at(ControlVector.zeros(g), setup, model, PExponent.infinity())
         assert rep.e_p == pytest.approx((1 - lam) * 2.5, rel=1e-14)
         assert rep.sup_y == 0.0
 
@@ -94,7 +101,7 @@ class TestReports:
         model = noisy_model(g)
         rng = np.random.default_rng(2)
         c = random_control(g, rng)
-        rep = assemble_E_p(c, setup, model, 4.0)
+        rep = report_at(c, setup, model, 4.0)
         state = assemble_state(c, setup, model)
         y_s = WeightedSamples.uniform(state.y_int.reshape(-1, 2))
         direct = dotted_lp_norm(y_s, 4.0)
@@ -112,7 +119,7 @@ class TestReports:
         for d in (0.2, 0.4):
             q = np.full((g.nt, g.ny - 2, g.nx - 2, 2), d)
             model = ObservationModel("masked-velocity", g, q, mask=default_mask(g, 2))
-            reps[d] = assemble_E_p(c, setup, model, p)
+            reps[d] = report_at(c, setup, model, p)
         assert reps[0.2].term_y == pytest.approx(reps[0.4].term_y, rel=1e-13)
         lam = setup.lam
         # masked nodes carry |K| = d, off-mask zero; recompute directly
@@ -135,15 +142,15 @@ class TestGradient:
         model = noisy_model(g)
         rng = np.random.default_rng(3)
         c = random_control(g, rng)
-        flat = gradient_E_p(c, setup, model, p).to_flat()
+        flat = gradient_at(c, setup, model, p).to_flat()
         eps = 1e-6
         for _ in range(8):
             d = rng.standard_normal(flat.size)
             d /= np.linalg.norm(d)
             cp = ControlVector.from_flat(g, c.to_flat() + eps * d)
             cm = ControlVector.from_flat(g, c.to_flat() - eps * d)
-            fd = (assemble_E_p(cp, setup, model, p).e_p
-                  - assemble_E_p(cm, setup, model, p).e_p) / (2 * eps)
+            fd = (report_at(cp, setup, model, p).e_p
+                  - report_at(cm, setup, model, p).e_p) / (2 * eps)
             assert abs(float(flat @ d) - fd) <= 1e-5 * max(abs(fd), 1e-12)
 
     def test_fd_agreement_without_advection_and_other_kinds(self):
@@ -154,14 +161,14 @@ class TestGradient:
             model = synth_data(truth, kind, 0.2, seed=7)
             setup = setup_for(g, advection=False)
             c = random_control(g, rng)
-            flat = gradient_E_p(c, setup, model, 3.0).to_flat()
+            flat = gradient_at(c, setup, model, 3.0).to_flat()
             eps = 1e-6
             d = rng.standard_normal(flat.size)
             d /= np.linalg.norm(d)
             cp = ControlVector.from_flat(g, c.to_flat() + eps * d)
             cm = ControlVector.from_flat(g, c.to_flat() - eps * d)
-            fd = (assemble_E_p(cp, setup, model, 3.0).e_p
-                  - assemble_E_p(cm, setup, model, 3.0).e_p) / (2 * eps)
+            fd = (report_at(cp, setup, model, 3.0).e_p
+                  - report_at(cm, setup, model, 3.0).e_p) / (2 * eps)
             assert abs(float(flat @ d) - fd) <= 1e-5 * max(abs(fd), 1e-12)
 
     def test_norm_derivative_is_dual_weight(self):
@@ -188,26 +195,21 @@ class TestGradient:
         model = noisy_model(g)
         rng = np.random.default_rng(6)
         c = random_control(g, rng)
-        both = gradient_E_p(c, setup, model, 4.0).to_flat()
-        obs = gradient_E_p(c, setup, model, 4.0, channels=("obs",)).to_flat()
-        mod = gradient_E_p(c, setup, model, 4.0, channels=("model",)).to_flat()
+        state = assemble_state(c, setup, model)
+        both = gradient_from_state(state, setup, model, 4.0).to_flat()
+        m_k, m_y = state.dual_weights(PExponent(4.0))
+        w = state.weight
+        obs = adjoint_from_state(state, setup, model, ((1.0 - setup.lam) * w) * m_k,
+                                 None).to_flat()
+        mod = adjoint_from_state(state, setup, model, None,
+                                 (setup.lam * w) * m_y).to_flat()
         assert np.abs(both - obs - mod).max() <= 1e-15 + 1e-12 * np.abs(both).max()
-
-    def test_value_and_gradient_shares_forward(self):
-        g = grid()
-        setup = setup_for(g)
-        model = noisy_model(g)
-        rng = np.random.default_rng(7)
-        c = random_control(g, rng)
-        rep, grad = value_and_gradient(c, setup, model, 4.0)
-        assert rep.e_p == assemble_E_p(c, setup, model, 4.0).e_p
-        assert np.array_equal(grad.to_flat(), gradient_E_p(c, setup, model, 4.0).to_flat())
 
     def test_sup_misfit_not_differentiable(self):
         g = grid()
         with pytest.raises(ConfigurationError):
-            gradient_E_p(ControlVector.zeros(g), setup_for(g), noisy_model(g),
-                         PExponent.infinity())
+            gradient_at(ControlVector.zeros(g), setup_for(g), noisy_model(g),
+                        PExponent.infinity())
 
 
 def test_sup_misfit_bounded_by_high_exponent_norms():
@@ -218,11 +220,11 @@ def test_sup_misfit_bounded_by_high_exponent_norms():
     model = noisy_model(g, amplitude=0.5)
     rng = np.random.default_rng(8)
     c = random_control(g, rng)
-    rep_inf = assemble_E_inf(c, setup, model)
+    rep_inf = report_at(c, setup, model, PExponent.infinity())
     n = g.nt * g.n_interior
     gaps = []
     for p in (16.0, 32.0, 64.0, 128.0):
-        rep = assemble_E_p(c, setup, model, p)
+        rep = report_at(c, setup, model, p)
         assert rep_inf.e_p <= rep.e_p * n ** (1.0 / p) + 1e-12
         gaps.append(abs(rep.e_p - rep_inf.e_p))
     assert gaps[-1] <= gaps[0]

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from nsassim.errors import ConfigurationError
-from nsassim.grid import GridSpec, TensorField, VectorField, gradient_kernel
+from nsassim.grid import GridSpec, VectorField, gradient_kernel
+from nsassim.misfit import assemble_state
+from nsassim.nse import ControlVector, PhysicsSetup
 from nsassim.observation import (
-    KINDS, ObsField, ObservationModel, default_mask, eval_K, eval_K_jvp, eval_K_vjp,
+    KINDS, ObsField, ObservationModel, default_mask, eval_K_jvp, eval_K_kernel, eval_K_vjp,
     n_components, synth_data,
 )
 from nsassim.runner import check_observation
@@ -26,8 +28,9 @@ def steady(grid, u1, u2):
     return VectorField(grid, np.broadcast_to(vals, (grid.nt + 1,) + vals.shape))
 
 
-def gradient(u):
-    return TensorField(u.grid, gradient_kernel(u.values, u.grid))
+def interior_state(u):
+    """Velocity and its spatial gradient on interior nodes, levels 1..nt."""
+    return u.values[1:, 1:-1, 1:-1], gradient_kernel(u.values, u.grid)[1:, 1:-1, 1:-1]
 
 
 class TestObservationModel:
@@ -53,12 +56,6 @@ class TestObservationModel:
         with pytest.raises(ConfigurationError):
             ObservationModel("vorticity", grid, np.zeros((2, 2, 2, 1)))
 
-    def test_no_parabolic_dependence_flag(self, grid):
-        for kind in KINDS:
-            model = ObservationModel(kind, grid, zero_q(grid, kind),
-                                     mask=default_mask(grid, 2))
-            assert model.depends_on_time_derivative_or_pressure is False
-
     def test_default_mask_stride(self, grid):
         mask = default_mask(grid, 4)
         idx = np.argwhere(mask)
@@ -70,19 +67,17 @@ class TestEvalK:
     def test_identity_cancellation(self, grid):
         rng = np.random.default_rng(0)
         u = VectorField(grid, rng.standard_normal((grid.nt + 1, grid.ny, grid.nx, 2)))
-        du = gradient(u)
         q = u.values[1:, 1:-1, 1:-1]
         model = ObservationModel("masked-velocity", grid, q, mask=default_mask(grid, 2))
-        k = eval_K(u, du, model).values
+        k = eval_K_kernel(*interior_state(u), model)
         assert np.abs(k).max() == 0.0
 
     def test_off_mask_is_zero(self, grid):
         u = steady(grid, 1.0, 2.0)
-        du = gradient(u)
         model = ObservationModel("masked-velocity", grid,
                                  zero_q(grid, "masked-velocity"),
                                  mask=default_mask(grid, 3))
-        k = eval_K(u, du, model).values
+        k = eval_K_kernel(*interior_state(u), model)
         off = ~model.interior_mask()
         assert np.abs(k[:, off]).max() == 0.0
         on = model.interior_mask()
@@ -91,24 +86,23 @@ class TestEvalK:
     def test_vorticity_of_rotation(self, grid):
         xx, yy = grid.mesh()
         u = steady(grid, yy, -xx)
-        du = gradient(u)
         model = ObservationModel("vorticity", grid, zero_q(grid, "vorticity"))
-        k = eval_K(u, du, model).values
+        k = eval_K_kernel(*interior_state(u), model)
         assert np.allclose(k, -2.0, atol=1e-12)
 
     def test_speed_squared(self, grid):
         u = steady(grid, 3.0, 4.0)
-        du = gradient(u)
         model = ObservationModel("speed-squared", grid, zero_q(grid, "speed-squared"))
-        assert np.allclose(eval_K(u, du, model).values, 25.0, atol=1e-12)
+        assert np.allclose(eval_K_kernel(*interior_state(u), model), 25.0, atol=1e-12)
 
     def test_grid_mismatch(self, grid):
+        # the misfit is evaluated through assemble_state, which checks grids
         other = GridSpec(nx=8, ny=8, nt=4, t_end=0.4)
-        u = VectorField.zeros(other)
-        du = gradient(u)
+        setup = PhysicsSetup(grid=other, nu=0.01, lam=0.5, f=VectorField.zeros(other),
+                             u0=np.zeros((other.ny, other.nx, 2)))
         model = ObservationModel("vorticity", grid, zero_q(grid, "vorticity"))
         with pytest.raises(ConfigurationError):
-            eval_K(u, du, model)
+            assemble_state(ControlVector.zeros(other), setup, model)
 
 
 def interior_cf(values):
@@ -180,10 +174,9 @@ class TestSynthData:
     def test_exact_data_zero_for_every_kind(self, grid):
         rng = np.random.default_rng(1)
         u = VectorField(grid, rng.standard_normal((grid.nt + 1, grid.ny, grid.nx, 2)))
-        du = gradient(u)
         for kind in KINDS:
             model = synth_data(u, kind, 0.0, seed=9, mask_stride=2)
-            assert np.abs(eval_K(u, du, model).values).max() <= 1e-14
+            assert np.abs(eval_K_kernel(*interior_state(u), model)).max() <= 1e-14
 
     def test_deterministic_given_seed(self, grid):
         rng = np.random.default_rng(2)
