@@ -4,14 +4,13 @@ Exit codes: 0 on success, 1 when a verification suite fails or a run
 aborts, 2 on configuration errors (with a machine-readable line
 `ERROR <section.key>: <message>` on stderr).
 
-The environment variable NSASSIM_THREADS, when set, is propagated to the
-usual BLAS thread-count variables for this process and its children.
-Reruns are byte-identical at a fixed BLAS thread count only: the reference
-solve's matrix products round differently under another thread count.
+The BLAS thread count is OpenBLAS's own: set OPENBLAS_NUM_THREADS in the
+environment that starts nsassim (numpy reads it at import).  Reruns are
+byte-identical at a fixed BLAS thread count only: the reference solve's
+matrix products round differently under another thread count.
 """
 
 import argparse
-import os
 import sys
 
 from .config import ConfigFieldError, ExperimentConfig, load_config
@@ -57,11 +56,6 @@ def _load(args):
 
 
 def main(argv=None):
-    threads = os.environ.get("NSASSIM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     args = build_parser().parse_args(argv)
     from . import runner
 

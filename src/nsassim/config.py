@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigFieldError("observation.mask_stride", "must be >= 1")
         if not 0.0 <= self.noise_amplitude < math.inf:
             raise ConfigFieldError("observation.noise_amplitude", "must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigFieldError("observation.seed", f"must be >= 0, got {self.seed}")
         try:
             ContinuationSchedule(self.p_list, self.warm_start)
         except ConfigurationError as exc:

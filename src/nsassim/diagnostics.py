@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import scalar_gradient_transpose_kernel
-from .misfit import (
-    adjoint_from_state, assemble_state, state_map_transpose, tangent_from_state,
-)
+from .misfit import adjoint_from_state, assemble_state, tangent_from_state
 from .norms import PExponent, WeightedSamples, dual_weight, magnitudes
-from .nse import ControlVector, interior_trapezoid_weights
+from .nse import (
+    ControlVector, interior_trapezoid_weights, momentum_operator_transpose,
+    state_map_transpose,
+)
 
 
 @dataclass
@@ -265,11 +265,12 @@ def bank_pairings(c_star, p, setup, model, test_bank=None):
     state = assemble_state(c_star, setup, model)
     w = state.weight
     m_k, m_y = state.dual_weights(p)
-    # sigma pairs with the test velocity, or with the test pressure gradient
-    sigma_field = np.zeros((g.nt, g.ny, g.nx, 2))
-    sigma_field[:, 1:-1, 1:-1] = w * m_y
-    sigma = state_map_transpose(
-        sigma_field, scalar_gradient_transpose_kernel(sigma_field, g), g)
+    # sigma pairs with the test velocity, or with the test pressure gradient:
+    # the pressure half of the momentum operator's transpose
+    sigma_y = np.ascontiguousarray(np.moveaxis(w * m_y, -1, 0))
+    sigma_u = np.zeros((2, g.nt, g.ny, g.nx))
+    sigma_u[..., 1:-1, 1:-1] = sigma_y
+    sigma = state_map_transpose(sigma_u, momentum_operator_transpose(sigma_y, g, setup.nu)[1], g)
     big_sigma = adjoint_from_state(state, setup, model, w * m_k, None)
 
     rows = []

@@ -4,9 +4,11 @@ The domain is a node-centered rectangle [0,lx] x [0,ly] sampled at nx x ny
 nodes, with nt time levels after t = 0 (level 0 holds initial data).  All
 spatial derivatives are second-order: centered three-point stencils at
 interior nodes, one-sided second-order stencils at boundary nodes.  The
-kernels act on raw arrays over the trailing (ny, nx[, component]) axes; the
-backward time difference lives with the rest of the momentum expression in
-nse.momentum_terms_kernel.
+kernels here (curl, gradient, divergence, zero-mean projection) act on raw
+full-grid arrays over the trailing (ny, nx[, component]) axes.  The
+momentum operator, the interior velocity gradient and the advection term,
+each with its transpose, live in nse: they apply only the interior rows of
+the 1D matrices.
 
 Derivative operators along each axis are dense 1D matrices applied by
 matmul, so operators acting on different axes commute exactly.  That makes
@@ -198,11 +200,6 @@ def curl_kernel(psi, grid, axis=-1):
     return np.stack([apply_y(psi, grid.d1y()), -apply_x(psi, grid.d1x())], axis=axis)
 
 
-def curl_transpose_kernel(ubar, grid):
-    """Transpose of curl_kernel: cotangent (..., ny, nx, 2) -> (..., ny, nx)."""
-    return apply_y(ubar[..., 0], grid.d1y().T) - apply_x(ubar[..., 1], grid.d1x().T)
-
-
 def gradient_kernel(u, grid):
     """Spatial gradient of (..., ny, nx, 2) -> (..., ny, nx, 4)."""
     d1x, d1y = grid.d1x(), grid.d1y()
@@ -212,43 +209,9 @@ def gradient_kernel(u, grid):
         axis=-1)
 
 
-def gradient_transpose_kernel(gbar, grid):
-    """Transpose of gradient_kernel: (..., ny, nx, 4) -> (..., ny, nx, 2)."""
-    d1xt, d1yt = grid.d1x().T, grid.d1y().T
-    u1 = apply_x(gbar[..., 0], d1xt) + apply_y(gbar[..., 1], d1yt)
-    u2 = apply_x(gbar[..., 2], d1xt) + apply_y(gbar[..., 3], d1yt)
-    return np.stack([u1, u2], axis=-1)
-
-
-def laplacian_kernel(a, grid):
-    """Scalar Laplacian along the trailing (ny, nx) axes."""
-    return apply_x(a, grid.d2x()) + apply_y(a, grid.d2y())
-
-
-def laplacian_transpose_kernel(a, grid):
-    return apply_x(a, grid.d2x().T) + apply_y(a, grid.d2y().T)
-
-
-def scalar_gradient_kernel(p, grid):
-    """(dp/dx, dp/dy) for p shaped (..., ny, nx)."""
-    return np.stack([apply_x(p, grid.d1x()), apply_y(p, grid.d1y())], axis=-1)
-
-
-def scalar_gradient_transpose_kernel(gbar, grid):
-    return apply_x(gbar[..., 0], grid.d1x().T) + apply_y(gbar[..., 1], grid.d1y().T)
-
-
 def divergence_kernel(u, grid):
     """du1/dx + du2/dy for u shaped (..., ny, nx, 2)."""
     return apply_x(u[..., 0], grid.d1x()) + apply_y(u[..., 1], grid.d1y())
-
-
-def advection_kernel(u, grad_u):
-    """(u . D)u from a velocity array and its gradient array."""
-    u1, u2 = u[..., 0], u[..., 1]
-    a1 = u1 * grad_u[..., 0] + u2 * grad_u[..., 1]
-    a2 = u1 * grad_u[..., 2] + u2 * grad_u[..., 3]
-    return np.stack([a1, a2], axis=-1)
 
 
 def zero_boundary_ring(u):

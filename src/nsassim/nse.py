@@ -11,6 +11,10 @@ is *defined* as the momentum residual of the assembled state.
 The residual and all norms over the space-time domain are evaluated on
 interior nodes at levels 1..nt only, with uniform quadrature weights;
 one-sided boundary stencils never enter the misfit directly.
+
+The momentum expression has one implementation, momentum_operator plus
+advection, each linear map followed by its transpose; the assembly, the
+tangent, the adjoint and the reference solver all call them.
 """
 
 from dataclasses import dataclass
@@ -19,10 +23,9 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidFieldError, SolverError
 from .grid import (
-    GridSpec, ScalarField, VectorField,
-    advection_kernel, curl_kernel, divergence_kernel,
-    gradient_kernel, laplacian_kernel, scalar_gradient_kernel, trapezoid_weights,
-    zero_boundary_ring, zero_mean_kernel, _d1_matrix,
+    GridSpec, ScalarField, VectorField, curl_kernel, divergence_kernel,
+    gradient_kernel, trapezoid_weights, zero_boundary_ring, zero_mean_kernel,
+    zero_mean_transpose_kernel, _d1_matrix,
 )
 
 
@@ -181,14 +184,17 @@ def state_from_control(c, setup):
     return VectorField(g, uvals), ScalarField(g, pvals)
 
 
+# ---------------------------------------------------------------------------
+# linear maps, each followed by its transpose; component axis first.  The
+# momentum operators apply the interior rows of the 1D matrices only.
+
 def velocity_map(psi, grid):
-    """Velocity at levels 1..nt from the stream-function block (linear).
+    """Velocity from stream-function dofs (nt, ny-4, nx-4), any nt (linear).
 
     The curl of the zero-padded stream function with the boundary ring
-    zeroed, component axis first: shaped (2, nt, ny, nx).
-    misfit.state_map_transpose holds its transpose.
+    zeroed: shaped (2, nt, ny, nx).
     """
-    psi_full = np.zeros((grid.nt, grid.ny, grid.nx))
+    psi_full = np.zeros((psi.shape[0], grid.ny, grid.nx))
     psi_full[:, 2:-2, 2:-2] = psi
     u = curl_kernel(psi_full, grid, axis=0)
     u[:, :, [0, -1]] = 0.0
@@ -199,34 +205,142 @@ def velocity_map(psi, grid):
 def pressure_map(pr, grid):
     """Pressure at levels 1..nt from the pressure block (linear).
 
-    The extension to the boundary minus the trapezoidal mean per level;
-    misfit.state_map_transpose holds its transpose.
+    The extension to the boundary minus the trapezoidal mean per level.
     """
     return zero_mean_kernel(extend_interior(pr, grid), grid)
 
 
-def momentum_terms_kernel(uvals, pvals, setup, u0=None, grad_u=None):
-    """Sum of all momentum terms except the forcing, levels 1..nt, full grid.
+def state_map_transpose(ubar, pbar, grid):
+    """Transpose of velocity_map and pressure_map: cotangents -> control.
 
-    grad_u, when given, is gradient_kernel(uvals[1:]) computed by the
-    caller; it is then not computed again for the advection term.
+    ubar (2, nt, ny, nx) and pbar (nt, ny, nx) are full-grid cotangents of
+    the velocity and pressure at levels 1..nt.  The velocity ring is zero
+    and the stream function clamped on two layers, so the curl's transpose
+    reads only the interior block of each 1D matrix.
+    """
+    d1x, d1y = grid.d1x()[1:-1, 2:-2], grid.d1y()[1:-1, 2:-2]
+    psi_bar = d1y.T @ ubar[0, :, 1:-1, 2:-2] - ubar[1, :, 2:-2, 1:-1] @ d1x
+    pr_bar = extend_interior_transpose(zero_mean_transpose_kernel(pbar, grid), grid)
+    return ControlVector(grid, psi_bar, pr_bar)
+
+
+def velocity_gradient(u, grid):
+    """Spatial gradient of a velocity at interior nodes.
+
+    u (2, ..., ny, nx) -> (4, ..., ny-2, nx-2), in gradient_kernel's order
+    du1/dx, du1/dy, du2/dx, du2/dy.
+    """
+    out = np.empty((4,) + u.shape[1:-2] + (grid.ny - 2, grid.nx - 2))
+    np.matmul(u[..., 1:-1, :], grid.d1x()[1:-1].T, out=out[0::2])
+    np.matmul(grid.d1y()[1:-1], u[..., 1:-1], out=out[1::2])
+    return out
+
+
+def velocity_gradient_transpose(gbar, grid, ubar):
+    """Add the transpose of velocity_gradient applied to gbar into ubar.
+
+    gbar is (4, ..., ny-2, nx-2) and ubar (2, ..., ny, nx); returns ubar.
+    """
+    ubar[..., 1:-1, :] += gbar[0::2] @ grid.d1x()[1:-1]
+    ubar[..., 1:-1] += grid.d1y()[1:-1].T @ gbar[1::2]
+    return ubar
+
+
+def momentum_operator(u, p, grid, nu, u_init=None):
+    """Linear momentum terms D_t u - nu Lap u + grad p at interior nodes.
+
+    u (2, ..., nt, ny, nx) and p (..., nt, ny, nx) are velocity and
+    pressure at levels 1..nt on the full grid; either may be None for zero,
+    not both.  D_t is the backward time difference along the level axis,
+    u_init (2, ..., ny-2, nx-2) the interior slice before level 1 (zero when
+    None).  Returns (2, ..., nt, ny-2, nx-2).
+    """
+    lead = (p if u is None else u[0]).shape[:-2]
+    out = np.zeros((2,) + lead + (grid.ny - 2, grid.nx - 2))
+    if u is not None:
+        ui = u[..., 1:-1, 1:-1]
+        np.subtract(ui[..., 1:, :, :], ui[..., :-1, :, :], out=out[..., 1:, :, :])
+        out[..., 0, :, :] = ui[..., 0, :, :] if u_init is None else ui[..., 0, :, :] - u_init
+        out /= grid.dt
+        lap = u[..., 1:-1, :] @ grid.d2x()[1:-1].T
+        lap += grid.d2y()[1:-1] @ u[..., 1:-1]
+        lap *= nu
+        out -= lap
+    if p is not None:
+        out[0] += p[..., 1:-1, :] @ grid.d1x()[1:-1].T
+        out[1] += grid.d1y()[1:-1] @ p[..., 1:-1]
+    return out
+
+
+def momentum_operator_transpose(ybar, grid, nu):
+    """Transpose of momentum_operator in (u, p) with a zero u_init.
+
+    ybar (2, ..., nt, ny-2, nx-2) -> full-grid cotangents ubar
+    (2, ..., nt, ny, nx) and pbar (..., nt, ny, nx).  Level k of the
+    velocity feeds the time differences of levels k and k+1.
+    """
+    lead = ybar.shape[1:-2]
+    ubar = np.zeros((2,) + lead + (grid.ny, grid.nx))
+    np.matmul(ybar, -nu * grid.d2x()[1:-1], out=ubar[..., 1:-1, :])
+    ubar[..., 1:-1] += (-nu * grid.d2y()[1:-1]).T @ ybar
+    s = ybar / grid.dt
+    ui = ubar[..., 1:-1, 1:-1]
+    ui += s
+    ui[..., :-1, :, :] -= s[..., 1:, :, :]
+    pbar = np.zeros(lead + (grid.ny, grid.nx))
+    np.matmul(ybar[0], grid.d1x()[1:-1], out=pbar[..., 1:-1, :])
+    pbar[..., 1:-1] += grid.d1y()[1:-1].T @ ybar[1]
+    return ubar, pbar
+
+
+def advection(a, grad_b):
+    """(a.D)b from a velocity a (2, ...) and the gradient of b (4, ...).
+
+    grad_b is in velocity_gradient's order; the result is shaped like a.
+    Linear in each argument, with advection_transpose_a and
+    advection_transpose_grad_b the two partial transposes.
+    """
+    out = a[0] * grad_b[0::2]
+    out += a[1] * grad_b[1::2]
+    return out
+
+
+def advection_transpose_a(ybar, grad_b):
+    """Transpose of advection in a: ybar (2, ...) -> (2, ...)."""
+    abar = ybar[0] * grad_b[0:2]
+    abar += ybar[1] * grad_b[2:4]
+    return abar
+
+
+def advection_transpose_grad_b(ybar, a):
+    """Transpose of advection in grad_b: ybar (2, ...) -> (4, ...)."""
+    out = np.empty((4,) + ybar.shape[1:])
+    np.multiply(ybar[:, None], a[None], out=out.reshape((2, 2) + ybar.shape[1:]))
+    return out
+
+
+def momentum_terms_kernel(uvals, pvals, setup, u0=None, grad_u=None):
+    """Every momentum term except the forcing, interior nodes, levels 1..nt.
+
+    uvals (nt+1, ny, nx, 2) and pvals (nt+1, ny, nx) are full-grid fields
+    with the component axis last; the result is (nt, ny-2, nx-2, 2), the
+    same layout: momentum_operator plus the advection (u.D)u.  The initial
+    slice of the time difference is u0, default setup.u0.  grad_u, when
+    given, is velocity_gradient of the velocity at levels 1..nt, computed
+    by the caller.
     """
     g = setup.grid
     if u0 is None:
         u0 = setup.u0
     elif u0.shape != (g.ny, g.nx, 2):
         raise ConfigurationError(f"u0 shape {u0.shape} != {(g.ny, g.nx, 2)}")
-    prev = np.concatenate([u0[None], uvals[1:-1]], axis=0)
-    dtu = (uvals[1:] - prev) / g.dt
-    lap = np.stack(
-        [laplacian_kernel(uvals[1:, ..., 0], g), laplacian_kernel(uvals[1:, ..., 1], g)],
-        axis=-1)
-    out = dtu - setup.nu * lap + scalar_gradient_kernel(pvals[1:], g)
+    u = np.moveaxis(uvals[1:], -1, 0)
+    out = momentum_operator(u, pvals[1:], g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
     if setup.include_advection:
         if grad_u is None:
-            grad_u = gradient_kernel(uvals[1:], g)
-        out = out + advection_kernel(uvals[1:], grad_u)
-    return out
+            grad_u = velocity_gradient(u, g)
+        out += advection(u[..., 1:-1, 1:-1], grad_u)
+    return np.moveaxis(out, 0, -1)
 
 
 def residual_y(u, p, setup, u0=None):
@@ -240,9 +354,9 @@ def residual_y(u, p, setup, u0=None):
     g = setup.grid
     if u.grid != g or p.grid != g:
         raise ConfigurationError("field grids do not match setup grid")
-    expr = momentum_terms_kernel(u.values, p.values, setup, u0=u0)
     out = np.zeros_like(u.values)
-    out[1:, 1:-1, 1:-1] = expr[:, 1:-1, 1:-1] - setup.f.values[1:, 1:-1, 1:-1]
+    out[1:, 1:-1, 1:-1] = (momentum_terms_kernel(u.values, p.values, setup, u0=u0)
+                           - setup.f.values[1:, 1:-1, 1:-1])
     return VectorField(g, out)
 
 
@@ -253,9 +367,8 @@ def consistent_forcing(u, p, setup, u0=None):
     cancellation is bit-exact on interior nodes.
     """
     g = setup.grid
-    expr = momentum_terms_kernel(u.values, p.values, setup, u0=u0)
     fvals = np.zeros((g.nt + 1, g.ny, g.nx, 2))
-    fvals[1:, 1:-1, 1:-1] = expr[:, 1:-1, 1:-1]
+    fvals[1:, 1:-1, 1:-1] = momentum_terms_kernel(u.values, p.values, setup, u0=u0)
     return VectorField(g, fvals)
 
 
@@ -295,35 +408,31 @@ def _step_basis(setup, z):
 
     Returns (zs, basis_u, basis_gu): row j of zs is z^T (u_j/dt - nu Lap u_j)
     collocated at interior nodes, u_j the velocity of the j-th free
-    stream-function unit vector; basis_u and basis_gu hold those velocities
-    and their gradients, which assemble the lagged advection block per sweep.
+    stream-function unit vector, each a one-level trajectory for
+    momentum_operator; basis_u (2, n_psi, ny, nx) and basis_gu, their
+    interior gradients, assemble the lagged advection block per sweep.
     The basis is fixed for a given grid and viscosity.
     """
     g = setup.grid
     n_psi = (g.ny - 4) * (g.nx - 4)
-    e = np.zeros((n_psi, g.ny, g.nx))
-    e[:, 2:-2, 2:-2] = np.eye(n_psi).reshape(n_psi, g.ny - 4, g.nx - 4)
-    basis_u = zero_boundary_ring(curl_kernel(e, g))
-    lap = np.stack(
-        [laplacian_kernel(basis_u[..., 0], g), laplacian_kernel(basis_u[..., 1], g)], axis=-1)
-    stokes = (basis_u / g.dt - setup.nu * lap)[:, 1:-1, 1:-1].reshape(n_psi, -1)
-    return stokes @ z, basis_u, gradient_kernel(basis_u, g)
+    basis_u = velocity_map(np.eye(n_psi).reshape(n_psi, g.ny - 4, g.nx - 4), g)
+    stokes = momentum_operator(basis_u[:, :, None], None, g, setup.nu)[:, :, 0]
+    zs = np.moveaxis(stokes, 0, -1).reshape(n_psi, -1) @ z
+    return zs, basis_u, velocity_gradient(basis_u, g)
 
 
-def _solve_level(z, zs, basis_gu, u_adv, b, advection):
+def _solve_level(z, zs, basis_gu, u_adv, b, advection_on):
     """Stream-function dofs of one level and sweep: min |z^T (A psi - b)|.
 
     A is the momentum collocation over the stream-function basis, its
-    advection block lagged in u_adv when advection is on.  Eliminating the
-    pressure leaves a system with condition number near 10 on the grids
-    used, so the normal equations lose nothing.
+    advection block lagged in u_adv (ny, nx, 2) when advection is on.
+    Eliminating the pressure leaves a system with condition number near 10
+    on the grids used, so the normal equations lose nothing.
     """
     m_t = zs
-    if advection:
-        a1 = u_adv[None, ..., 0] * basis_gu[..., 0] + u_adv[None, ..., 1] * basis_gu[..., 1]
-        a2 = u_adv[None, ..., 0] * basis_gu[..., 2] + u_adv[None, ..., 1] * basis_gu[..., 3]
-        adv = np.stack([a1, a2], axis=-1)[:, 1:-1, 1:-1].reshape(zs.shape[0], -1)
-        m_t = zs + adv @ z
+    if advection_on:
+        adv = advection(np.moveaxis(u_adv[1:-1, 1:-1], -1, 0), basis_gu)
+        m_t = zs + np.moveaxis(adv, 0, -1).reshape(zs.shape[0], -1) @ z
     return np.linalg.solve(m_t @ m_t.T, m_t @ (b @ z))
 
 
@@ -386,14 +495,13 @@ def reference_solve(setup, tol_ref=None, advection_sweeps=3):
         u_adv = u_prev
         for _ in range(sweeps):
             psi = _solve_level(z, zs, basis_gu, u_adv, b, setup.include_advection)
-            u_adv = np.einsum("j,jyxc->yxc", psi, basis_u)
+            u_adv = np.einsum("j,cjyx->yxc", psi, basis_u)
         psi_dofs[k - 1] = psi.reshape(g.ny - 4, g.nx - 4)
         uvals[k] = u_adv
 
     # pressure recovery: fit D p to the remaining momentum terms per level
     zero_p = np.zeros((g.nt + 1, g.ny, g.nx))
-    expr = momentum_terms_kernel(uvals, zero_p, setup)
-    target = (setup.f.values[1:] - expr)[:, 1:-1, 1:-1]
+    target = setup.f.values[1:, 1:-1, 1:-1] - momentum_terms_kernel(uvals, zero_p, setup)
 
     control = ControlVector(g, psi_dofs, _recover_pressure(q, r, target)).normalized()
     u, p = state_from_control(control, setup)
@@ -435,12 +543,10 @@ def initial_velocity_preset(grid, name, amplitude):
 
 
 def forcing_preset(grid, name, amplitude):
-    """Built-in forcings: 'none' or a steady solenoidal 'swirl'."""
+    """Built-in forcings: 'none' or 'swirl', the 'vortex' velocity held steady."""
     if name == "none":
         return VectorField.zeros(grid)
     if name == "swirl":
-        psi0 = stream_bump(grid, amplitude, power=2)
-        f_slice = zero_boundary_ring(curl_kernel(psi0[None], grid))[0]
-        vals = np.broadcast_to(f_slice, (grid.nt + 1, grid.ny, grid.nx, 2)).copy()
-        return VectorField(grid, vals)
+        f_slice = initial_velocity_preset(grid, "vortex", amplitude)
+        return VectorField(grid, np.broadcast_to(f_slice, (grid.nt + 1,) + f_slice.shape).copy())
     raise ConfigurationError(f"unknown forcing preset {name!r}")

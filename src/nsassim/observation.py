@@ -136,23 +136,23 @@ def eval_K_jvp(u, du, dgrad, model):
     raise ConfigurationError(f"unknown observation kind {kind!r}")
 
 
-def eval_K_vjp(u_int, kbar, model, ubar_int, gbar_int):
-    """Transpose of eval_K_jvp: add the cotangents of K to ubar_int and gbar_int.
+def eval_K_vjp(u, kbar, model, ubar, gbar):
+    """Transpose of eval_K_jvp: add the cotangents of K to ubar and gbar.
 
-    Here the component axis is last, as in the adjoint: u_int is the
-    interior velocity (nt, ny-2, nx-2, 2), kbar is shaped like K (..., N),
-    and the velocity and gradient cotangents ubar_int (..., 2) and gbar_int
-    (..., 4) are updated in place.  The Jacobian entries are 0, +-1 and 2u,
-    so each product is exact or a single rounding.
+    Component axis first, as in eval_K_jvp: u is the interior velocity
+    (2, nt, ny-2, nx-2), kbar is shaped like the tangent of K (N, ...), and
+    the velocity and gradient cotangents ubar (2, ...) and gbar (4, ...) are
+    updated in place.  The Jacobian entries are 0, +-1 and 2u, so each
+    product is exact or a single rounding.
     """
     kind = model.kind
     if kind == "masked-velocity":
-        ubar_int += kbar * model.interior_mask()[:, :, None]
+        ubar += kbar * model.interior_mask()
     elif kind == "vorticity":
-        gbar_int[..., 1] -= kbar[..., 0]
-        gbar_int[..., 2] += kbar[..., 0]
+        gbar[1] -= kbar[0]
+        gbar[2] += kbar[0]
     elif kind == "speed-squared":
-        ubar_int += (2.0 * u_int) * kbar
+        ubar += (2.0 * u) * kbar
     else:
         raise ConfigurationError(f"unknown observation kind {kind!r}")
 

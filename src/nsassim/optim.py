@@ -18,6 +18,7 @@ tolerances, not in their ratio: the last step may land anywhere below its
 bound.  All arithmetic is deterministic.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -41,8 +42,8 @@ class OptimOptions:
     def __post_init__(self):
         if self.max_iters < 0 or self.memory < 1:
             raise ConfigurationError("max_iters must be >= 0 and memory >= 1")
-        if not (0.0 < self.grad_tol):
-            raise ConfigurationError("grad_tol must be positive")
+        if not (0.0 < self.grad_tol < math.inf):
+            raise ConfigurationError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if not (0.0 < self.armijo_factor < 1.0) or not (0.0 < self.armijo_slope < 1.0):
             raise ConfigurationError("Armijo parameters must lie in (0, 1)")
 

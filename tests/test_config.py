@@ -92,12 +92,20 @@ def test_bad_schedule_rejected():
     ("observation.noise_amplitude", "nan"),
     ("physics.u0_amplitude", "nan"),
     ("physics.forcing_amplitude", "inf"),
+    ("observation.seed", "-1"),
 ])
 def test_non_finite_or_negative_value_names_field(key, value):
     section, name = key.split(".")
     with pytest.raises(ConfigFieldError) as err:
         load_config(text=f"[{section}]\n{name} = {value}\n")
     assert err.value.fieldname == key
+
+
+def test_infinite_grad_tol_names_optimizer():
+    # an infinite tolerance would stop every stage at iteration 0 as converged
+    with pytest.raises(ConfigFieldError, match="grad_tol") as err:
+        load_config(text="[optimizer]\ngrad_tol = inf\n")
+    assert err.value.fieldname == "optimizer"
 
 
 def test_grid_invariants_checked():

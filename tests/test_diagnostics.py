@@ -8,8 +8,7 @@ from nsassim.diagnostics import (
     sigma_infty_support_check,
 )
 from nsassim.grid import (
-    GridSpec, VectorField, advection_kernel, curl_kernel, gradient_kernel,
-    laplacian_kernel, scalar_gradient_kernel, zero_boundary_ring,
+    GridSpec, VectorField, apply_x, apply_y, curl_kernel, gradient_kernel, zero_boundary_ring,
 )
 from nsassim.misfit import assemble_state
 from nsassim.norms import PExponent, reg_abs
@@ -221,18 +220,31 @@ class TestElResidual:
             assert np.isfinite(sig) and np.isfinite(big)
 
 
+def full_grid_laplacian(u, g):
+    """Componentwise Laplacian of (..., ny, nx, 2) with the full 1D matrices."""
+    return np.stack([apply_x(u[..., c], g.d2x()) + apply_y(u[..., c], g.d2y())
+                     for c in (0, 1)], axis=-1)
+
+
+def full_grid_advection(a, grad_b):
+    """(a.D)b from (..., 2) and (..., 4) arrays, component axis last."""
+    return np.stack([a[..., 0] * grad_b[..., 2 * c] + a[..., 1] * grad_b[..., 2 * c + 1]
+                     for c in (0, 1)], axis=-1)
+
+
 def direct_bank_evaluation(c_star, p, setup, model, bank):
     """Reference: every bank direction pushed through the chain on its own.
 
     The stationarity residuals and pairings written out per direction with
-    the full-grid stencil kernels, as el_residual and bank_pairings
-    evaluated them before the tangent existed.
+    full-grid stencils, independent of the nse operators, as el_residual
+    and bank_pairings evaluated them before the tangent existed.
     """
     g = setup.grid
     state = assemble_state(c_star, setup, model)
     w, lam = state.weight, setup.lam
     m_k, m_y = state.dual_weights(PExponent(p))
-    u_star, gu_star = state.u.values[1:], state.grad_u
+    u_star = state.u.values[1:]
+    gu_star = gradient_kernel(u_star, g)
     inner = (slice(None), slice(1, -1), slice(1, -1))
     mask = model.interior_mask()[:, :, None] if model.mask is not None else None
 
@@ -256,10 +268,9 @@ def direct_bank_evaluation(c_star, p, setup, model, bank):
             du_t = gradient_kernel(u_t, g)
             k_dir = k_direction(u_t, du_t)
             prev = np.concatenate([np.zeros_like(u_t[:1]), u_t[:-1]], axis=0)
-            lin = (u_t - prev) / g.dt - setup.nu * np.stack(
-                [laplacian_kernel(u_t[..., 0], g), laplacian_kernel(u_t[..., 1], g)], axis=-1)
+            lin = (u_t - prev) / g.dt - setup.nu * full_grid_laplacian(u_t, g)
             if setup.include_advection:
-                lin = lin + advection_kernel(u_t, gu_star) + advection_kernel(u_star, du_t)
+                lin = lin + full_grid_advection(u_t, gu_star) + full_grid_advection(u_star, du_t)
             lin = lin[inner]
             pairing = (1 - lam) * w * np.sum(k_dir * m_k) + lam * w * np.sum(lin * m_y)
             scale = np.sqrt(w * (np.sum(u_t[inner] ** 2) + np.sum(du_t[inner] ** 2)
@@ -268,7 +279,8 @@ def direct_bank_evaluation(c_star, p, setup, model, bank):
             sig = w * np.sum(u_t[inner] * m_y)
             big = w * np.sum(k_dir * m_k)
         if pair.pr is not None:
-            dp = scalar_gradient_kernel(extend_interior(pair.pr, g), g)[inner]
+            p_t = extend_interior(pair.pr, g)
+            dp = np.stack([apply_x(p_t, g.d1x()), apply_y(p_t, g.d1y())], axis=-1)[inner]
             sig = w * np.sum(dp * m_y)
             r_pr = max(r_pr, abs(sig) / np.sqrt(w * np.sum(dp ** 2)))
         rows.append((pair.label, sig, big))

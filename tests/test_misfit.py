@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import nsassim
 
 from nsassim.errors import ConfigurationError
 from nsassim.grid import GridSpec, VectorField, gradient_kernel
@@ -300,3 +306,46 @@ def test_gradient_is_adjoint_of_scaled_dual_weights():
     expect = adjoint_from_state(state, setup, model, (1 - setup.lam) * w * m_k,
                                 setup.lam * w * m_y).to_flat()
     assert np.array_equal(gradient_from_state(state, setup, model, 8.0).to_flat(), expect)
+
+
+HASH_HOT_PATH = """
+import hashlib
+import numpy as np
+from nsassim.grid import GridSpec
+from nsassim.misfit import assemble_state, gradient_from_state
+from nsassim.nse import ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset
+from nsassim.nse import state_from_control
+from nsassim.observation import synth_data
+
+digest = hashlib.sha256()
+for n in (16, 32):
+    g = GridSpec(n, n, 3 * n // 4, 1.0, 1.0, 0.36)
+    setup = PhysicsSetup(grid=g, nu=0.002, lam=0.5, f=forcing_preset(g, "swirl", 0.1),
+                         u0=initial_velocity_preset(g, "vortex", 0.15))
+    rng = np.random.default_rng(n)
+    shapes = ((g.nt, n - 4, n - 4), (g.nt, n - 2, n - 2))
+    truth = ControlVector(g, *(0.01 * rng.standard_normal(s) for s in shapes))
+    c = ControlVector(g, *(0.01 * rng.standard_normal(s) for s in shapes))
+    for kind in ("masked-velocity", "vorticity"):
+        model = synth_data(state_from_control(truth, setup)[0], kind, 0.5, 1, mask_stride=4)
+        state = assemble_state(c, setup, model)
+        grad = gradient_from_state(state, setup, model, 16.0).to_flat()
+        for a in (state.u.values, state.p.values, state.y_int, state.K.values, grad):
+            digest.update(np.ascontiguousarray(a).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_hot_path_bits_independent_of_blas_threads():
+    # assemble_state and gradient_from_state at 16^2 and 32^2 hash the same
+    # under one and two OpenBLAS threads; the reference solve is not covered
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsassim.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", HASH_HOT_PATH], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

@@ -6,18 +6,16 @@ import pytest
 from nsassim.config import load_config
 from nsassim.errors import ConfigurationError, InvalidFieldError, SolverError
 from nsassim.grid import (
-    GridSpec, ScalarField, VectorField, advection_kernel, curl_kernel,
-    curl_transpose_kernel,
-    divergence_kernel, gradient_kernel, gradient_transpose_kernel, laplacian_kernel,
-    laplacian_transpose_kernel, scalar_gradient_kernel,
-    scalar_gradient_transpose_kernel, trapezoid_weights_2d,
-    zero_boundary_ring, zero_mean_kernel, zero_mean_transpose_kernel,
+    GridSpec, ScalarField, VectorField, curl_kernel, divergence_kernel, gradient_kernel,
+    trapezoid_weights_2d, zero_boundary_ring, zero_mean_kernel, zero_mean_transpose_kernel,
 )
 from nsassim.nse import (
-    ControlVector, PhysicsSetup, consistent_forcing, extend_interior,
-    extend_interior_transpose, forcing_preset, initial_velocity_preset,
-    interior_trapezoid_weights, pressure_map, reference_solve, residual_y,
-    state_from_control, stream_bump,
+    ControlVector, PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
+    consistent_forcing, extend_interior, extend_interior_transpose, forcing_preset,
+    initial_velocity_preset, interior_trapezoid_weights, momentum_operator,
+    momentum_operator_transpose, pressure_map, reference_solve, residual_y,
+    state_from_control, state_map_transpose, stream_bump, velocity_gradient,
+    velocity_gradient_transpose, velocity_map,
     _pressure_qr, _recover_pressure, _solve_level, _step_basis,
 )
 
@@ -116,20 +114,68 @@ class TestExtension:
             np.testing.assert_allclose(got, ref, rtol=1e-15, atol=1e-15 * np.abs(ref).max())
 
 
-# (forward, transpose, input shape, output shape) on an (nt, ny, nx) grid
+NU = 0.03
+
+
+def fixed(shape, seed):
+    """A fixed random array: the frozen argument of a bilinear term."""
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def state_maps(v, g):
+    return velocity_map(v[0], g), pressure_map(v[1], g)
+
+
+def state_maps_transpose(w, g):
+    c = state_map_transpose(w[0], w[1], g)
+    return c.psi, c.pr
+
+
+def advection_a(v, g):
+    return (advection(v[0], fixed((4,) + v[0].shape[1:], 6)),)
+
+
+def advection_a_transpose(w, g):
+    return (advection_transpose_a(w[0], fixed((4,) + w[0].shape[1:], 6)),)
+
+
+def advection_grad_b(v, g):
+    return (advection(fixed((2,) + v[0].shape[1:], 7), v[0]),)
+
+
+def advection_grad_b_transpose(w, g):
+    return (advection_transpose_grad_b(w[0], fixed((2,) + w[0].shape[1:], 7)),)
+
+
+def one(fn):
+    """Lift a one-array map to the tuple convention of ADJOINT_PAIRS."""
+    return lambda v, g: (fn(v[0], g),)
+
+
+# (forward, transpose, input shapes, output shapes) on an (nt, ny, nx) grid;
+# forward maps a tuple of arrays to a tuple, transpose the reverse
 ADJOINT_PAIRS = {
-    "curl": (curl_kernel, curl_transpose_kernel,
-             lambda t, y, x: (t, y, x), lambda t, y, x: (t, y, x, 2)),
-    "gradient": (gradient_kernel, gradient_transpose_kernel,
-                 lambda t, y, x: (t, y, x, 2), lambda t, y, x: (t, y, x, 4)),
-    "laplacian": (laplacian_kernel, laplacian_transpose_kernel,
-                  lambda t, y, x: (t, y, x), lambda t, y, x: (t, y, x)),
-    "scalar-gradient": (scalar_gradient_kernel, scalar_gradient_transpose_kernel,
-                        lambda t, y, x: (t, y, x), lambda t, y, x: (t, y, x, 2)),
-    "extension": (extend_interior, extend_interior_transpose,
-                  lambda t, y, x: (t, y - 2, x - 2), lambda t, y, x: (t, y, x)),
-    "zero-mean-projection": (zero_mean_kernel, zero_mean_transpose_kernel,
-                             lambda t, y, x: (t, y, x), lambda t, y, x: (t, y, x)),
+    "state-maps": (state_maps, state_maps_transpose,
+                   lambda t, y, x: [(t, y - 4, x - 4), (t, y - 2, x - 2)],
+                   lambda t, y, x: [(2, t, y, x), (t, y, x)]),
+    "gradient": (one(velocity_gradient),
+                 lambda w, g: (velocity_gradient_transpose(w[0], g, np.zeros(
+                     (2,) + w[0].shape[1:-2] + (g.ny, g.nx))),),
+                 lambda t, y, x: [(2, t, y, x)], lambda t, y, x: [(4, t, y - 2, x - 2)]),
+    "momentum-operator": (lambda v, g: (momentum_operator(v[0], v[1], g, NU),),
+                          lambda w, g: momentum_operator_transpose(w[0], g, NU),
+                          lambda t, y, x: [(2, t, y, x), (t, y, x)],
+                          lambda t, y, x: [(2, t, y - 2, x - 2)]),
+    "advection-a": (advection_a, advection_a_transpose,
+                    lambda t, y, x: [(2, t, y - 2, x - 2)],
+                    lambda t, y, x: [(2, t, y - 2, x - 2)]),
+    "advection-grad-b": (advection_grad_b, advection_grad_b_transpose,
+                         lambda t, y, x: [(4, t, y - 2, x - 2)],
+                         lambda t, y, x: [(2, t, y - 2, x - 2)]),
+    "extension": (one(extend_interior), one(extend_interior_transpose),
+                  lambda t, y, x: [(t, y - 2, x - 2)], lambda t, y, x: [(t, y, x)]),
+    "zero-mean-projection": (one(zero_mean_kernel), one(zero_mean_transpose_kernel),
+                             lambda t, y, x: [(t, y, x)], lambda t, y, x: [(t, y, x)]),
 }
 
 
@@ -145,13 +191,13 @@ def test_quadrature_weights_cached_read_only(weights):
 @pytest.mark.parametrize("name", sorted(ADJOINT_PAIRS))
 def test_dot_product_identity(name):
     # <A v, w> = <v, A^T w> on a non-square grid, so swapped axes cannot cancel
-    fwd, bwd, in_shape, out_shape = ADJOINT_PAIRS[name]
+    fwd, bwd, in_shapes, out_shapes = ADJOINT_PAIRS[name]
     g = grid(nx=9, ny=13, nt=3)
     rng = np.random.default_rng(5)
-    v = rng.standard_normal(in_shape(g.nt, g.ny, g.nx))
-    w = rng.standard_normal(out_shape(g.nt, g.ny, g.nx))
-    lhs = float(np.sum(fwd(v, g) * w))
-    rhs = float(np.sum(v * bwd(w, g)))
+    v = [rng.standard_normal(s) for s in in_shapes(g.nt, g.ny, g.nx)]
+    w = [rng.standard_normal(s) for s in out_shapes(g.nt, g.ny, g.nx)]
+    lhs = sum(float(np.vdot(a, b)) for a, b in zip(fwd(v, g), w))
+    rhs = sum(float(np.vdot(a, b)) for a, b in zip(v, bwd(w, g)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -402,17 +448,17 @@ def interior_gradient_columns(g):
     """Interior momentum rows of the pressure block, one column per interior node."""
     n_p = (g.ny - 2) * (g.nx - 2)
     units = np.eye(n_p).reshape(n_p, g.ny - 2, g.nx - 2)
-    grad = scalar_gradient_kernel(pressure_map(units, g), g)
-    return grad[:, 1:-1, 1:-1].reshape(n_p, -1).T
+    grad = momentum_operator(None, pressure_map(units, g), g, NU)
+    return np.moveaxis(grad, 0, -1).reshape(n_p, -1).T
 
 
 class TestReducedLevelSolve:
     """The pressure-eliminated solve against dense joint least squares."""
 
-    @pytest.mark.parametrize("advection", [True, False])
-    def test_level_psi_matches_joint_lstsq(self, advection):
+    @pytest.mark.parametrize("advect", [True, False])
+    def test_level_psi_matches_joint_lstsq(self, advect):
         g = grid()
-        setup = basic_setup(g, advection=advection)
+        setup = basic_setup(g, advection=advect)
         rng = np.random.default_rng(11)
         u_adv = 0.7 * setup.u0
         b = rng.standard_normal(2 * (g.ny - 2) * (g.nx - 2))
@@ -420,20 +466,20 @@ class TestReducedLevelSolve:
         e = np.zeros((1, g.ny, g.nx))
         for j, i in np.ndindex(g.ny - 4, g.nx - 4):
             e[0, 2 + j, 2 + i] = 1.0
-            u = zero_boundary_ring(curl_kernel(e, g))
+            u = np.moveaxis(zero_boundary_ring(curl_kernel(e, g)), -1, 0)  # one level
             e[0, 2 + j, 2 + i] = 0.0
-            lap = np.stack([laplacian_kernel(u[..., c], g) for c in (0, 1)], axis=-1)
-            col = u / g.dt - setup.nu * lap
-            if advection:
-                col = col + advection_kernel(u_adv[None], gradient_kernel(u, g))
-            cols.append(col[0, 1:-1, 1:-1].ravel())
+            col = momentum_operator(u, None, g, setup.nu)
+            if advect:
+                a = np.moveaxis(u_adv[1:-1, 1:-1], -1, 0)
+                col += advection(a, velocity_gradient(u, g))
+            cols.append(np.moveaxis(col[:, 0], 0, -1).ravel())
         joint = np.hstack([np.array(cols).T, interior_gradient_columns(g)])
         psi_ref = np.linalg.lstsq(joint, b, rcond=None)[0][:len(cols)]
 
         q, r = _pressure_qr(g)
         z = q[:, r.shape[0]:]
         zs, _, basis_gu = _step_basis(setup, z)
-        psi = _solve_level(z, zs, basis_gu, u_adv, b, advection)
+        psi = _solve_level(z, zs, basis_gu, u_adv, b, advect)
         assert np.abs(psi - psi_ref).max() <= 1e-12 * np.abs(psi_ref).max()
 
     def test_pressure_recovery_matches_min_norm_lstsq(self):

@@ -163,10 +163,10 @@ class TestDerivatives:
         kbar = rng.standard_normal(shape + (model.n,))
         dk = eval_K_jvp(np.moveaxis(u, -1, 0), np.moveaxis(du, -1, 0),
                         np.moveaxis(da, -1, 0), model)
-        ubar, abar = np.zeros(du.shape), np.zeros(da.shape)
-        eval_K_vjp(u, kbar, model, ubar, abar)
+        ubar, abar = np.zeros((2,) + shape), np.zeros((4,) + shape)
+        eval_K_vjp(np.moveaxis(u, -1, 0), np.moveaxis(kbar, -1, 0), model, ubar, abar)
         lhs = float(np.vdot(np.moveaxis(dk, 0, -1), kbar))
-        rhs = float(np.vdot(du, ubar) + np.vdot(da, abar))
+        rhs = float(np.vdot(np.moveaxis(du, -1, 0), ubar) + np.vdot(np.moveaxis(da, -1, 0), abar))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -40,6 +40,8 @@ class TestOptions:
             OptimOptions(memory=0)
         with pytest.raises(ConfigurationError):
             OptimOptions(grad_tol=0.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            OptimOptions(grad_tol=float("inf"))  # would stop every stage at iteration 0
         with pytest.raises(ConfigurationError):
             OptimOptions(armijo_factor=1.5)
 
