@@ -147,6 +147,16 @@ def advection_grad_b_transpose(w, g):
     return (advection_transpose_grad_b(w[0], fixed((2,) + w[0].shape[1:], 7)),)
 
 
+def laplacian_term(v, g):
+    # -Lap u: the nu-proportional part of the momentum operator
+    return (momentum_operator(v[0], None, g, 1.0) - momentum_operator(v[0], None, g, 0.0),)
+
+
+def laplacian_term_transpose(w, g):
+    return (momentum_operator_transpose(w[0], g, 1.0)[0]
+            - momentum_operator_transpose(w[0], g, 0.0)[0],)
+
+
 def one(fn):
     """Lift a one-array map to the tuple convention of ADJOINT_PAIRS."""
     return lambda v, g: (fn(v[0], g),)
@@ -166,6 +176,11 @@ ADJOINT_PAIRS = {
                           lambda w, g: momentum_operator_transpose(w[0], g, NU),
                           lambda t, y, x: [(2, t, y, x), (t, y, x)],
                           lambda t, y, x: [(2, t, y - 2, x - 2)]),
+    "laplacian": (laplacian_term, laplacian_term_transpose,
+                  lambda t, y, x: [(2, t, y, x)], lambda t, y, x: [(2, t, y - 2, x - 2)]),
+    "scalar-gradient": (lambda v, g: (momentum_operator(None, v[0], g, NU),),
+                        lambda w, g: (momentum_operator_transpose(w[0], g, NU)[1],),
+                        lambda t, y, x: [(t, y, x)], lambda t, y, x: [(2, t, y - 2, x - 2)]),
     "advection-a": (advection_a, advection_a_transpose,
                     lambda t, y, x: [(2, t, y - 2, x - 2)],
                     lambda t, y, x: [(2, t, y - 2, x - 2)]),
