@@ -68,8 +68,8 @@ class ExperimentConfig:
         if not (0.01 < self.lam < 0.99):
             raise ConfigFieldError("physics.lambda",
                                    f"must lie in (0.01, 0.99), got {self.lam}")
-        if self.nu <= 0.0:
-            raise ConfigFieldError("physics.nu", f"must be positive, got {self.nu}")
+        if not 0.0 < self.nu < math.inf:
+            raise ConfigFieldError("physics.nu", f"must be positive and finite, got {self.nu}")
         if self.forcing not in ("none", "swirl"):
             raise ConfigFieldError("physics.forcing", f"unknown preset {self.forcing!r}")
         if self.u0 not in ("zero", "vortex"):
@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ConfigFieldError("observation.kind", f"unknown kind {self.kind!r}")
         if self.mask_stride < 1:
             raise ConfigFieldError("observation.mask_stride", "must be >= 1")
+        if self.kind == "masked-velocity" and self.mask_stride > min(self.nx, self.ny) - 2:
+            raise ConfigFieldError("observation.mask_stride", "mask misses every interior node")
         if not 0.0 <= self.noise_amplitude < math.inf:
             raise ConfigFieldError("observation.noise_amplitude", "must be finite and >= 0")
         if self.seed < 0:

@@ -227,8 +227,7 @@ def el_residual(c_star, p, setup, model, test_bank=None):
     p = p if isinstance(p, PExponent) else PExponent(float(p))
     state = assemble_state(c_star, setup, model)
     w = state.weight
-    # in the tangent's layout, component axis first
-    m_k, m_y = (np.moveaxis(m, -1, 0).copy() for m in state.dual_weights(p))
+    m_k, m_y = state.dual_weights(p)
     lam = setup.lam
     zero = ControlVector.zeros(g)
 
@@ -267,16 +266,14 @@ def bank_pairings(c_star, p, setup, model, test_bank=None):
     m_k, m_y = state.dual_weights(p)
     # sigma pairs with the test velocity, or with the test pressure gradient:
     # the pressure half of the momentum operator's transpose
-    sigma_y = np.ascontiguousarray(np.moveaxis(w * m_y, -1, 0))
-    sigma_u = np.zeros((2, g.nt, g.ny, g.nx))
-    sigma_u[..., 1:-1, 1:-1] = sigma_y
+    sigma_y = w * m_y
+    sigma_u = np.pad(sigma_y, ((0, 0), (0, 0), (1, 1), (1, 1)))
     sigma = state_map_transpose(sigma_u, momentum_operator_transpose(sigma_y, g, setup.nu)[1], g)
     big_sigma = adjoint_from_state(state, setup, model, w * m_k, None)
 
     rows = []
     for pair in test_bank:
-        sig = 0.0
-        big = 0.0
+        sig = big = 0.0
         if pair.psi is not None:
             sig = _dot(pair.psi, sigma.psi)
             big = _dot(pair.psi, big_sigma.psi)

@@ -11,6 +11,7 @@ summing to one (see GridSpec.interior_weight).
 """
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -85,6 +86,9 @@ def read_array(stem, verify_checksum=True):
             raise ConfigurationError(
                 f"checksum mismatch for {stem}: file is corrupt or was edited")
     shape = tuple(int(s) for s in meta["shape"].split(","))
+    if 8 * math.prod(shape) != len(payload):
+        raise ConfigurationError(
+            f"shape {meta['shape']} of {stem} does not match its {len(payload)}-byte payload")
     values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     grid = GridSpec(
         nx=int(meta["nx"]), ny=int(meta["ny"]), nt=int(meta["nt"]),

@@ -143,7 +143,7 @@ def apply_y(a, m):
     return np.swapaxes(np.swapaxes(a, -1, -2) @ m.T, -1, -2)
 
 
-def _check_finite(values, what):
+def check_finite(values, what):
     if not np.all(np.isfinite(values)):
         raise InvalidFieldError(f"{what} contains non-finite values")
 
@@ -161,7 +161,7 @@ class ScalarField:
         if self.values.shape != expected:
             raise ConfigurationError(
                 f"scalar field shape {self.values.shape} != {expected}")
-        _check_finite(self.values, "scalar field")
+        check_finite(self.values, "scalar field")
 
     @classmethod
     def zeros(cls, grid):
@@ -185,11 +185,16 @@ class VectorField:
         if self.values.shape != expected:
             raise ConfigurationError(
                 f"vector field shape {self.values.shape} != {expected}")
-        _check_finite(self.values, "vector field")
+        check_finite(self.values, "vector field")
 
     @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros((grid.nt + 1, grid.ny, grid.nx, 2)))
+
+    @classmethod
+    def from_interior(cls, grid, values):
+        """Interior values (nt, ny-2, nx-2, 2) at levels 1..nt; ring and level 0 zero."""
+        return cls(grid, np.pad(values, ((1, 0), (1, 1), (1, 1), (0, 0))))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ channel is differentiated too, through the regularized pointwise
 magnitude; dropping it breaks finite-difference agreement for small
 fields.
 
-No stencil arithmetic lives here: the chain calls the nse operators and
-eval_K_jvp/eval_K_vjp, each transpose the literal matrix transpose of its
-forward map, so analytic directional derivatives match central finite
-differences to the tolerance set by floating-point cancellation alone.
+The chain has one array layout, the nse operators': interior nodes at
+levels 1..nt, component axis first.  The state, K, the residual, their
+dual weights and the cotangents all live in it; AssembledState builds its
+component-last fields only when the output stage reads them.  No stencil
+arithmetic lives here: the chain calls the nse operators and eval_K and
+its derivatives, each transpose the literal transpose of its forward map.
 
 tangent_from_state is the forward-mode derivative of the chain along one
 control direction and adjoint_from_state its transpose for arbitrary
@@ -27,20 +29,19 @@ dual weights to the latter.  The pair passes the dot-product test
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import ScalarField, VectorField
-from .norms import (
-    PExponent, dual_factor, lp_norm_from_magnitudes, magnitudes, reg_abs,
-)
+from .grid import VectorField, check_finite
+from .norms import PExponent, dual_factor, lp_norm_from_magnitudes
 from .nse import (
-    advection, advection_transpose_a, advection_transpose_grad_b, momentum_operator,
-    momentum_operator_transpose, momentum_terms_kernel, pressure_map, state_from_control,
+    PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
+    momentum_operator, momentum_operator_transpose, pressure_map, state_fields,
     state_map_transpose, velocity_gradient, velocity_gradient_transpose, velocity_map,
 )
-from .observation import ObsField, eval_K_jvp, eval_K_kernel, eval_K_vjp
+from .observation import ObsField, eval_K, eval_K_jvp, eval_K_vjp
 
 
 @dataclass
@@ -61,72 +62,89 @@ class MisfitReport:
 
 @dataclass
 class AssembledState:
-    """Forward chain intermediates shared by value, gradient, diagnostics."""
+    """Forward chain intermediates shared by value, gradient, diagnostics.
 
-    u: VectorField
-    p: ScalarField
-    y: VectorField          # full-grid residual field, ring and level 0 zero
-    K: ObsField
-    y_int: np.ndarray       # (nt, ny-2, nx-2, 2)
-    u_int: np.ndarray       # interior velocity, (2, nt, ny-2, nx-2)
+    The component-last fields u, p, y, y_int and K that the output stage
+    writes and measures are built from the chain's arrays on first access.
+    """
+
+    setup: PhysicsSetup
+    u_full: np.ndarray      # velocity on the full grid, (2, nt, ny, nx)
+    p_full: np.ndarray      # pressure on the full grid, (nt, ny, nx)
+    u_int: np.ndarray       # interior velocity, a view of u_full
     grad_u: np.ndarray      # its spatial gradient, (4, nt, ny-2, nx-2)
+    misfit: np.ndarray      # observation misfit K, (N, nt, ny-2, nx-2)
+    residual: np.ndarray    # momentum residual, (2, nt, ny-2, nx-2)
     weight: float           # uniform quadrature weight
     _lp: dict = field(default_factory=dict, repr=False, compare=False)  # p -> lp_norms(p)
 
-    def channels(self):
-        """The K and y samples as flat (n, m) arrays, in that order."""
-        return tuple(v.reshape(-1, v.shape[-1]) for v in (self.K.values, self.y_int))
+    def squared_magnitudes(self):
+        """|K|^2 and |y|^2 per node, summed as norms.magnitudes and reg_abs do."""
+        return tuple(np.einsum("i...,i...->...", v, v) for v in (self.misfit, self.residual))
 
     def lp_norms(self, p):
         """(r, norm) per channel (K, y): regularized magnitudes and p-norm.
 
         Computed once per finite exponent and shared by the report and the
         gradient, with the arithmetic of dotted_lp_norm on the same samples
-        (equal to the bit).  The samples were checked finite when
-        VectorField and ObsField were built, so nothing is validated here.
+        (equal to the bit).  assemble_state checked the samples finite, so
+        nothing is validated here.
         """
         out = self._lp.get(p.value)
         if out is None:
             out = tuple((r, lp_norm_from_magnitudes(r, self.weight, p.value))
-                        for r in (reg_abs(flat, p) for flat in self.channels()))
+                        for r in (np.sqrt(sq + p.value ** -2)
+                                  for sq in self.squared_magnitudes()))
             self._lp[p.value] = out
         return out
 
     def dual_weights(self, p):
-        """Dual-weight maps of the K and y channels, shaped like their fields.
+        """Dual-weight maps of the K and y channels, shaped like misfit and residual.
 
         Equal to the bit to dual_weight on the same samples.
         """
-        return tuple(
-            (flat * dual_factor(r, norm, p.value)[:, None]).reshape(v.shape)
-            for v, flat, (r, norm) in zip(
-                (self.K.values, self.y_int), self.channels(), self.lp_norms(p)))
+        return tuple(v * dual_factor(r, norm, p.value)
+                     for v, (r, norm) in zip((self.misfit, self.residual), self.lp_norms(p)))
+
+    @cached_property
+    def _fields(self):
+        return state_fields(self.u_full, self.p_full, self.setup)
+
+    u = property(lambda self: self._fields[0])
+    p = property(lambda self: self._fields[1])
+    y_int = property(lambda self: np.moveaxis(self.residual, 0, -1))
+    y = cached_property(lambda self: VectorField.from_interior(self.setup.grid, self.y_int))
+    K = cached_property(lambda self: ObsField(self.setup.grid, np.moveaxis(self.misfit, 0, -1)))
 
 
 def assemble_state(c, setup, model):
-    """Run the forward chain once: state, residual, misfit fields."""
+    """Run the forward chain once: state, residual, misfit.
+
+    Raises InvalidFieldError if the velocity, pressure, residual or misfit
+    is not finite.
+    """
     g = setup.grid
-    if model.grid != g:
-        raise ConfigurationError("observation grid does not match setup grid")
-    u, pfield = state_from_control(c, setup)
-    v = np.moveaxis(u.values[1:], -1, 0)
-    grad_u = velocity_gradient(v, g)
-    y_int = (momentum_terms_kernel(u.values, pfield.values, setup, grad_u=grad_u)
-             - setup.f.values[1:, 1:-1, 1:-1])
-
-    yvals = np.zeros_like(u.values)
-    yvals[1:, 1:-1, 1:-1] = y_int
-    k_int = eval_K_kernel(u.values[1:, 1:-1, 1:-1], np.moveaxis(grad_u, 0, -1), model)
-
-    return AssembledState(
-        u=u, p=pfield, y=VectorField(g, yvals), K=ObsField(g, k_int), y_int=y_int,
-        u_int=v[..., 1:-1, 1:-1], grad_u=grad_u, weight=g.interior_weight())
+    if c.grid != g or model.grid != g:
+        raise ConfigurationError("control or observation grid does not match setup grid")
+    u, p = velocity_map(c.psi, g), pressure_map(c.pr, g)
+    check_finite(u, "velocity")
+    check_finite(p, "pressure")
+    u_int, grad_u = u[..., 1:-1, 1:-1], velocity_gradient(u, g)
+    y = momentum_operator(u, p, g, setup.nu, np.moveaxis(setup.u0[1:-1, 1:-1], -1, 0))
+    if setup.include_advection:
+        y += advection(u_int, grad_u)
+    y -= np.moveaxis(setup.f.values[1:, 1:-1, 1:-1], -1, 0)
+    check_finite(y, "momentum residual")
+    k = eval_K(u_int, grad_u, model)
+    check_finite(k, "observation misfit")
+    return AssembledState(setup, u, p, u_int, grad_u, k, y, g.interior_weight())
 
 
 def report_from_state(state, setup, p):
     """Misfit report at exponent p (finite or infinite) for assembled state."""
     p = p if isinstance(p, PExponent) else PExponent(float(p))
-    s_k, s_y = (float(np.max(magnitudes(flat))) for flat in state.channels())
+    # sqrt is monotone and correctly rounded: the largest magnitude, to the bit
+    s_k, s_y = (float(np.sqrt(np.max(sq))) for sq in state.squared_magnitudes())
     if p.is_finite:
         (_, n_k), (_, n_y) = state.lp_norms(p)
     else:
@@ -139,12 +157,7 @@ def report_from_state(state, setup, p):
 
 @dataclass
 class Tangent:
-    """Forward-mode derivative of the chain along one control direction.
-
-    Every array lives on interior nodes at levels 1..nt with the component
-    axis *first*, as in the nse operators: component i of a field shaped
-    (..., c) elsewhere is a[i] here.
-    """
+    """Forward-mode derivative of the chain along one control direction."""
 
     u: np.ndarray       # velocity, (2, nt, ny-2, nx-2)
     grad_u: np.ndarray  # its spatial gradient, (4, nt, ny-2, nx-2)
@@ -179,20 +192,20 @@ def tangent_from_state(state, setup, model, dc):
 def adjoint_from_state(state, setup, model, kbar, ybar):
     """Transpose of tangent_from_state: cotangents of K and y -> control.
 
-    kbar is shaped like state.K.values and ybar like state.y_int, with the
-    component axis last; either may be None for a zero cotangent.  The
-    steps of the tangent in reverse order; returns a ControlVector.
+    kbar is shaped like state.misfit and ybar like state.residual, component
+    axis first; either may be None for a zero cotangent.  The steps of the
+    tangent in reverse order; returns a ControlVector.
     """
     g = setup.grid
     u, gu = state.u_int, state.grad_u
-    ybar = np.zeros(u.shape) if ybar is None else np.ascontiguousarray(np.moveaxis(ybar, -1, 0))
+    ybar = np.zeros(u.shape) if ybar is None else ybar
     ubar, pbar = momentum_operator_transpose(ybar, g, setup.nu)
     gbar = np.zeros(gu.shape)
     if setup.include_advection:
         ubar[..., 1:-1, 1:-1] += advection_transpose_a(ybar, gu)
         gbar = advection_transpose_grad_b(ybar, u)
     if kbar is not None:
-        eval_K_vjp(u, np.moveaxis(kbar, -1, 0), model, ubar[..., 1:-1, 1:-1], gbar)
+        eval_K_vjp(u, kbar, model, ubar[..., 1:-1, 1:-1], gbar)
     velocity_gradient_transpose(gbar, g, ubar)
     return state_map_transpose(ubar, pbar, g)
 

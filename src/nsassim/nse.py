@@ -122,9 +122,6 @@ class ControlVector:
         pr = vec[n_psi:].reshape(grid.nt, grid.ny - 2, grid.nx - 2)
         return cls(grid, psi.copy(), pr.copy())
 
-    def copy(self):
-        return ControlVector(self.grid, self.psi.copy(), self.pr.copy())
-
 
 @dataclass
 class PhysicsSetup:
@@ -176,12 +173,18 @@ def state_from_control(c, setup):
     g = setup.grid
     if c.grid != g:
         raise ConfigurationError("control grid does not match setup grid")
-    uvals = np.zeros((g.nt + 1, g.ny, g.nx, 2))
-    uvals[1:] = np.moveaxis(velocity_map(c.psi, g), 0, -1)
-    uvals[0] = setup.u0
-    pvals = np.zeros((g.nt + 1, g.ny, g.nx))
-    pvals[1:] = pressure_map(c.pr, g)
-    return VectorField(g, uvals), ScalarField(g, pvals)
+    return state_fields(velocity_map(c.psi, g), pressure_map(c.pr, g), setup)
+
+
+def state_fields(u, p, setup):
+    """Velocity and pressure fields over all levels from levels 1..nt.
+
+    u (2, nt, ny, nx), component axis first, and p (nt, ny, nx) are the
+    state maps' values; level 0 holds setup.u0 and zero pressure.
+    """
+    u = np.concatenate([setup.u0[None], np.moveaxis(u, 0, -1)])
+    p = np.pad(p, ((1, 0), (0, 0), (0, 0)))
+    return VectorField(setup.grid, u), ScalarField(setup.grid, p)
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +322,13 @@ def advection_transpose_grad_b(ybar, a):
     return out
 
 
-def momentum_terms_kernel(uvals, pvals, setup, u0=None, grad_u=None):
+def momentum_terms_kernel(uvals, pvals, setup, u0=None):
     """Every momentum term except the forcing, interior nodes, levels 1..nt.
 
     uvals (nt+1, ny, nx, 2) and pvals (nt+1, ny, nx) are full-grid fields
     with the component axis last; the result is (nt, ny-2, nx-2, 2), the
     same layout: momentum_operator plus the advection (u.D)u.  The initial
-    slice of the time difference is u0, default setup.u0.  grad_u, when
-    given, is velocity_gradient of the velocity at levels 1..nt, computed
-    by the caller.
+    slice of the time difference is u0, default setup.u0.
     """
     g = setup.grid
     if u0 is None:
@@ -337,9 +338,7 @@ def momentum_terms_kernel(uvals, pvals, setup, u0=None, grad_u=None):
     u = np.moveaxis(uvals[1:], -1, 0)
     out = momentum_operator(u, pvals[1:], g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
     if setup.include_advection:
-        if grad_u is None:
-            grad_u = velocity_gradient(u, g)
-        out += advection(u[..., 1:-1, 1:-1], grad_u)
+        out += advection(u[..., 1:-1, 1:-1], velocity_gradient(u, g))
     return np.moveaxis(out, 0, -1)
 
 
@@ -354,10 +353,8 @@ def residual_y(u, p, setup, u0=None):
     g = setup.grid
     if u.grid != g or p.grid != g:
         raise ConfigurationError("field grids do not match setup grid")
-    out = np.zeros_like(u.values)
-    out[1:, 1:-1, 1:-1] = (momentum_terms_kernel(u.values, p.values, setup, u0=u0)
-                           - setup.f.values[1:, 1:-1, 1:-1])
-    return VectorField(g, out)
+    return VectorField.from_interior(g, momentum_terms_kernel(u.values, p.values, setup, u0=u0)
+                                     - setup.f.values[1:, 1:-1, 1:-1])
 
 
 def consistent_forcing(u, p, setup, u0=None):
@@ -366,10 +363,8 @@ def consistent_forcing(u, p, setup, u0=None):
     Computes the same momentum expression residual_y evaluates, so the
     cancellation is bit-exact on interior nodes.
     """
-    g = setup.grid
-    fvals = np.zeros((g.nt + 1, g.ny, g.nx, 2))
-    fvals[1:, 1:-1, 1:-1] = momentum_terms_kernel(u.values, p.values, setup, u0=u0)
-    return VectorField(g, fvals)
+    return VectorField.from_interior(setup.grid,
+                                     momentum_terms_kernel(u.values, p.values, setup, u0=u0))
 
 
 # ---------------------------------------------------------------------------

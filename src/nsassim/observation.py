@@ -10,7 +10,9 @@ Three built-in observation kinds are provided:
 All built-ins depend only on the state and its spatial gradient, never on
 the time derivative or the pressure, so every diagnostic that requires that
 restriction applies.  Observation-space fields live on interior nodes at
-time levels 1..nt, sharing the residual quadrature.
+levels 1..nt, sharing the residual quadrature.  The misfit eval_K, its
+tangent eval_K_jvp and their transpose eval_K_vjp work component axis
+first, like the nse operators; data_q and ObsField keep it last.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidFieldError
-from .grid import GridSpec, gradient_kernel
+from .grid import GridSpec
+from .nse import velocity_gradient
 
 KINDS = ("masked-velocity", "vorticity", "speed-squared")
 
@@ -97,26 +100,22 @@ class ObsField:
             raise InvalidFieldError("observation field contains non-finite values")
 
 
-def eval_Q_kernel(u_int, du_int, model):
-    """Predicted observations from interior state/gradient arrays."""
+def eval_K(u, grad_u, model):
+    """Misfit K = Q(state) - q at interior nodes, levels 1..nt.
+
+    Component axis first: u is the interior velocity (2, nt, ny-2, nx-2),
+    grad_u its spatial gradient (4, ...) in velocity_gradient's order; the
+    result is shaped (N, ...).  eval_K_jvp is its tangent.
+    """
     kind = model.kind
+    q = np.moveaxis(model.data_q, -1, 0)
     if kind == "masked-velocity":
-        m = model.interior_mask()[None, :, :, None]
-        return u_int * m
+        return (u - q) * model.interior_mask()
     if kind == "vorticity":
-        return (du_int[..., 2] - du_int[..., 1])[..., None]
+        return (grad_u[2] - grad_u[1])[None] - q
     if kind == "speed-squared":
-        return (u_int[..., 0] ** 2 + u_int[..., 1] ** 2)[..., None]
+        return (u[0] ** 2 + u[1] ** 2)[None] - q
     raise ConfigurationError(f"unknown observation kind {kind!r}")
-
-
-def eval_K_kernel(u_int, du_int, model):
-    """Misfit K = Q(state) - q from interior state/gradient arrays, levels 1..nt."""
-    kind = model.kind
-    if kind == "masked-velocity":
-        m = model.interior_mask()[None, :, :, None]
-        return (u_int - model.data_q) * m
-    return eval_Q_kernel(u_int, du_int, model) - model.data_q
 
 
 def eval_K_jvp(u, du, dgrad, model):
@@ -169,12 +168,11 @@ def synth_data(u_truth, kind, noise_amplitude, seed, mask=None, mask_stride=4):
     grid = u_truth.grid
     if kind == "masked-velocity" and mask is None:
         mask = default_mask(grid, mask_stride)
-    u_int = u_truth.values[1:, 1:-1, 1:-1]
-    du_int = gradient_kernel(u_truth.values, grid)[1:, 1:-1, 1:-1]
+    u = np.moveaxis(u_truth.values[1:], -1, 0)
     probe = ObservationModel(
         kind, grid, np.zeros((grid.nt, grid.ny - 2, grid.nx - 2, n_components(kind))),
         mask=mask)
-    q = eval_Q_kernel(u_int, du_int, probe)
+    q = np.moveaxis(eval_K(u[..., 1:-1, 1:-1], velocity_gradient(u, grid), probe), 0, -1)
     if noise_amplitude > 0.0:
         rng = np.random.default_rng(seed)
         q = q + noise_amplitude * rng.uniform(-1.0, 1.0, size=q.shape)

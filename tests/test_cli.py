@@ -107,6 +107,15 @@ class TestTwin:
         assert err.startswith("ERROR physics.u0_amplitude: ")
         assert not (tmp_path / "out").exists()
 
+    def test_mask_stride_missing_the_interior_is_a_config_error(self, tmp_path, capsys):
+        # caught before the reference solve writes anything
+        cfg_path = write_cfg(tmp_path, **{"mask_stride = 2": "mask_stride = 7"})
+        code = main(["twin", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR observation.mask_stride: ")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_field_is_a_run_error(self, tmp_path, capsys, monkeypatch):
         def not_finite(*args, **kwargs):
             raise InvalidFieldError("velocity field contains non-finite values")

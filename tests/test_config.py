@@ -93,6 +93,9 @@ def test_bad_schedule_rejected():
     ("physics.u0_amplitude", "nan"),
     ("physics.forcing_amplitude", "inf"),
     ("observation.seed", "-1"),
+    ("observation.mask_stride", "15"),
+    ("physics.nu", "nan"),
+    ("physics.nu", "inf"),
 ])
 def test_non_finite_or_negative_value_names_field(key, value):
     section, name = key.split(".")

@@ -242,7 +242,8 @@ def direct_bank_evaluation(c_star, p, setup, model, bank):
     g = setup.grid
     state = assemble_state(c_star, setup, model)
     w, lam = state.weight, setup.lam
-    m_k, m_y = state.dual_weights(PExponent(p))
+    # the dual weights in this reference's layout, component axis last
+    m_k, m_y = (np.moveaxis(m, 0, -1) for m in state.dual_weights(PExponent(p)))
     u_star = state.u.values[1:]
     gu_star = gradient_kernel(u_star, g)
     inner = (slice(None), slice(1, -1), slice(1, -1))

@@ -54,6 +54,19 @@ def test_corruption_detected(tmp_path, grid):
         fieldio.read_scalar_field(stem)
 
 
+def test_shape_disagreeing_with_payload_names_stem(tmp_path, grid):
+    # the checksum covers only the payload, so an edited shape passes it
+    fld = ScalarField(grid, np.zeros((grid.nt + 1, grid.ny, grid.nx)))
+    stem = tmp_path / "reshaped"
+    fieldio.write_scalar_field(stem, fld)
+    meta = (tmp_path / "reshaped.meta").read_text()
+    good = f"shape={grid.nt + 1},{grid.ny},{grid.nx}"
+    bad = f"shape={grid.nt},{grid.ny},{grid.nx}"
+    (tmp_path / "reshaped.meta").write_text(meta.replace(good, bad))
+    with pytest.raises(ConfigurationError, match="reshaped"):
+        fieldio.read_scalar_field(stem)
+
+
 def test_unknown_layout_rejected(tmp_path, grid):
     with pytest.raises(ConfigurationError):
         fieldio.write_array(tmp_path / "x", np.zeros(3), grid, "nope")

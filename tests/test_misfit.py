@@ -7,7 +7,7 @@ import pytest
 
 import nsassim
 
-from nsassim.errors import ConfigurationError
+from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import GridSpec, VectorField, gradient_kernel
 from nsassim.misfit import (
     AssembledState, MisfitReport, adjoint_from_state, assemble_state, gradient_from_state,
@@ -15,9 +15,12 @@ from nsassim.misfit import (
 )
 from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, sup_norm
 from nsassim.nse import (
-    ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset, state_from_control,
+    ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset, residual_y,
+    state_from_control, velocity_gradient,
 )
-from nsassim.observation import ObservationModel, default_mask, n_components, synth_data
+from nsassim.observation import (
+    KINDS, ObservationModel, default_mask, eval_K, n_components, synth_data,
+)
 
 
 def grid(nx=8, ny=8, nt=6, t_end=0.3):
@@ -253,7 +256,8 @@ def test_reused_norms_equal_public_api_bitwise(kind, monkeypatch):
                 for v in fields)
 
     def public_dual_weights(self, p):
-        return tuple(dual_weight(h, p).values.reshape(v.shape)
+        # in the state's layout, component axis first
+        return tuple(np.moveaxis(dual_weight(h, p).values.reshape(v.shape), -1, 0)
                      for h, v in zip((h_k, h_y), fields))
 
     for p in (2.0, 16.0, 128.0):
@@ -280,12 +284,12 @@ def test_tangent_is_transpose_of_adjoint(kind, advection):
     setup = setup_for(g, advection=advection)
     state = assemble_state(random_control(g, rng), setup, model)
     dc = random_control(g, rng)
-    kbar = rng.standard_normal(state.K.values.shape)
-    ybar = rng.standard_normal(state.y_int.shape)
+    kbar = rng.standard_normal(state.misfit.shape)
+    ybar = rng.standard_normal(state.residual.shape)
 
     t = tangent_from_state(state, setup, model, dc)
     back = adjoint_from_state(state, setup, model, kbar, ybar)
-    lhs = float(np.vdot(t.K, np.moveaxis(kbar, -1, 0)) + np.vdot(t.y, np.moveaxis(ybar, -1, 0)))
+    lhs = float(np.vdot(t.K, kbar) + np.vdot(t.y, ybar))
     rhs = float(np.vdot(dc.psi, back.psi) + np.vdot(dc.pr, back.pr))
     assert lhs == pytest.approx(rhs, rel=1e-12)
     # the velocity block alone, and the tangent's u and grad u
@@ -294,6 +298,51 @@ def test_tangent_is_transpose_of_adjoint(kind, advection):
     assert np.allclose(np.moveaxis(du.u, 0, -1), u_full[:, 1:-1, 1:-1], rtol=0, atol=1e-14)
     grad_full = gradient_kernel(u_full, g)[:, 1:-1, 1:-1]
     assert np.allclose(np.moveaxis(du.grad_u, 0, -1), grad_full, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", KINDS)
+def test_assembled_fields_match_field_level_path(kind, advection):
+    # the component-last fields built for output agree with the field-level
+    # path: state_from_control, residual_y, eval_K on velocity_gradient
+    g = grid(nx=9, ny=13, nt=4)
+    rng = np.random.default_rng(23)
+    truth = VectorField(g, 0.2 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    model = synth_data(truth, kind, 0.2, seed=3, mask_stride=2)
+    setup = PhysicsSetup(grid=g, nu=0.01, lam=0.5, f=forcing_preset(g, "swirl", 0.2),
+                         u0=initial_velocity_preset(g, "vortex", 0.1),
+                         include_advection=advection)
+    c = random_control(g, rng)
+    state = assemble_state(c, setup, model)
+    u, p = state_from_control(c, setup)
+    y = residual_y(u, p, setup)
+    v = np.moveaxis(u.values[1:], -1, 0)
+    k = np.moveaxis(eval_K(v[..., 1:-1, 1:-1], velocity_gradient(v, g), model), 0, -1)
+    for got, want in ((state.u.values, u.values), (state.p.values, p.values),
+                      (state.y.values, y.values), (state.y_int, y.values[1:, 1:-1, 1:-1]),
+                      (state.K.values, k)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_overflowing_control_is_invalid_for_every_kind():
+    # stream-function entries of 1e160 give velocities near 1e161, whose
+    # advection and squares overflow to inf
+    g = grid()
+    setup = setup_for(g)
+    truth = VectorField(g, 0.2 * np.random.default_rng(2).standard_normal(
+        (g.nt + 1, g.ny, g.nx, 2)))
+    c = ControlVector(g, np.full((g.nt, g.ny - 4, g.nx - 4), 1e160),
+                      np.zeros((g.nt, g.ny - 2, g.nx - 2)))
+    with np.errstate(over="ignore"):
+        for kind in KINDS:
+            model = synth_data(truth, kind, 0.0, seed=1, mask_stride=2)
+            with pytest.raises(InvalidFieldError, match="residual"):
+                assemble_state(c, setup, model)
+        # without advection the residual stays finite and the squares overflow
+        model = synth_data(truth, "speed-squared", 0.0, seed=1)
+        with pytest.raises(InvalidFieldError, match="misfit"):
+            assemble_state(c, setup_for(g, advection=False), model)
 
 
 def test_gradient_is_adjoint_of_scaled_dual_weights():
