@@ -76,7 +76,7 @@ def main(argv=None):
         print(f"ERROR {exc.fieldname}: {exc.args[0].split(': ', 1)[-1]}",
               file=sys.stderr)
         return 2
-    except (ConfigurationError, InvalidFieldError, SolverError) as exc:
+    except (ConfigurationError, InvalidFieldError, SolverError, OSError) as exc:
         print(f"ERROR run: {exc}", file=sys.stderr)
         return 1
     return 0

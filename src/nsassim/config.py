@@ -204,8 +204,11 @@ def load_config(text=None, path=None):
     """Parse and validate a configuration from text or a file path."""
     parser = configparser.ConfigParser()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigFieldError("file", f"cannot read {path}: {exc.strerror}") from exc
     if text is None:
         text = ""
     try:

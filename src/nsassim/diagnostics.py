@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .misfit import adjoint_from_state, assemble_state, tangent_from_state
-from .norms import PExponent, WeightedSamples, dual_weight, magnitudes
+from .misfit import AssembledState, adjoint_from_state, assemble_state, tangent_from_state
+from .norms import PExponent, dual_factor, lp_norm_from_squares, magnitudes
 from .nse import (
     ControlVector, interior_trapezoid_weights, momentum_operator_transpose,
     state_map_transpose,
@@ -38,11 +38,6 @@ class DiscreteMeasure:
     cell_volumes: np.ndarray     # (n,), normalized to sum 1
     field_magnitudes: np.ndarray  # (n,)
 
-    def __post_init__(self):
-        n = self.vector_weights.shape[0]
-        if self.cell_volumes.shape != (n,) or self.field_magnitudes.shape != (n,):
-            raise ConfigurationError("measure component shapes disagree")
-
     @property
     def weight_magnitudes(self):
         return magnitudes(self.vector_weights)
@@ -59,38 +54,26 @@ class DiscreteMeasure:
         return float(np.sum(self.cell_volumes[cells]))
 
 
-def _measure(field, p, weight, samples):
-    """Dual-weighted measure of a field object or of a raw (..., m) array.
-
-    A field object contributes samples(field.values) with the grid's
-    interior weight; a raw array is used as given, with the explicit weight
-    or, by default, the uniform weight over its cells.
-    """
-    if hasattr(field, "grid"):
-        vals = samples(field.values)
-        weight = field.grid.interior_weight()
-    else:
-        vals = np.asarray(field)
-        if weight is None:
-            weight = 1.0 / (vals.size // vals.shape[-1])
+def _measure(vals, weight, p):
+    """Measure of (..., m) samples sharing one cell weight, as AssembledState.dual_weights."""
+    p = p if isinstance(p, PExponent) else PExponent(float(p))
+    if not p.is_finite:
+        raise ConfigurationError("dual weights require a finite exponent")
     flat = vals.reshape(-1, vals.shape[-1])
-    vols = np.full(flat.shape[0], weight)
-    dw = dual_weight(WeightedSamples(flat, vols), p)
-    return DiscreteMeasure(dw.values, vols, magnitudes(flat))
+    sq = np.einsum("...i,...i->...", flat, flat)
+    r, norm = lp_norm_from_squares(sq, weight, p.value)
+    return DiscreteMeasure(flat * dual_factor(r, norm, p.value)[:, None],
+                           np.full(flat.shape[0], weight), np.sqrt(sq, out=sq))
 
 
-def build_sigma(y_field, p, weight=None):
-    """Dual-weighted measure of the residual field at exponent p.
-
-    Accepts the full-grid residual VectorField (interior levels extracted)
-    or a raw (nt, ny-2, nx-2, 2) array with an explicit cell weight.
-    """
-    return _measure(y_field, p, weight, lambda v: v[1:, 1:-1, 1:-1])
+def build_sigma(y_field, p):
+    """Dual-weighted measure of the residual VectorField's interior at levels 1..nt."""
+    return _measure(y_field.values[1:, 1:-1, 1:-1], y_field.grid.interior_weight(), p)
 
 
-def build_Sigma(k_field, p, weight=None):
-    """Dual-weighted measure of the observation misfit at exponent p."""
-    return _measure(k_field, p, weight, lambda v: v)
+def build_Sigma(k_field, p):
+    """Dual-weighted measure of the observation misfit ObsField at exponent p."""
+    return _measure(k_field.values, k_field.grid.interior_weight(), p)
 
 
 def concentration_mass(measure, eps):
@@ -104,7 +87,7 @@ def concentration_mass(measure, eps):
     return measure.mass_on(measure.field_magnitudes < peak - eps)
 
 
-def density_bound_check(y_field, p, eps, sup_proxy=None, weight=None):
+def density_bound_check(y_field, p, eps, sup_proxy=None):
     """Closed-form density estimate for the residual measure.
 
     With M the sup-norm stand-in (by default the field's own maximum), the
@@ -115,7 +98,7 @@ def density_bound_check(y_field, p, eps, sup_proxy=None, weight=None):
     Returns (lhs, rhs, passed) with passed allowing 1e-8 relative slack.
     """
     p = p if isinstance(p, PExponent) else PExponent(float(p))
-    measure = build_sigma(y_field, p, weight=weight)
+    measure = build_sigma(y_field, p)
     m_sup = float(measure.field_magnitudes.max()) if sup_proxy is None else float(sup_proxy)
     if not (0.0 < eps < m_sup):
         raise ConfigurationError(f"need 0 < eps < M={m_sup}, got {eps}")
@@ -203,9 +186,15 @@ def _dot(a, b):
     return float(np.vdot(a, b))
 
 
-def el_residual(c_star, p, setup, model, test_bank=None):
+def _assembled(state, setup, model):
+    """The stage's AssembledState; a ControlVector is assembled first."""
+    return state if isinstance(state, AssembledState) else assemble_state(state, setup, model)
+
+
+def el_residual(state, p, setup, model, test_bank=None):
     """Stationarity defect paired against the test bank.
 
+    state is the minimizer's AssembledState, or its ControlVector.
     For every velocity-type pair the defect pairs the chain's tangent along
     the pair (misfit.tangent_from_state) with the dual weights: the
     observation channel (1-lam) w <dK, m_K> plus the residual channel
@@ -225,7 +214,7 @@ def el_residual(c_star, p, setup, model, test_bank=None):
     if len(test_bank) == 0:
         raise ConfigurationError("empty test bank")
     p = p if isinstance(p, PExponent) else PExponent(float(p))
-    state = assemble_state(c_star, setup, model)
+    state = _assembled(state, setup, model)
     w = state.weight
     m_k, m_y = state.dual_weights(p)
     lam = setup.lam
@@ -247,9 +236,10 @@ def el_residual(c_star, p, setup, model, test_bank=None):
     return r_momentum, r_pressure
 
 
-def bank_pairings(c_star, p, setup, model, test_bank=None):
+def bank_pairings(state, p, setup, model, test_bank=None):
     """Raw measure pairings against the bank, for weak*-Cauchy tables.
 
+    state is the minimizer's AssembledState, or its ControlVector.
     Returns rows (label, sigma_pairing, Sigma_pairing) where the residual
     measure pairs against the test velocity and the misfit measure against
     the observation-channel direction; pressure-type pairs report the
@@ -261,7 +251,7 @@ def bank_pairings(c_star, p, setup, model, test_bank=None):
     if test_bank is None:
         test_bank = default_test_bank(g)
     p = p if isinstance(p, PExponent) else PExponent(float(p))
-    state = assemble_state(c_star, setup, model)
+    state = _assembled(state, setup, model)
     w = state.weight
     m_k, m_y = state.dual_weights(p)
     # sigma pairs with the test velocity, or with the test pressure gradient:

@@ -75,16 +75,14 @@ def read_meta(stem):
     return meta
 
 
-def read_array(stem, verify_checksum=True):
-    """Read an array written by write_array; returns (values, grid, meta)."""
+def read_array(stem):
+    """Read and checksum an array written by write_array; returns (values, grid, meta)."""
     meta = read_meta(stem)
     with open(_bin_path(stem), "rb") as fh:
         payload = fh.read()
-    if verify_checksum:
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != meta.get("sha256"):
-            raise ConfigurationError(
-                f"checksum mismatch for {stem}: file is corrupt or was edited")
+    if hashlib.sha256(payload).hexdigest() != meta.get("sha256"):
+        raise ConfigurationError(
+            f"checksum mismatch for {stem}: file is corrupt or was edited")
     shape = tuple(int(s) for s in meta["shape"].split(","))
     if 8 * math.prod(shape) != len(payload):
         raise ConfigurationError(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import VectorField, check_finite
-from .norms import PExponent, dual_factor, lp_norm_from_magnitudes
+from .norms import PExponent, dual_factor, lp_norm_from_squares
 from .nse import (
     PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
     momentum_operator, momentum_operator_transpose, pressure_map, state_fields,
@@ -85,16 +85,13 @@ class AssembledState:
     def lp_norms(self, p):
         """(r, norm) per channel (K, y): regularized magnitudes and p-norm.
 
-        Computed once per finite exponent and shared by the report and the
-        gradient, with the arithmetic of dotted_lp_norm on the same samples
-        (equal to the bit).  assemble_state checked the samples finite, so
-        nothing is validated here.
+        Computed once per finite exponent (lp_norm_from_squares) and shared
+        by the report, the gradient and the diagnostics.
         """
         out = self._lp.get(p.value)
         if out is None:
-            out = tuple((r, lp_norm_from_magnitudes(r, self.weight, p.value))
-                        for r in (np.sqrt(sq + p.value ** -2)
-                                  for sq in self.squared_magnitudes()))
+            out = tuple(lp_norm_from_squares(sq, self.weight, p.value)
+                        for sq in self.squared_magnitudes())
             self._lp[p.value] = out
         return out
 

@@ -127,6 +127,15 @@ def lp_norm_from_magnitudes(r, weights, p):
     return float(np.exp(log_m + np.log(s) / p))
 
 
+def lp_norm_from_squares(sq, weight, p):
+    """(r, norm): magnitudes sqrt(sq + p^-2) of samples sharing one weight, and their p-norm.
+
+    Unvalidated; equal to the bit to dotted_lp_norm on the same samples.
+    """
+    r = np.sqrt(sq + p ** -2)
+    return r, lp_norm_from_magnitudes(r, weight, p)
+
+
 def dual_factor(r, norm, p):
     """Per-sample factor r^(p-2) / norm^(p-1) of the dual-weight map (float p).
 

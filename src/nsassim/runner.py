@@ -123,21 +123,19 @@ def run_twin(cfg, out_dir=None, plots=None, log=print):
         k_peak = float(big_sigma.field_magnitudes.max())
         concs = [concentration_mass(sigma, frac * y_peak) if y_peak > 0.0 else 0.0
                  for frac in (0.05, 0.1, 0.2)]
-        sub_level = magnitudes(state.y_int) <= 0.8 * m_proxy
-        if m_proxy > 0.0 and sub_level.any():
-            lhs, rhs, _ = density_bound_check(state.y, st.p, 0.2 * m_proxy,
-                                              sup_proxy=m_proxy)
+        eps = 0.2 * m_proxy
+        if m_proxy > 0.0 and (sigma.field_magnitudes <= m_proxy - eps).any():
+            lhs, rhs, _ = density_bound_check(state.y, st.p, eps, sup_proxy=m_proxy)
         else:
             # vacuous: zero residual, or no cell below the threshold
             lhs, rhs = 0.0, 1.0
         frac_near = sigma_infty_support_check(big_sigma, 0.05 * k_peak) \
             if k_peak > 0.0 else 1.0
-        r_mom, r_pr = el_residual(st.control, st.p, setup, model, bank)
+        r_mom, r_pr = el_residual(state, st.p, setup, model, bank)
         diag_rows.append((st.p, sigma.mass, big_sigma.mass, concs[0], concs[1],
                           concs[2], lhs, rhs, frac_near, r_mom, r_pr))
         conc_curve.append(concs[1])
-        for label, sig_pair, big_pair in bank_pairings(st.control, st.p, setup,
-                                                       model, bank):
+        for label, sig_pair, big_pair in bank_pairings(state, st.p, setup, model, bank):
             pairing_rows.append((st.p, label, sig_pair, big_pair))
         log(f"stage p={st.p:g}: e_p={rep.e_p:.8f} e_inf={st.report_inf.e_p:.8f} "
             f"iters={st.result.iterations} converged={st.result.converged}")
@@ -170,7 +168,7 @@ def run_twin(cfg, out_dir=None, plots=None, log=print):
             title="residual-measure concentration", xlabel="p",
             ylabel="sub-level mass", logx=True,
             logy=all(c > 0 for c in conc_curve))
-        final_mag = magnitudes(state.y_int[-1])  # the last stage's
+        final_mag = sigma.field_magnitudes.reshape(state.residual.shape[1:])[-1]  # last stage
         svgplot.heatmap(os.path.join(out, "y_heatmap.svg"), final_mag.tolist(),
                         title=f"residual magnitude, final time, p={stages[-1].p:g}")
 

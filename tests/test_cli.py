@@ -126,6 +126,22 @@ class TestTwin:
         assert code == 1
         assert err.strip() == "ERROR run: velocity field contains non-finite values"
 
+    def test_missing_config_is_a_file_error(self, tmp_path, capsys):
+        code = main(["twin", "--config", str(tmp_path / "absent.ini")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR file: cannot read ")
+        assert "Traceback" not in err
+
+    def test_unwritable_out_is_a_run_error(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        code = main(["twin", "--config", str(write_cfg(tmp_path)),
+                     "--out", str(tmp_path / "plain" / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ERROR run: ")
+        assert "Traceback" not in err
+
     def test_capped_stage_reads_unconverged(self, tmp_path):
         cfg_path = write_cfg(tmp_path, out="capped", **{"max_iters = 300": "max_iters = 2"})
         assert main(["twin", "--config", str(cfg_path), "--no-plots"]) == 0
@@ -179,6 +195,12 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg_path), "--suite", "counterexample"]) == 2
         captured = capsys.readouterr()
         assert "ERROR physics.lambda" in captured.err
+        assert "counterexample" not in captured.out
+
+    def test_directory_config_is_a_file_error(self, tmp_path, capsys):
+        assert main(["verify", "--config", str(tmp_path), "--suite", "counterexample"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ERROR file: cannot read ")
         assert "counterexample" not in captured.out
 
     def test_unknown_suite(self, capsys):

@@ -15,23 +15,31 @@ from nsassim.norms import PExponent, reg_abs
 from nsassim.nse import (
     ControlVector, PhysicsSetup, extend_interior, forcing_preset, initial_velocity_preset,
 )
-from nsassim.observation import synth_data
+from nsassim.observation import ObsField, synth_data
 from nsassim.optim import OptimOptions, minimize_E_p
 
 
-def vec_field(values):
-    return np.asarray(values, dtype=float)
+def vec_field(interior):
+    """VectorField whose interior at levels 1..nt holds `interior`."""
+    nt, ny, nx, _ = interior.shape
+    return VectorField.from_interior(GridSpec(nx=nx + 2, ny=ny + 2, nt=nt), interior)
+
+
+def obs_field(values):
+    """ObsField on the grid whose interior matches `values`."""
+    nt, ny, nx, _ = values.shape
+    return ObsField(GridSpec(nx=nx + 2, ny=ny + 2, nt=nt), values)
 
 
 class TestMeasures:
     def test_zero_field_zero_measure(self):
-        m = build_sigma(vec_field(np.zeros((4, 3, 3, 2))), 8.0, weight=1.0 / 36)
+        m = build_sigma(vec_field(np.zeros((4, 3, 3, 2))), 8.0)
         assert m.mass == 0.0
 
     def test_constant_field_closed_form(self):
         c = np.array([0.6, -0.8])  # magnitude 1
         vals = np.tile(c, (2, 3, 3, 1))
-        m = build_sigma(vec_field(vals), 4.0, weight=1.0 / 18)
+        m = build_sigma(vec_field(vals), 4.0)
         expect = 1.0 / float(reg_abs(c, 4.0))
         assert m.mass == pytest.approx(expect, rel=1e-12)
         assert m.mass < 1.0
@@ -42,32 +50,32 @@ class TestMeasures:
         rng = np.random.default_rng(0)
         for p in (2.0, 8.0, 32.0, 128.0):
             vals = rng.standard_normal((3, 5, 4, 2)) * rng.uniform(0.01, 5.0)
-            m = build_sigma(vec_field(vals), p, weight=1.0 / 60)
+            m = build_sigma(vec_field(vals), p)
             assert m.mass <= 1.0 + 1e-10
 
     def test_field_variants_agree(self):
+        # level 0 and the boundary ring carry no mass
         g = GridSpec(nx=6, ny=6, nt=3, t_end=0.3)
         rng = np.random.default_rng(1)
-        full = np.zeros((g.nt + 1, g.ny, g.nx, 2))
-        full[1:, 1:-1, 1:-1] = rng.standard_normal((g.nt, g.ny - 2, g.nx - 2, 2))
-        from_field = build_sigma(VectorField(g, full), 8.0)
-        from_array = build_sigma(full[1:, 1:-1, 1:-1], 8.0, weight=g.interior_weight())
-        assert from_field.mass == pytest.approx(from_array.mass, rel=1e-15)
+        full = rng.standard_normal((g.nt + 1, g.ny, g.nx, 2))
+        from_full = build_sigma(VectorField(g, full), 8.0)
+        from_interior = build_sigma(VectorField.from_interior(g, full[1:, 1:-1, 1:-1]), 8.0)
+        assert from_full.mass == pytest.approx(from_interior.mass, rel=1e-15)
 
 
 class TestConcentration:
     def test_constant_magnitude_empty_set(self):
         vals = np.tile([1.0, 0.0], (2, 4, 4, 1))
-        m = build_sigma(vec_field(vals), 16.0, weight=1.0 / 32)
+        m = build_sigma(vec_field(vals), 16.0)
         assert concentration_mass(m, 0.3) == 0.0
 
     def test_two_level_field_brute_force(self):
         # half the cells at magnitude 1, half at 0.5
-        vals = np.zeros((1, 4, 8, 2))
-        vals[0, :, :4, 0] = 1.0
-        vals[0, :, 4:, 0] = 0.5
+        vals = np.zeros((2, 4, 8, 2))
+        vals[:, :, :4, 0] = 1.0
+        vals[:, :, 4:, 0] = 0.5
         p = 16.0
-        m = build_sigma(vec_field(vals), p, weight=1.0 / 32)
+        m = build_sigma(vec_field(vals), p)
         got = concentration_mass(m, 0.2)
         low = m.field_magnitudes < 0.8
         brute = float(np.sum(m.cell_volumes[low] * m.weight_magnitudes[low]))
@@ -77,15 +85,15 @@ class TestConcentration:
     def test_monotone_in_eps(self):
         rng = np.random.default_rng(2)
         vals = rng.standard_normal((3, 6, 6, 2))
-        m = build_sigma(vec_field(vals), 8.0, weight=1.0 / 108)
+        m = build_sigma(vec_field(vals), 8.0)
         peak = m.field_magnitudes.max()
         eps_grid = np.linspace(0.05, 0.9, 12) * peak
         masses = [concentration_mass(m, e) for e in eps_grid]
         assert all(b <= a + 1e-15 for a, b in zip(masses, masses[1:]))
 
     def test_eps_bounds_checked(self):
-        vals = np.tile([1.0, 0.0], (1, 2, 2, 1))
-        m = build_sigma(vec_field(vals), 8.0, weight=1.0 / 4)
+        vals = np.tile([1.0, 0.0], (2, 3, 3, 1))
+        m = build_sigma(vec_field(vals), 8.0)
         with pytest.raises(ConfigurationError):
             concentration_mass(m, 2.0)
         with pytest.raises(ConfigurationError):
@@ -96,11 +104,10 @@ class TestDensityBound:
     def test_closed_form_value(self):
         # M = 1, eps = 0.2, p = 10: the bound is (8/9)^9
         rhs_expect = (1.0 - 0.2 / (2.0 - 0.2)) ** 9
-        vals = np.zeros((1, 3, 3, 2))
-        vals[0, 0, 0, 0] = 1.0
-        vals[0, 2, 2, 0] = 0.5
-        lhs, rhs, ok = density_bound_check(vec_field(vals), 10.0, 0.2,
-                                           sup_proxy=1.0, weight=1.0 / 9)
+        vals = np.zeros((2, 3, 3, 2))
+        vals[:, 0, 0, 0] = 1.0
+        vals[:, 2, 2, 0] = 0.5
+        lhs, rhs, ok = density_bound_check(vec_field(vals), 10.0, 0.2, sup_proxy=1.0)
         assert rhs == pytest.approx(rhs_expect, abs=1e-15)
         assert rhs == pytest.approx(0.34643941611461837, abs=1e-12)
 
@@ -109,15 +116,14 @@ class TestDensityBound:
         vals = rng.standard_normal((2, 5, 5, 2))
         for eps_frac in (1e-3, 1e-5):
             m_sup = float(np.sqrt((vals ** 2).sum(-1)).max())
-            lhs, rhs, ok = density_bound_check(vec_field(vals), 12.0,
-                                               eps_frac * m_sup, weight=1.0 / 50)
+            lhs, rhs, ok = density_bound_check(vec_field(vals), 12.0, eps_frac * m_sup)
             assert rhs >= 0.98
             assert ok
 
     def test_empty_sublevel_rejected(self):
-        vals = np.tile([1.0, 0.0], (1, 2, 2, 1))
+        vals = np.tile([1.0, 0.0], (2, 3, 3, 1))
         with pytest.raises(ConfigurationError):
-            density_bound_check(vec_field(vals), 8.0, 0.5, weight=1.0 / 4)
+            density_bound_check(vec_field(vals), 8.0, 0.5)
 
     def test_passes_on_near_equalized_field(self):
         # the estimate's hypothesis is an averaged norm close to the sup,
@@ -130,26 +136,25 @@ class TestDensityBound:
         angles = rng.uniform(0.0, 2 * np.pi, size=(3, 8, 8))
         vals = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=-1)
         for p in (8.0, 16.0, 32.0):
-            lhs, rhs, ok = density_bound_check(vec_field(vals), p, 0.3,
-                                               weight=1.0 / 192)
+            lhs, rhs, ok = density_bound_check(vec_field(vals), p, 0.3)
             assert ok, (p, lhs, rhs)
 
 
 class TestSupportFraction:
     def test_constant_field_full_support(self):
         vals = np.tile([0.7], (2, 3, 3, 1))
-        m = build_Sigma(vec_field(vals), 16.0, weight=1.0 / 18)
+        m = build_Sigma(obs_field(vals), 16.0)
         assert sigma_infty_support_check(m, 0.01) == pytest.approx(1.0)
 
     def test_zero_measure_reports_one(self):
-        m = build_Sigma(vec_field(np.zeros((1, 3, 3, 1))), 8.0, weight=1.0 / 9)
+        m = build_Sigma(obs_field(np.zeros((2, 3, 3, 1))), 8.0)
         assert sigma_infty_support_check(m, 0.1) == 1.0
 
     def test_two_level_field_strong_support(self):
-        vals = np.zeros((1, 4, 8, 1))
-        vals[0, :, :4, 0] = 1.0
-        vals[0, :, 4:, 0] = 0.5
-        m = build_Sigma(vec_field(vals), 64.0, weight=1.0 / 32)
+        vals = np.zeros((2, 4, 8, 1))
+        vals[:, :, :4, 0] = 1.0
+        vals[:, :, 4:, 0] = 0.5
+        m = build_Sigma(obs_field(vals), 64.0)
         frac = sigma_infty_support_check(m, 0.1)
         assert frac >= 0.999
 
@@ -288,9 +293,7 @@ def direct_bank_evaluation(c_star, p, setup, model, bank):
     return (r_mom, r_pr), rows
 
 
-@pytest.mark.parametrize("advection", [True, False])
-@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
-def test_diagnostics_match_direct_per_direction_evaluation(kind, advection):
+def bank_problem(kind, advection=True):
     g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
     setup = PhysicsSetup(grid=g, nu=0.02, lam=0.4, f=forcing_preset(g, "swirl", 0.2),
                          u0=initial_velocity_preset(g, "vortex", 0.1),
@@ -300,7 +303,14 @@ def test_diagnostics_match_direct_per_direction_evaluation(kind, advection):
     model = synth_data(truth, kind, 0.2, seed=5, mask_stride=2)
     c = ControlVector(g, 0.2 * rng.standard_normal((g.nt, g.ny - 4, g.nx - 4)),
                       0.2 * rng.standard_normal((g.nt, g.ny - 2, g.nx - 2)))
-    bank = default_test_bank(g)
+    return setup, model, c
+
+
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_diagnostics_match_direct_per_direction_evaluation(kind, advection):
+    setup, model, c = bank_problem(kind, advection)
+    bank = default_test_bank(setup.grid)
     # one pair with both blocks: el_residual pairs them separately, and the
     # pressure pairing takes the sigma column
     bank.append(TestPair("both", psi=bank[0].psi, pr=bank[-1].pr))
@@ -311,8 +321,26 @@ def test_diagnostics_match_direct_per_direction_evaluation(kind, advection):
 
     got_mom, got_pr = el_residual(c, 4.0, setup, model, bank)
     assert close(got_mom, r_mom) and close(got_pr, r_pr)
-    for (label, sig, big), (ref_label, ref_sig, ref_big) in zip(
-            bank_pairings(c, 4.0, setup, model, bank), rows):
+    got_rows = bank_pairings(c, 4.0, setup, model, bank)
+    for (label, sig, big), (ref_label, ref_sig, ref_big) in zip(got_rows, rows):
         assert label == ref_label
         assert close(sig, ref_sig), (label, sig, ref_sig)
         assert close(big, ref_big), (label, big, ref_big)
+    # the stage's assembled state gives the control's results exactly
+    state = assemble_state(c, setup, model)
+    assert el_residual(state, 4.0, setup, model, bank) == (got_mom, got_pr)
+    assert bank_pairings(state, 4.0, setup, model, bank) == got_rows
+
+
+@pytest.mark.parametrize("p", [2.0, 16.0, 128.0])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_measures_equal_state_dual_weights(kind, p):
+    setup, model, c = bank_problem(kind)
+    state = assemble_state(c, setup, model)
+    m_k, m_y = state.dual_weights(PExponent(p))
+    for measure, dual in ((build_sigma(state.y, p), m_y), (build_Sigma(state.K, p), m_k)):
+        last = np.moveaxis(dual, 0, -1)
+        assert np.array_equal(measure.vector_weights, last.reshape(-1, last.shape[-1]))
+    sq_k, sq_y = state.squared_magnitudes()
+    assert np.array_equal(build_sigma(state.y, p).field_magnitudes, np.sqrt(sq_y).ravel())
+    assert np.array_equal(build_Sigma(state.K, p).field_magnitudes, np.sqrt(sq_k).ravel())

@@ -5,8 +5,8 @@ import pytest
 
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.norms import (
-    PExponent, WeightedSamples, dotted_lp_norm, dual_weight, holder_gap,
-    oscillating_step_profile, reg_abs, sup_norm,
+    PExponent, WeightedSamples, dotted_lp_norm, dual_factor, dual_weight, holder_gap,
+    lp_norm_from_squares, oscillating_step_profile, reg_abs, sup_norm,
 )
 
 
@@ -165,6 +165,18 @@ class TestDualWeight:
             reg_channel = p ** -2 * float(np.sum(
                 h.weights * np.exp((p - 2.0) * np.log(r) - (p - 1.0) * math.log(norm))))
             assert abs(pair + reg_channel - norm) <= 1e-10 * norm
+
+    @pytest.mark.parametrize("p", [2.0, 16.0, 128.0])
+    def test_squares_path_matches_to_the_bit(self, p):
+        # the unvalidated path of the assembled state and the measures
+        rng = np.random.default_rng(int(p))
+        for m in (1, 2):
+            vals = rng.uniform(0.01, 4.0) * rng.standard_normal((50, m))
+            h = WeightedSamples.uniform(vals)
+            r, norm = lp_norm_from_squares(np.einsum("ij,ij->i", vals, vals), 1.0 / 50, p)
+            assert norm == dotted_lp_norm(h, p)
+            assert np.array_equal(vals * dual_factor(r, norm, p)[:, None],
+                                  dual_weight(h, p).values)
 
 
 class TestHolderGap:
