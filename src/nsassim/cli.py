@@ -3,11 +3,6 @@
 Exit codes: 0 on success, 1 when a verification suite fails or a run
 aborts, 2 on configuration errors (with a machine-readable line
 `ERROR <section.key>: <message>` on stderr).
-
-The BLAS thread count is OpenBLAS's own: set OPENBLAS_NUM_THREADS in the
-environment that starts nsassim (numpy reads it at import).  Reruns are
-byte-identical at a fixed BLAS thread count only: the reference solve's
-matrix products round differently under another thread count.
 """
 
 import argparse

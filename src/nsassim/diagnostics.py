@@ -12,12 +12,13 @@ fixed bank of admissible test directions.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .misfit import AssembledState, adjoint_from_state, assemble_state, tangent_from_state
-from .norms import PExponent, dual_factor, lp_norm_from_squares, magnitudes
+from .norms import PExponent, dot, dual_factor, lp_norm_from_squares, magnitudes
 from .nse import (
     ControlVector, interior_trapezoid_weights, momentum_operator_transpose,
     state_map_transpose,
@@ -38,7 +39,7 @@ class DiscreteMeasure:
     cell_volumes: np.ndarray     # (n,), normalized to sum 1
     field_magnitudes: np.ndarray  # (n,)
 
-    @property
+    @cached_property
     def weight_magnitudes(self):
         return magnitudes(self.vector_weights)
 
@@ -182,10 +183,6 @@ def default_test_bank(grid):
     return bank
 
 
-def _dot(a, b):
-    return float(np.vdot(a, b))
-
-
 def _assembled(state, setup, model):
     """The stage's AssembledState; a ControlVector is assembled first."""
     return state if isinstance(state, AssembledState) else assemble_state(state, setup, model)
@@ -225,14 +222,14 @@ def el_residual(state, p, setup, model, test_bank=None):
     for pair in test_bank:
         if pair.psi is not None:
             t = tangent_from_state(state, setup, model, ControlVector(g, pair.psi, zero.pr))
-            pairing = (1.0 - lam) * w * _dot(t.K, m_k) + lam * w * _dot(t.y, m_y)
-            scale = math.sqrt(w * (_dot(t.u, t.u) + _dot(t.grad_u, t.grad_u)
-                                   + _dot(t.y, t.y)))
+            pairing = (1.0 - lam) * w * dot(t.K, m_k) + lam * w * dot(t.y, m_y)
+            scale = math.sqrt(w * (dot(t.u, t.u) + dot(t.grad_u, t.grad_u)
+                                   + dot(t.y, t.y)))
             r_momentum = max(r_momentum, abs(pairing) / max(scale, 1e-30))
         if pair.pr is not None:
             t = tangent_from_state(state, setup, model, ControlVector(g, zero.psi, pair.pr))
-            scale = math.sqrt(w * _dot(t.y, t.y))
-            r_pressure = max(r_pressure, abs(w * _dot(t.y, m_y)) / max(scale, 1e-30))
+            scale = math.sqrt(w * dot(t.y, t.y))
+            r_pressure = max(r_pressure, abs(w * dot(t.y, m_y)) / max(scale, 1e-30))
     return r_momentum, r_pressure
 
 
@@ -265,9 +262,9 @@ def bank_pairings(state, p, setup, model, test_bank=None):
     for pair in test_bank:
         sig = big = 0.0
         if pair.psi is not None:
-            sig = _dot(pair.psi, sigma.psi)
-            big = _dot(pair.psi, big_sigma.psi)
+            sig = dot(pair.psi, sigma.psi)
+            big = dot(pair.psi, big_sigma.psi)
         if pair.pr is not None:
-            sig = _dot(pair.pr, sigma.pr)
+            sig = dot(pair.pr, sigma.pr)
         rows.append((pair.label, sig, big))
     return rows

@@ -52,6 +52,11 @@ class PExponent:
         return self.value / (self.value - 1.0)
 
 
+def dot(a, b):
+    """Inner product as a fixed-order numpy sum: unlike BLAS, bits independent of threads."""
+    return float(np.einsum("i,i->", np.ravel(a), np.ravel(b)))
+
+
 def _as_p(p):
     if isinstance(p, PExponent):
         return p

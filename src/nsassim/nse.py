@@ -18,6 +18,7 @@ tangent, the adjoint and the reference solver all call them.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .grid import (
     gradient_kernel, trapezoid_weights, zero_boundary_ring, zero_mean_kernel,
     zero_mean_transpose_kernel, _d1_matrix,
 )
+from .norms import dot
 
 
 def extend_interior(levels, grid):
@@ -213,18 +215,24 @@ def pressure_map(pr, grid):
     return zero_mean_kernel(extend_interior(pr, grid), grid)
 
 
+def velocity_map_transpose(ubar, grid):
+    """Transpose of velocity_map: (2, nt, ny, nx) -> (nt, ny-4, nx-4).
+
+    With the velocity ring zero and two clamped stream-function layers, only
+    the interior block of each 1D matrix enters.
+    """
+    d1x, d1y = grid.d1x()[1:-1, 2:-2], grid.d1y()[1:-1, 2:-2]
+    return d1y.T @ ubar[0, :, 1:-1, 2:-2] - ubar[1, :, 2:-2, 1:-1] @ d1x
+
+
 def state_map_transpose(ubar, pbar, grid):
     """Transpose of velocity_map and pressure_map: cotangents -> control.
 
     ubar (2, nt, ny, nx) and pbar (nt, ny, nx) are full-grid cotangents of
-    the velocity and pressure at levels 1..nt.  The velocity ring is zero
-    and the stream function clamped on two layers, so the curl's transpose
-    reads only the interior block of each 1D matrix.
+    the velocity and pressure at levels 1..nt.
     """
-    d1x, d1y = grid.d1x()[1:-1, 2:-2], grid.d1y()[1:-1, 2:-2]
-    psi_bar = d1y.T @ ubar[0, :, 1:-1, 2:-2] - ubar[1, :, 2:-2, 1:-1] @ d1x
     pr_bar = extend_interior_transpose(zero_mean_transpose_kernel(pbar, grid), grid)
-    return ControlVector(grid, psi_bar, pr_bar)
+    return ControlVector(grid, velocity_map_transpose(ubar, grid), pr_bar)
 
 
 def velocity_gradient(u, grid):
@@ -322,23 +330,24 @@ def advection_transpose_grad_b(ybar, a):
     return out
 
 
-def momentum_terms_kernel(uvals, pvals, setup, u0=None):
+def _momentum_terms(u, p, setup, u0):
     """Every momentum term except the forcing, interior nodes, levels 1..nt.
 
-    uvals (nt+1, ny, nx, 2) and pvals (nt+1, ny, nx) are full-grid fields
-    with the component axis last; the result is (nt, ny-2, nx-2, 2), the
-    same layout: momentum_operator plus the advection (u.D)u.  The initial
-    slice of the time difference is u0, default setup.u0.
+    u and p are full-grid fields; the result is (nt, ny-2, nx-2, 2), the
+    component axis last: momentum_operator plus the advection (u.D)u.  The
+    initial slice of the time difference is u0, default setup.u0.
     """
     g = setup.grid
+    if u.grid != g or p.grid != g:
+        raise ConfigurationError("field grids do not match setup grid")
     if u0 is None:
         u0 = setup.u0
     elif u0.shape != (g.ny, g.nx, 2):
         raise ConfigurationError(f"u0 shape {u0.shape} != {(g.ny, g.nx, 2)}")
-    u = np.moveaxis(uvals[1:], -1, 0)
-    out = momentum_operator(u, pvals[1:], g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
+    uv = np.moveaxis(u.values[1:], -1, 0)
+    out = momentum_operator(uv, p.values[1:], g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
     if setup.include_advection:
-        out += advection(u[..., 1:-1, 1:-1], velocity_gradient(u, g))
+        out += advection(uv[..., 1:-1, 1:-1], velocity_gradient(uv, g))
     return np.moveaxis(out, 0, -1)
 
 
@@ -350,10 +359,7 @@ def residual_y(u, p, setup, u0=None):
     time difference defaults to setup.u0; checks on externally supplied
     fields (manufactured solutions) may override it with level 0 of u.
     """
-    g = setup.grid
-    if u.grid != g or p.grid != g:
-        raise ConfigurationError("field grids do not match setup grid")
-    return VectorField.from_interior(g, momentum_terms_kernel(u.values, p.values, setup, u0=u0)
+    return VectorField.from_interior(setup.grid, _momentum_terms(u, p, setup, u0)
                                      - setup.f.values[1:, 1:-1, 1:-1])
 
 
@@ -363,8 +369,7 @@ def consistent_forcing(u, p, setup, u0=None):
     Computes the same momentum expression residual_y evaluates, so the
     cancellation is bit-exact on interior nodes.
     """
-    return VectorField.from_interior(setup.grid,
-                                     momentum_terms_kernel(u.values, p.values, setup, u0=u0))
+    return VectorField.from_interior(setup.grid, _momentum_terms(u, p, setup, u0))
 
 
 # ---------------------------------------------------------------------------
@@ -381,85 +386,89 @@ class ReferenceSolution:
     tol_ref: float
 
 
-def _pressure_qr(grid):
-    """Householder QR of one level's interior pressure gradient G.
+_CGLS_TOL = 1e-13  # CGLS stops at |A^T P r| <= _CGLS_TOL |A^T P b|
 
-    G maps interior pressure values to their interior-stencil gradient, rows
-    ordered like the flattened (ny-2, nx-2, 2) momentum collocation.  The
-    constant is its only null direction, so G without its last column spans
-    the same range with full column rank.  Returns (q, r): the complete
-    orthogonal factor, whose leading r.shape[0] columns span range(G) and
-    whose remaining columns Z span range(G)^perp, and the square triangle.
+
+@lru_cache(maxsize=None)
+def _pressure_gradient_factors(grid):
+    """The 1D matrices dy, dx of the interior pressure gradient G, G^T G diagonalized.
+
+    G^T G = I (x) dx^T dx + dy^T dy (x) I is diagonal in the eigenvectors vy, vx
+    of its terms; inv is 1 / eigenvalue, 0 at the constant, G's only null mode.
     """
-    d1x, d1y = _d1_matrix(grid.nx - 2, grid.hx), _d1_matrix(grid.ny - 2, grid.hy)
-    niy, nix = grid.ny - 2, grid.nx - 2
-    g = np.stack([np.kron(np.eye(niy), d1x), np.kron(d1y, np.eye(nix))], axis=1)
-    q, r = np.linalg.qr(g.reshape(2 * niy * nix, -1)[:, :-1], mode="complete")
-    return q, r[:niy * nix - 1].copy()
+    dy, dx = _d1_matrix(grid.ny - 2, grid.hy), _d1_matrix(grid.nx - 2, grid.hx)
+    (ly, vy), (lx, vx) = np.linalg.eigh(dy.T @ dy), np.linalg.eigh(dx.T @ dx)
+    lam = ly[:, None] + lx
+    lam[0, 0] = np.inf
+    return dy, dx, vy, vx, 1.0 / lam
 
 
-def _step_basis(setup, z):
-    """Stream-function basis of one level, its Stokes block reduced by z.
+def _pressure_gradient(pr, grid):
+    """G pr, equal to momentum_operator(None, pressure_map(pr)) at interior nodes."""
+    dy, dx = _pressure_gradient_factors(grid)[:2]
+    return np.stack([pr @ dx.T, dy @ pr])
 
-    Returns (zs, basis_u, basis_gu): row j of zs is z^T (u_j/dt - nu Lap u_j)
-    collocated at interior nodes, u_j the velocity of the j-th free
-    stream-function unit vector, each a one-level trajectory for
-    momentum_operator; basis_u (2, n_psi, ny, nx) and basis_gu, their
-    interior gradients, assemble the lagged advection block per sweep.
-    The basis is fixed for a given grid and viscosity.
+
+def _pressure_fit(v, grid):
+    """(G^T G)^+ G^T v: the minimum-norm pressure whose gradient best fits v."""
+    dy, dx, vy, vx, inv = _pressure_gradient_factors(grid)
+    return vy @ ((vy.T @ (v[0] @ dx + dy.T @ v[1]) @ vx) * inv) @ vx.T
+
+
+def _level_lstsq(psi, b, a, setup):
+    """min over one level's psi of |P (A psi - b)|, by CGLS started from psi.
+
+    P = I - G (G^T G)^+ G^T projects out the pressure gradient.  A is
+    momentum_operator on velocity_map from a zero initial slice, plus the
+    advection lagged in a unless a is None.  Stops at |A^T P r| <= _CGLS_TOL
+    |A^T P b|; raises SolverError after as many iterations as unknowns.
     """
-    g = setup.grid
-    n_psi = (g.ny - 4) * (g.nx - 4)
-    basis_u = velocity_map(np.eye(n_psi).reshape(n_psi, g.ny - 4, g.nx - 4), g)
-    stokes = momentum_operator(basis_u[:, :, None], None, g, setup.nu)[:, :, 0]
-    zs = np.moveaxis(stokes, 0, -1).reshape(n_psi, -1) @ z
-    return zs, basis_u, velocity_gradient(basis_u, g)
+    g, nu = setup.grid, setup.nu
 
+    def apply(x):  # P A x
+        u = velocity_map(x, g)
+        y = momentum_operator(u, None, g, nu)
+        if a is not None:
+            y += advection(a, velocity_gradient(u, g))
+        return y - _pressure_gradient(_pressure_fit(y, g), g)
 
-def _solve_level(z, zs, basis_gu, u_adv, b, advection_on):
-    """Stream-function dofs of one level and sweep: min |z^T (A psi - b)|.
+    def apply_transpose(y):  # A^T y
+        ubar = momentum_operator_transpose(y, g, nu)[0]
+        if a is not None:
+            velocity_gradient_transpose(advection_transpose_grad_b(y, a), g, ubar)
+        return velocity_map_transpose(ubar, g)
 
-    A is the momentum collocation over the stream-function basis, its
-    advection block lagged in u_adv (ny, nx, 2) when advection is on.
-    Eliminating the pressure leaves a system with condition number near 10
-    on the grids used, so the normal equations lose nothing.
-    """
-    m_t = zs
-    if advection_on:
-        adv = advection(np.moveaxis(u_adv[1:-1, 1:-1], -1, 0), basis_gu)
-        m_t = zs + np.moveaxis(adv, 0, -1).reshape(zs.shape[0], -1) @ z
-    return np.linalg.solve(m_t @ m_t.T, m_t @ (b @ z))
-
-
-def _recover_pressure(q, r, target):
-    """Interior pressure whose gradient best fits target, all levels at once.
-
-    target is (nt, ny-2, nx-2, 2); the fit is R^-1 Q_G^T target with the
-    dropped last column set to zero, so it is defined up to the constant
-    that ControlVector.normalized() removes.
-    """
-    nt, niy, nix = target.shape[:3]
-    n = r.shape[0]
-    pr = np.zeros((nt, niy * nix))
-    pr[:, :n] = np.linalg.solve(r, (target.reshape(nt, -1) @ q[:, :n]).T).T
-    return pr.reshape(nt, niy, nix)
+    r = b - _pressure_gradient(_pressure_fit(b, g), g)  # P b
+    s = apply_transpose(r)
+    stop = _CGLS_TOL ** 2 * dot(s, s)
+    r -= apply(psi)
+    s = apply_transpose(r)
+    d, gamma = s, dot(s, s)
+    for _ in range(psi.size):
+        if gamma <= stop:
+            return psi
+        q = apply(d)
+        alpha = gamma / dot(q, q)
+        psi = psi + alpha * d
+        r -= alpha * q
+        s = apply_transpose(r)
+        gamma, gamma_prev = dot(s, s), gamma
+        d = s + (gamma / gamma_prev) * d
+    if gamma > stop:
+        raise SolverError(f"reference level solve did not converge in {psi.size} iterations")
+    return psi
 
 
 def reference_solve(setup, tol_ref=None, advection_sweeps=3):
     """Stream-function time stepping producing the twin-experiment truth.
 
-    Marches levels 1..nt.  Diffusion is implicit in the new level and
-    advection is explicit in the advecting field, refreshed over a fixed
-    number of lagged sweeps.  The clamped stream-function space
-    over-determines the interior momentum collocation (it has no exact
-    discrete solution), so each level takes the least-squares solution over
-    the stream-function and pressure degrees of freedom.  The pressure is
-    eliminated once per grid: one Householder QR of the interior pressure
-    gradient G gives an orthonormal basis Z of range(G)^perp, and each level
-    and sweep solves the small stream-function problem min |Z^T (A psi - b)|.
-    The returned pressure is the least-squares fit of G to the remaining
-    momentum terms, recovered for all levels from the same QR and normalized
-    to zero trapezoidal mean.
+    Marches levels 1..nt: diffusion implicit in the new level, advection
+    explicit in an advecting field refreshed over a fixed number of lagged
+    sweeps.  The clamped stream-function space over-determines the interior
+    momentum collocation, so each level and sweep takes the least-squares
+    step of _level_lstsq, started from the previous level.  The pressure is
+    the least-squares fit of its gradient to the remaining momentum terms,
+    all levels at once, normalized to zero trapezoidal mean.
 
     The achieved sup-norm of the momentum residual is reported on the
     returned solution together with tol_ref (default 1e-3 times the data
@@ -476,35 +485,28 @@ def reference_solve(setup, tol_ref=None, advection_sweeps=3):
             f"dt={g.dt:.4g} violates the advective CFL bound {cfl:.4g}; "
             "increase nt or shrink t_end")
 
-    q, r = _pressure_qr(g)
-    z = q[:, r.shape[0]:]
-    zs, basis_u, basis_gu = _step_basis(setup, z)
-
-    uvals = np.zeros((g.nt + 1, g.ny, g.nx, 2))
-    uvals[0] = setup.u0
-    psi_dofs = np.zeros((g.nt, g.ny - 4, g.nx - 4))
+    f = np.moveaxis(setup.f.values[:, 1:-1, 1:-1], -1, 0)
+    u_adv = u0 = np.moveaxis(setup.u0, -1, 0)[:, None]
+    psi = np.zeros((g.nt + 1, g.ny - 4, g.nx - 4))  # level 0 starts level 1
     sweeps = max(1, advection_sweeps) if setup.include_advection else 1
     for k in range(1, g.nt + 1):
-        u_prev = uvals[k - 1]
-        b = (u_prev / g.dt + setup.f.values[k])[1:-1, 1:-1].ravel()
-        u_adv = u_prev
+        b = u_adv[..., 1:-1, 1:-1] / g.dt + f[:, k:k + 1]
+        psi[k] = psi[k - 1]
         for _ in range(sweeps):
-            psi = _solve_level(z, zs, basis_gu, u_adv, b, setup.include_advection)
-            u_adv = np.einsum("j,cjyx->yxc", psi, basis_u)
-        psi_dofs[k - 1] = psi.reshape(g.ny - 4, g.nx - 4)
-        uvals[k] = u_adv
+            a = u_adv[..., 1:-1, 1:-1] if setup.include_advection else None
+            psi[k:k + 1] = _level_lstsq(psi[k:k + 1], b, a, setup)
+            u_adv = velocity_map(psi[k:k + 1], g)
 
-    # pressure recovery: fit D p to the remaining momentum terms per level
-    zero_p = np.zeros((g.nt + 1, g.ny, g.nx))
-    target = setup.f.values[1:, 1:-1, 1:-1] - momentum_terms_kernel(uvals, zero_p, setup)
-
-    control = ControlVector(g, psi_dofs, _recover_pressure(q, r, target)).normalized()
+    u = velocity_map(psi[1:], g)
+    target = f[:, 1:] - momentum_operator(u, None, g, setup.nu, u0[:, 0, 1:-1, 1:-1])
+    if setup.include_advection:
+        target -= advection(u[..., 1:-1, 1:-1], velocity_gradient(u, g))
+    control = ControlVector(g, psi[1:], _pressure_fit(target, g)).normalized()
     u, p = state_from_control(control, setup)
-    res = residual_y(u, p, setup)
-    sup_res = float(np.abs(res.values).max())
+    sup_res = float(np.abs(residual_y(u, p, setup).values).max())
     if tol_ref is None:
-        scale = max(1.0, float(np.abs(uvals).max()), float(np.abs(setup.f.values).max()))
-        tol_ref = 1e-3 * scale
+        tol_ref = 1e-3 * max(1.0, float(np.abs(u.values).max()),
+                             float(np.abs(setup.f.values).max()))
     return ReferenceSolution(u, p, control, sup_res, tol_ref)
 
 

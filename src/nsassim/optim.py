@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidFieldError
 from .misfit import assemble_state, gradient_from_state, report_from_state
-from .norms import PExponent
+from .norms import PExponent, dot
 from .nse import ControlVector
 
 
@@ -96,14 +96,14 @@ def _two_loop(g, s_hist, y_hist, rho_hist):
     q = g.copy()
     alphas = []
     for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        a = rho * np.dot(s, q)
+        a = rho * dot(s, q)
         alphas.append(a)
         q -= a * yv
     if y_hist:
-        gamma = np.dot(s_hist[-1], y_hist[-1]) / np.dot(y_hist[-1], y_hist[-1])
+        gamma = dot(s_hist[-1], y_hist[-1]) / dot(y_hist[-1], y_hist[-1])
         q *= gamma
     for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-        b = rho * np.dot(yv, q)
+        b = rho * dot(yv, q)
         q += (a - b) * s
     return -q
 
@@ -129,7 +129,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
 
     report, state = forward(x)
     grad = gradient_from_state(state, setup, model, p).to_flat() * sv
-    g_norm = float(np.linalg.norm(grad))
+    g_norm = math.sqrt(dot(grad, grad))
     g_ref = max(1.0, g_norm)
     trace = [(0, report.e_p, g_norm)]
 
@@ -139,7 +139,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     it = 0
     while not converged and it < opts.max_iters:
         d = _two_loop(grad, s_hist, y_hist, rho_hist)
-        descent = float(np.dot(d, grad))
+        descent = dot(d, grad)
         if descent >= 0.0:
             d = -grad
             descent = -g_norm * g_norm
@@ -163,8 +163,8 @@ def minimize_E_p(c0, setup, model, p, opts=None):
         grad_new = gradient_from_state(state, setup, model, p).to_flat() * sv
         s = x_new - x
         yv = grad_new - grad
-        sy = float(np.dot(s, yv))
-        if sy > 1e-14 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+        sy = dot(s, yv)
+        if sy > 1e-14 * math.sqrt(dot(s, s)) * math.sqrt(dot(yv, yv)):
             s_hist.append(s)
             y_hist.append(yv)
             rho_hist.append(1.0 / sy)
@@ -173,7 +173,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
                 y_hist.pop(0)
                 rho_hist.pop(0)
         x, grad = x_new, grad_new
-        g_norm = float(np.linalg.norm(grad))
+        g_norm = math.sqrt(dot(grad, grad))
         it += 1
         trace.append((it, report.e_p, g_norm))
         converged = g_norm <= opts.grad_tol * g_ref

@@ -6,10 +6,7 @@ from nsassim.grid import (
     GridSpec, ScalarField, curl_kernel, divergence_kernel, gradient_kernel,
     trapezoid_weights_2d, zero_boundary_ring, zero_mean_kernel,
 )
-from nsassim.nse import (
-    PhysicsSetup, advection, forcing_preset, momentum_operator, momentum_terms_kernel,
-    velocity_gradient,
-)
+from nsassim.nse import advection, momentum_operator, velocity_gradient
 
 
 def grid(nx=17, ny=17, nt=4, t_end=0.4):
@@ -39,15 +36,14 @@ def vector_laplacian(u, g):
 
 
 def backward_difference(u, u0, g):
-    """The time-difference term of momentum_terms_kernel, levels 1..nt,
-    interior nodes.
+    """The time-difference term of nse.momentum_operator, levels 1..nt,
+    interior nodes, component axis last.
 
-    u is spatially constant, so the viscous and advective terms vanish
-    and no pressure enters.
+    u is spatially constant, so with nu = 1 the viscous term vanishes.
     """
-    setup = PhysicsSetup(grid=g, nu=1.0, lam=0.5, f=forcing_preset(g, "none", 0.0),
-                         u0=np.zeros((g.ny, g.nx, 2)), include_advection=False)
-    return momentum_terms_kernel(u, np.zeros(u.shape[:-1]), setup, u0=u0)
+    v = np.moveaxis(u[1:], -1, 0)
+    out = momentum_operator(v, None, g, 1.0, u_init=np.moveaxis(u0[1:-1, 1:-1], -1, 0))
+    return np.moveaxis(out, 0, -1)
 
 
 class TestGridSpec:

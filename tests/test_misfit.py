@@ -363,8 +363,9 @@ import numpy as np
 from nsassim.grid import GridSpec
 from nsassim.misfit import assemble_state, gradient_from_state
 from nsassim.nse import ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset
-from nsassim.nse import state_from_control
+from nsassim.nse import reference_solve, state_from_control
 from nsassim.observation import synth_data
+from nsassim.optim import OptimOptions, minimize_E_p
 
 digest = hashlib.sha256()
 for n in (16, 32):
@@ -379,15 +380,22 @@ for n in (16, 32):
         model = synth_data(state_from_control(truth, setup)[0], kind, 0.5, 1, mask_stride=4)
         state = assemble_state(c, setup, model)
         grad = gradient_from_state(state, setup, model, 16.0).to_flat()
-        for a in (state.u.values, state.p.values, state.y_int, state.K.values, grad):
+        steps = minimize_E_p(c, setup, model, 16.0, OptimOptions(max_iters=3)).control.to_flat()
+        for a in (state.u.values, state.p.values, state.y_int, state.K.values, grad, steps):
             digest.update(np.ascontiguousarray(a).tobytes())
+for n, sweeps in ((16, 3), (24, 1)):
+    g = GridSpec(n, n, 3 * n // 4, 1.0, 1.0, 0.36)
+    setup = PhysicsSetup(grid=g, nu=0.002, lam=0.5, f=forcing_preset(g, "none", 0.0),
+                         u0=initial_velocity_preset(g, "vortex", 0.15))
+    digest.update(reference_solve(setup, advection_sweeps=sweeps).control.to_flat().tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_hot_path_bits_independent_of_blas_threads():
-    # assemble_state and gradient_from_state at 16^2 and 32^2 hash the same
-    # under one and two OpenBLAS threads; the reference solve is not covered
+    # assemble_state, gradient_from_state and three L-BFGS steps at 16^2
+    # and 32^2, and the reference-solve truth at 16^2 and 24^2, hash the
+    # same under one and two OpenBLAS threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(nsassim.__file__)))
     digests = []
     for threads in ("1", "2"):

@@ -16,7 +16,7 @@ from nsassim.nse import (
     momentum_operator_transpose, pressure_map, reference_solve, residual_y,
     state_from_control, state_map_transpose, stream_bump, velocity_gradient,
     velocity_gradient_transpose, velocity_map,
-    _pressure_qr, _recover_pressure, _solve_level, _step_basis,
+    _level_lstsq, _pressure_fit, _pressure_gradient,
 )
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.ini")
@@ -468,7 +468,18 @@ def interior_gradient_columns(g):
 
 
 class TestReducedLevelSolve:
-    """The pressure-eliminated solve against dense joint least squares."""
+    """The projected CGLS level solve against dense joint least squares."""
+
+    def test_pressure_gradient_matches_columns(self):
+        g = grid()
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((g.ny - 2, g.nx - 2))
+        y = rng.standard_normal((2, g.ny - 2, g.nx - 2))
+        gmat = interior_gradient_columns(g)
+        y_rows = np.moveaxis(y, 0, -1).ravel()
+        ref = y_rows @ gmat @ x.ravel()
+        scale = np.abs(y_rows) @ np.abs(gmat) @ np.abs(x.ravel())
+        assert abs(np.vdot(y, _pressure_gradient(x, g)) - ref) <= 1e-12 * scale
 
     @pytest.mark.parametrize("advect", [True, False])
     def test_level_psi_matches_joint_lstsq(self, advect):
@@ -477,6 +488,7 @@ class TestReducedLevelSolve:
         rng = np.random.default_rng(11)
         u_adv = 0.7 * setup.u0
         b = rng.standard_normal(2 * (g.ny - 2) * (g.nx - 2))
+        a = np.moveaxis(u_adv[1:-1, 1:-1], -1, 0)
         cols = []
         e = np.zeros((1, g.ny, g.nx))
         for j, i in np.ndindex(g.ny - 4, g.nx - 4):
@@ -485,17 +497,15 @@ class TestReducedLevelSolve:
             e[0, 2 + j, 2 + i] = 0.0
             col = momentum_operator(u, None, g, setup.nu)
             if advect:
-                a = np.moveaxis(u_adv[1:-1, 1:-1], -1, 0)
                 col += advection(a, velocity_gradient(u, g))
             cols.append(np.moveaxis(col[:, 0], 0, -1).ravel())
         joint = np.hstack([np.array(cols).T, interior_gradient_columns(g)])
         psi_ref = np.linalg.lstsq(joint, b, rcond=None)[0][:len(cols)]
 
-        q, r = _pressure_qr(g)
-        z = q[:, r.shape[0]:]
-        zs, _, basis_gu = _step_basis(setup, z)
-        psi = _solve_level(z, zs, basis_gu, u_adv, b, advect)
-        assert np.abs(psi - psi_ref).max() <= 1e-12 * np.abs(psi_ref).max()
+        b_levels = np.moveaxis(b.reshape(g.ny - 2, g.nx - 2, 2), -1, 0)[:, None]
+        psi = _level_lstsq(np.zeros((1, g.ny - 4, g.nx - 4)), b_levels,
+                           a[:, None] if advect else None, setup)
+        assert np.abs(psi.ravel() - psi_ref).max() <= 1e-12 * np.abs(psi_ref).max()
 
     def test_pressure_recovery_matches_min_norm_lstsq(self):
         g = grid()
@@ -505,8 +515,11 @@ class TestReducedLevelSolve:
         ref = np.stack([np.linalg.lstsq(gmat, t.ravel(), rcond=None)[0] for t in target])
         zero_psi = np.zeros((g.nt, g.ny - 4, g.nx - 4))
         expected = ControlVector(g, zero_psi, ref.reshape(g.nt, g.ny - 2, g.nx - 2)).normalized()
-        got = ControlVector(g, zero_psi, _recover_pressure(*_pressure_qr(g), target)).normalized()
+        fit = _pressure_fit(np.moveaxis(target, -1, 0), g)
+        got = ControlVector(g, zero_psi, fit).normalized()
         assert np.abs(got.pr - expected.pr).max() <= 1e-10 * np.abs(expected.pr).max()
+        # the fit is the minimum-norm solution itself: no constant is added
+        assert np.abs(fit.ravel() - ref.ravel()).max() <= 1e-10 * np.abs(ref).max()
 
     def test_bundled_truth_sup_residual(self):
         cfg = load_config(path=EXAMPLE)
