@@ -54,7 +54,7 @@ class PExponent:
 
 def dot(a, b):
     """Inner product as a fixed-order numpy sum: unlike BLAS, bits independent of threads."""
-    return float(np.einsum("i,i->", np.ravel(a), np.ravel(b)))
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def _as_p(p):
