@@ -39,7 +39,7 @@ def backward_difference(u, u0, g):
     """The time-difference term of nse.momentum_operator, levels 1..nt,
     interior nodes, component axis last.
 
-    u is spatially constant, so with nu = 1 the viscous term vanishes.
+    u is spatially constant, so the viscous term vanishes.
     """
     v = np.moveaxis(u[1:], -1, 0)
     out = momentum_operator(v, None, g, 1.0, u_init=np.moveaxis(u0[1:-1, 1:-1], -1, 0))
