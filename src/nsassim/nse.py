@@ -389,18 +389,43 @@ class ReferenceSolution:
 _CGLS_TOL = 1e-13  # CGLS stops at |A^T P r| <= _CGLS_TOL |A^T P b|
 
 
+def _fast_diagonalization(dy, dx, null_mode):
+    """dy^T dy (x) I + I (x) dx^T dx diagonalized: vy, vx and 1 / eigenvalue.
+
+    vy, vx are the eigenvectors of the two terms.  With null_mode the
+    smallest eigenvalue, a constant null mode, gets inverse 0.
+    """
+    (ly, vy), (lx, vx) = np.linalg.eigh(dy.T @ dy), np.linalg.eigh(dx.T @ dx)
+    lam = ly[:, None] + lx
+    if null_mode:
+        lam[0, 0] = np.inf
+    return vy, vx, 1.0 / lam
+
+
+def _diagonalized_solve(s, vy, vx, inv):
+    """The Kronecker-sum inverse of _fast_diagonalization applied to s (..., ny, nx)."""
+    return vy @ ((vy.T @ s @ vx) * inv) @ vx.T
+
+
 @lru_cache(maxsize=None)
 def _pressure_gradient_factors(grid):
     """The 1D matrices dy, dx of the interior pressure gradient G, G^T G diagonalized.
 
-    G^T G = I (x) dx^T dx + dy^T dy (x) I is diagonal in the eigenvectors vy, vx
-    of its terms; inv is 1 / eigenvalue, 0 at the constant, G's only null mode.
+    G^T G = I (x) dx^T dx + dy^T dy (x) I; its only null mode is the constant.
     """
     dy, dx = _d1_matrix(grid.ny - 2, grid.hy), _d1_matrix(grid.nx - 2, grid.hx)
-    (ly, vy), (lx, vx) = np.linalg.eigh(dy.T @ dy), np.linalg.eigh(dx.T @ dx)
-    lam = ly[:, None] + lx
-    lam[0, 0] = np.inf
-    return dy, dx, vy, vx, 1.0 / lam
+    return (dy, dx) + _fast_diagonalization(dy, dx, null_mode=True)
+
+
+@lru_cache(maxsize=None)
+def _curl_gram_factors(grid):
+    """C^T C diagonalized, C = velocity_map on one level.
+
+    velocity_map_transpose(velocity_map(psi)) = d1y^T d1y psi + psi d1x^T d1x
+    exactly, with the interior blocks d1y, d1x velocity_map_transpose uses.
+    """
+    d1x, d1y = grid.d1x()[1:-1, 2:-2], grid.d1y()[1:-1, 2:-2]
+    return _fast_diagonalization(d1y, d1x, null_mode=False)
 
 
 def _pressure_gradient(pr, grid):
@@ -411,19 +436,22 @@ def _pressure_gradient(pr, grid):
 
 def _pressure_fit(v, grid):
     """(G^T G)^+ G^T v: the minimum-norm pressure whose gradient best fits v."""
-    dy, dx, vy, vx, inv = _pressure_gradient_factors(grid)
-    return vy @ ((vy.T @ (v[0] @ dx + dy.T @ v[1]) @ vx) * inv) @ vx.T
+    dy, dx, *factors = _pressure_gradient_factors(grid)
+    return _diagonalized_solve(v[0] @ dx + dy.T @ v[1], *factors)
 
 
 def _level_lstsq(psi, b, a, setup):
-    """min over one level's psi of |P (A psi - b)|, by CGLS started from psi.
+    """min over one level's psi of |P (A psi - b)|, by preconditioned CGLS from psi.
 
     P = I - G (G^T G)^+ G^T projects out the pressure gradient.  A is
     momentum_operator on velocity_map from a zero initial slice, plus the
-    advection lagged in a unless a is None.  Stops at |A^T P r| <= _CGLS_TOL
+    advection lagged in a unless a is None.  The preconditioner is the
+    curl Gram C^T C of velocity_map: the time difference dominates A, so
+    A^T P A is close to C^T C / dt^2.  Stops at |A^T P r| <= _CGLS_TOL
     |A^T P b|; raises SolverError after as many iterations as unknowns.
     """
     g, nu = setup.grid, setup.nu
+    factors = _curl_gram_factors(g)
 
     def apply(x):  # P A x
         u = velocity_map(x, g)
@@ -443,18 +471,20 @@ def _level_lstsq(psi, b, a, setup):
     stop = _CGLS_TOL ** 2 * dot(s, s)
     r -= apply(psi)
     s = apply_transpose(r)
-    d, gamma = s, dot(s, s)
+    d = _diagonalized_solve(s, *factors)
+    gamma = dot(s, d)
     for _ in range(psi.size):
-        if gamma <= stop:
+        if dot(s, s) <= stop:
             return psi
         q = apply(d)
         alpha = gamma / dot(q, q)
         psi = psi + alpha * d
         r -= alpha * q
         s = apply_transpose(r)
-        gamma, gamma_prev = dot(s, s), gamma
-        d = s + (gamma / gamma_prev) * d
-    if gamma > stop:
+        z = _diagonalized_solve(s, *factors)
+        gamma, gamma_prev = dot(s, z), gamma
+        d = z + (gamma / gamma_prev) * d
+    if dot(s, s) > stop:
         raise SolverError(f"reference level solve did not converge in {psi.size} iterations")
     return psi
 
@@ -488,7 +518,9 @@ def reference_solve(setup, tol_ref=None, advection_sweeps=3):
     f = np.moveaxis(setup.f.values[:, 1:-1, 1:-1], -1, 0)
     u_adv = u0 = np.moveaxis(setup.u0, -1, 0)[:, None]
     psi = np.zeros((g.nt + 1, g.ny - 4, g.nx - 4))  # level 0 starts level 1
-    sweeps = max(1, advection_sweeps) if setup.include_advection else 1
+    if advection_sweeps < 1:
+        raise ConfigurationError(f"advection_sweeps must be at least 1, got {advection_sweeps}")
+    sweeps = advection_sweeps if setup.include_advection else 1
     for k in range(1, g.nt + 1):
         b = u_adv[..., 1:-1, 1:-1] / g.dt + f[:, k:k + 1]
         psi[k] = psi[k - 1]

@@ -383,7 +383,7 @@ for n in (16, 32):
         steps = minimize_E_p(c, setup, model, 16.0, OptimOptions(max_iters=3)).control.to_flat()
         for a in (state.u.values, state.p.values, state.y_int, state.K.values, grad, steps):
             digest.update(np.ascontiguousarray(a).tobytes())
-for n, sweeps in ((16, 3), (24, 1)):
+for n, sweeps in ((16, 3), (24, 1), (64, 1)):
     g = GridSpec(n, n, 3 * n // 4, 1.0, 1.0, 0.36)
     setup = PhysicsSetup(grid=g, nu=0.002, lam=0.5, f=forcing_preset(g, "none", 0.0),
                          u0=initial_velocity_preset(g, "vortex", 0.15))
@@ -394,8 +394,8 @@ print(digest.hexdigest())
 
 def test_hot_path_bits_independent_of_blas_threads():
     # assemble_state, gradient_from_state and three L-BFGS steps at 16^2
-    # and 32^2, and the reference-solve truth at 16^2 and 24^2, hash the
-    # same under one and two OpenBLAS threads
+    # and 32^2, and the reference-solve truth at 16^2, 24^2 and 64^2 (where
+    # OpenBLAS threads dgemm), hash the same under one and two OpenBLAS threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(nsassim.__file__)))
     digests = []
     for threads in ("1", "2"):

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from nsassim import nse
 from nsassim.config import load_config
 from nsassim.errors import ConfigurationError, InvalidFieldError, SolverError
 from nsassim.grid import (
@@ -15,8 +16,8 @@ from nsassim.nse import (
     initial_velocity_preset, interior_trapezoid_weights, momentum_operator,
     momentum_operator_transpose, pressure_map, reference_solve, residual_y,
     state_from_control, state_map_transpose, stream_bump, velocity_gradient,
-    velocity_gradient_transpose, velocity_map,
-    _level_lstsq, _pressure_fit, _pressure_gradient,
+    velocity_gradient_transpose, velocity_map, velocity_map_transpose,
+    _curl_gram_factors, _diagonalized_solve, _level_lstsq, _pressure_fit, _pressure_gradient,
 )
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.ini")
@@ -458,6 +459,12 @@ class TestReferenceSolve:
         assert ref.sup_residual <= ref.tol_ref
         assert ref.tol_ref == 0.1
 
+    @pytest.mark.parametrize("sweeps", [0, -1])
+    def test_advection_sweeps_below_one_rejected(self, sweeps):
+        setup = basic_setup(grid())
+        with pytest.raises(ConfigurationError, match="advection_sweeps"):
+            reference_solve(setup, advection_sweeps=sweeps)
+
 
 def interior_gradient_columns(g):
     """Interior momentum rows of the pressure block, one column per interior node."""
@@ -506,6 +513,35 @@ class TestReducedLevelSolve:
         psi = _level_lstsq(np.zeros((1, g.ny - 4, g.nx - 4)), b_levels,
                            a[:, None] if advect else None, setup)
         assert np.abs(psi.ravel() - psi_ref).max() <= 1e-12 * np.abs(psi_ref).max()
+
+    def test_level_solve_is_preconditioned(self, monkeypatch):
+        # one velocity_map per CGLS iteration plus one for the start: the
+        # unpreconditioned loop needs about 30 on this right-hand side
+        cfg = load_config(path=EXAMPLE)
+        setup = cfg.build_setup(cfg.validate())
+        g = setup.grid
+        calls = []
+
+        def counted(psi, grid):
+            calls.append(1)
+            return velocity_map(psi, grid)
+
+        monkeypatch.setattr(nse, "velocity_map", counted)
+        u0 = np.moveaxis(setup.u0[1:-1, 1:-1], -1, 0)[:, None]
+        b = u0 / g.dt + np.moveaxis(setup.f.values[1:2, 1:-1, 1:-1], -1, 0)
+        _level_lstsq(np.zeros((1, g.ny - 4, g.nx - 4)), b, u0, setup)
+        assert 0 < len(calls) <= 15
+
+    def test_curl_gram_preconditioner_is_exact(self):
+        g = grid(nx=9, ny=13)
+        rng = np.random.default_rng(14)
+        psi = rng.standard_normal((g.nt, g.ny - 4, g.nx - 4))
+        d1x, d1y = g.d1x()[1:-1, 2:-2], g.d1y()[1:-1, 2:-2]
+        gram = velocity_map_transpose(velocity_map(psi, g), g)
+        ref = d1y.T @ d1y @ psi + psi @ d1x.T @ d1x
+        assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+        back = _diagonalized_solve(gram, *_curl_gram_factors(g))
+        assert np.abs(back - psi).max() <= 1e-10 * np.abs(psi).max()
 
     def test_pressure_recovery_matches_min_norm_lstsq(self):
         g = grid()
