@@ -17,12 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
+from .grid import trapezoid_weights
 from .misfit import AssembledState, adjoint_from_state, assemble_state, tangent_from_state
-from .norms import PExponent, dot, dual_factor, lp_norm_from_squares, magnitudes
-from .nse import (
-    ControlVector, interior_trapezoid_weights, momentum_operator_transpose,
-    state_map_transpose,
-)
+from .norms import as_exponent, dot, dual_factor, lp_norm_from_squares, magnitudes
+from .nse import ControlVector, pressure_gradient_transpose, velocity_map_transpose
 
 
 @dataclass
@@ -57,7 +55,7 @@ class DiscreteMeasure:
 
 def _measure(vals, weight, p):
     """Measure of (..., m) samples sharing one cell weight, as AssembledState.dual_weights."""
-    p = p if isinstance(p, PExponent) else PExponent(float(p))
+    p = as_exponent(p)
     if not p.is_finite:
         raise ConfigurationError("dual weights require a finite exponent")
     flat = vals.reshape(-1, vals.shape[-1])
@@ -98,7 +96,7 @@ def density_bound_check(y_field, p, eps, sup_proxy=None):
 
     Returns (lhs, rhs, passed) with passed allowing 1e-8 relative slack.
     """
-    p = p if isinstance(p, PExponent) else PExponent(float(p))
+    p = as_exponent(p)
     measure = build_sigma(y_field, p)
     m_sup = float(measure.field_magnitudes.max()) if sup_proxy is None else float(sup_proxy)
     if not (0.0 < eps < m_sup):
@@ -169,7 +167,7 @@ def default_test_bank(grid):
             psi = prof[:, None, None] * shape[None]
             bank.append(TestPair(label=f"{name}-{tname}", psi=psi))
 
-    wi = interior_trapezoid_weights(grid)
+    wi = trapezoid_weights(grid.ny - 2, grid.nx - 2)
     press_shapes = [
         ("p1", np.cos(np.pi * xi)[None, :] * np.ones((yi.size, 1))),
         ("p2", np.cos(np.pi * yi)[:, None] * np.ones((1, xi.size))),
@@ -210,7 +208,7 @@ def el_residual(state, p, setup, model, test_bank=None):
         test_bank = default_test_bank(g)
     if len(test_bank) == 0:
         raise ConfigurationError("empty test bank")
-    p = p if isinstance(p, PExponent) else PExponent(float(p))
+    p = as_exponent(p)
     state = _assembled(state, setup, model)
     w = state.weight
     m_k, m_y = state.dual_weights(p)
@@ -247,24 +245,23 @@ def bank_pairings(state, p, setup, model, test_bank=None):
     g = setup.grid
     if test_bank is None:
         test_bank = default_test_bank(g)
-    p = p if isinstance(p, PExponent) else PExponent(float(p))
+    p = as_exponent(p)
     state = _assembled(state, setup, model)
     w = state.weight
     m_k, m_y = state.dual_weights(p)
-    # sigma pairs with the test velocity, or with the test pressure gradient:
-    # the pressure half of the momentum operator's transpose
+    # sigma pairs with the test velocity, or with the test pressure gradient
     sigma_y = w * m_y
-    sigma_u = np.pad(sigma_y, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    sigma = state_map_transpose(sigma_u, momentum_operator_transpose(sigma_y, g, setup.nu)[1], g)
+    sigma_psi = velocity_map_transpose(np.pad(sigma_y, ((0, 0), (0, 0), (1, 1), (1, 1))), g)
+    sigma_pr = pressure_gradient_transpose(sigma_y, g)
     big_sigma = adjoint_from_state(state, setup, model, w * m_k, None)
 
     rows = []
     for pair in test_bank:
         sig = big = 0.0
         if pair.psi is not None:
-            sig = dot(pair.psi, sigma.psi)
+            sig = dot(pair.psi, sigma_psi)
             big = dot(pair.psi, big_sigma.psi)
         if pair.pr is not None:
-            sig = dot(pair.pr, sigma.pr)
+            sig = dot(pair.pr, sigma_pr)
         rows.append((pair.label, sig, big))
     return rows

@@ -75,6 +75,16 @@ def read_meta(stem):
     return meta
 
 
+def _meta_value(meta, stem, key, convert):
+    """convert(meta[key]); a missing or malformed line raises ConfigurationError."""
+    if key not in meta:
+        raise ConfigurationError(f"{stem}.meta has no {key} line")
+    try:
+        return convert(meta[key])
+    except ValueError:
+        raise ConfigurationError(f"{stem}.meta: {key}={meta[key]!r} is not valid") from None
+
+
 def read_array(stem):
     """Read and checksum an array written by write_array; returns (values, grid, meta)."""
     meta = read_meta(stem)
@@ -83,14 +93,13 @@ def read_array(stem):
     if hashlib.sha256(payload).hexdigest() != meta.get("sha256"):
         raise ConfigurationError(
             f"checksum mismatch for {stem}: file is corrupt or was edited")
-    shape = tuple(int(s) for s in meta["shape"].split(","))
+    shape = _meta_value(meta, stem, "shape", lambda v: tuple(int(s) for s in v.split(",")))
     if 8 * math.prod(shape) != len(payload):
         raise ConfigurationError(
             f"shape {meta['shape']} of {stem} does not match its {len(payload)}-byte payload")
     values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    grid = GridSpec(
-        nx=int(meta["nx"]), ny=int(meta["ny"]), nt=int(meta["nt"]),
-        lx=float(meta["lx"]), ly=float(meta["ly"]), t_end=float(meta["t_end"]))
+    grid = GridSpec(**{key: _meta_value(meta, stem, key, int) for key in ("nx", "ny", "nt")},
+                    **{key: _meta_value(meta, stem, key, float) for key in ("lx", "ly", "t_end")})
     return values, grid, meta
 
 

@@ -245,18 +245,7 @@ def trapezoid_weights(ny, nx):
     return w
 
 
-def trapezoid_weights_2d(grid):
-    """Trapezoidal weights over the full spatial grid (shared, read-only)."""
-    return trapezoid_weights(grid.ny, grid.nx)
-
-
 def zero_mean_kernel(p, grid):
     """Subtract the trapezoidal spatial mean from each level of (t, ny, nx)."""
-    means = np.einsum("yx,tyx->t", trapezoid_weights_2d(grid), p)
+    means = np.einsum("yx,tyx->t", trapezoid_weights(grid.ny, grid.nx), p)
     return p - means[:, None, None]
-
-
-def zero_mean_transpose_kernel(pbar, grid):
-    """Transpose of zero_mean_kernel."""
-    tw = trapezoid_weights_2d(grid)
-    return pbar - tw[None] * pbar.sum(axis=(1, 2))[:, None, None]

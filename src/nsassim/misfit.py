@@ -9,17 +9,19 @@ sup-misfit is the same combination with maxima.  The gradient is the exact
 transpose of the assembly chain (differentiate-the-discretization): norm
 derivative -> dual weights -> observation derivatives and linearized
 momentum operator (including the advection linearization
-(u.D)du + (du.D)u) -> state-map transposes.  The p^-2 regularization
-channel is differentiated too, through the regularized pointwise
-magnitude; dropping it breaks finite-difference agreement for small
-fields.
+(u.D)du + (du.D)u) -> the velocity-map and pressure-gradient transposes.
+The p^-2 regularization channel is differentiated too, through the
+regularized pointwise magnitude; dropping it breaks finite-difference
+agreement for small fields.
 
 The chain has one array layout, the nse operators': interior nodes at
 levels 1..nt, component axis first.  The state, K, the residual, their
 dual weights and the cotangents all live in it; AssembledState builds its
-component-last fields only when the output stage reads them.  No stencil
-arithmetic lives here: the chain calls the nse operators and eval_K and
-its derivatives, each transpose the literal transpose of its forward map.
+component-last fields only when the output stage reads them.  The pressure
+enters only through nse.pressure_gradient of the control's pressure block;
+its field is built for output only.  No stencil arithmetic lives here: the
+chain calls the nse operators and eval_K and its derivatives, each
+transpose the literal transpose of its forward map.
 
 tangent_from_state is the forward-mode derivative of the chain along one
 control direction and adjoint_from_state its transpose for arbitrary
@@ -35,11 +37,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import VectorField, check_finite
-from .norms import PExponent, dual_factor, lp_norm_from_squares
+from .norms import PExponent, as_exponent, dual_factor, lp_norm_from_squares
 from .nse import (
-    PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
-    momentum_operator, momentum_operator_transpose, pressure_map, state_fields,
-    state_map_transpose, velocity_gradient, velocity_gradient_transpose, velocity_map,
+    ControlVector, PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
+    momentum_operator, momentum_operator_transpose, pressure_gradient,
+    pressure_gradient_transpose, pressure_map, state_fields, velocity_gradient,
+    velocity_gradient_transpose, velocity_map, velocity_map_transpose,
 )
 from .observation import ObsField, eval_K, eval_K_jvp, eval_K_vjp
 
@@ -70,7 +73,7 @@ class AssembledState:
 
     setup: PhysicsSetup
     u_full: np.ndarray      # velocity on the full grid, (2, nt, ny, nx)
-    p_full: np.ndarray      # pressure on the full grid, (nt, ny, nx)
+    pr: np.ndarray          # the control's pressure block, (nt, ny-2, nx-2)
     u_int: np.ndarray       # interior velocity, a view of u_full
     grad_u: np.ndarray      # its spatial gradient, (4, nt, ny-2, nx-2)
     misfit: np.ndarray      # observation misfit K, (N, nt, ny-2, nx-2)
@@ -105,7 +108,7 @@ class AssembledState:
 
     @cached_property
     def _fields(self):
-        return state_fields(self.u_full, self.p_full, self.setup)
+        return state_fields(self.u_full, pressure_map(self.pr, self.setup.grid), self.setup)
 
     u = property(lambda self: self._fields[0])
     p = property(lambda self: self._fields[1])
@@ -117,29 +120,29 @@ class AssembledState:
 def assemble_state(c, setup, model):
     """Run the forward chain once: state, residual, misfit.
 
-    Raises InvalidFieldError if the velocity, pressure, residual or misfit
-    is not finite.
+    Raises InvalidFieldError if the velocity, residual or misfit is not
+    finite; an overflowing pressure gradient shows in the residual.
     """
     g = setup.grid
     if c.grid != g or model.grid != g:
         raise ConfigurationError("control or observation grid does not match setup grid")
-    u, p = velocity_map(c.psi, g), pressure_map(c.pr, g)
+    u = velocity_map(c.psi, g)
     check_finite(u, "velocity")
-    check_finite(p, "pressure")
     u_int, grad_u = u[..., 1:-1, 1:-1], velocity_gradient(u, g)
-    y = momentum_operator(u, p, g, setup.nu, np.moveaxis(setup.u0[1:-1, 1:-1], -1, 0))
+    y = momentum_operator(u, g, setup.nu, np.moveaxis(setup.u0[1:-1, 1:-1], -1, 0))
+    y += pressure_gradient(c.pr, g)
     if setup.include_advection:
         y += advection(u_int, grad_u)
     y -= np.moveaxis(setup.f.values[1:, 1:-1, 1:-1], -1, 0)
     check_finite(y, "momentum residual")
     k = eval_K(u_int, grad_u, model)
     check_finite(k, "observation misfit")
-    return AssembledState(setup, u, p, u_int, grad_u, k, y, g.interior_weight())
+    return AssembledState(setup, u, c.pr, u_int, grad_u, k, y, g.interior_weight())
 
 
 def report_from_state(state, setup, p):
     """Misfit report at exponent p (finite or infinite) for assembled state."""
-    p = p if isinstance(p, PExponent) else PExponent(float(p))
+    p = as_exponent(p)
     # sqrt is monotone and correctly rounded: the largest magnitude, to the bit
     s_k, s_y = (float(np.sqrt(np.max(sq))) for sq in state.squared_magnitudes())
     if p.is_finite:
@@ -165,20 +168,20 @@ class Tangent:
 def tangent_from_state(state, setup, model, dc):
     """Derivative of (u, grad u, K, residual) at the assembled state along dc.
 
-    The state maps, then momentum_operator with a zero initial slice and
-    the advection linearized as (du.D)u + (u.D)du, then eval_K_jvp.
-    adjoint_from_state is its exact transpose.  A block of dc that is
-    identically zero moves nothing, so its state map is skipped.
+    velocity_map, then momentum_operator with a zero initial slice plus
+    pressure_gradient and the advection linearized as (du.D)u + (u.D)du,
+    then eval_K_jvp.  adjoint_from_state is its exact transpose.  A block
+    of dc that is identically zero moves nothing, so its map is skipped.
     """
     g = setup.grid
     u, gu = state.u_int, state.grad_u
-    v = velocity_map(dc.psi, g) if dc.psi.any() else None
-    # with both blocks zero the pressure map still runs, to give dy its shape
-    dp = pressure_map(dc.pr, g) if dc.pr.any() or v is None else None
-    dy = momentum_operator(v, dp, g, setup.nu)
-    if v is None:
-        du, dgrad = np.zeros(u.shape), np.zeros(gu.shape)
-        return Tangent(u=du, grad_u=dgrad, K=np.zeros((model.n,) + u.shape[1:]), y=dy)
+    if not dc.psi.any():
+        return Tangent(u=np.zeros(u.shape), grad_u=np.zeros(gu.shape),
+                       K=np.zeros((model.n,) + u.shape[1:]), y=pressure_gradient(dc.pr, g))
+    v = velocity_map(dc.psi, g)
+    dy = momentum_operator(v, g, setup.nu)
+    if dc.pr.any():
+        dy += pressure_gradient(dc.pr, g)
     du, dgrad = v[..., 1:-1, 1:-1], velocity_gradient(v, g)
     if setup.include_advection:
         dy += advection(du, gu)
@@ -196,7 +199,7 @@ def adjoint_from_state(state, setup, model, kbar, ybar):
     g = setup.grid
     u, gu = state.u_int, state.grad_u
     ybar = np.zeros(u.shape) if ybar is None else ybar
-    ubar, pbar = momentum_operator_transpose(ybar, g, setup.nu)
+    ubar = momentum_operator_transpose(ybar, g, setup.nu)
     gbar = np.zeros(gu.shape)
     if setup.include_advection:
         ubar[..., 1:-1, 1:-1] += advection_transpose_a(ybar, gu)
@@ -204,7 +207,7 @@ def adjoint_from_state(state, setup, model, kbar, ybar):
     if kbar is not None:
         eval_K_vjp(u, kbar, model, ubar[..., 1:-1, 1:-1], gbar)
     velocity_gradient_transpose(gbar, g, ubar)
-    return state_map_transpose(ubar, pbar, g)
+    return ControlVector(g, velocity_map_transpose(ubar, g), pressure_gradient_transpose(ybar, g))
 
 
 def gradient_from_state(state, setup, model, p):
@@ -214,7 +217,7 @@ def gradient_from_state(state, setup, model, p):
     by their misfit weights and the quadrature weight; passing either
     cotangent alone to adjoint_from_state gives that channel's gradient.
     """
-    p = p if isinstance(p, PExponent) else PExponent(float(p))
+    p = as_exponent(p)
     if not p.is_finite:
         raise ConfigurationError("the sup-misfit is not differentiable; use finite p")
     w = state.weight

@@ -57,10 +57,9 @@ def dot(a, b):
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def _as_p(p):
-    if isinstance(p, PExponent):
-        return p
-    return PExponent(float(p))
+def as_exponent(p):
+    """p as a PExponent: a PExponent passes through, a number is converted."""
+    return p if isinstance(p, PExponent) else PExponent(float(p))
 
 
 @dataclass
@@ -111,7 +110,7 @@ def reg_abs(v, p):
     v is a single vector or an (n, m) batch; the result is a scalar or an
     array of per-row magnitudes.  Always at least 1/p.
     """
-    p = _as_p(p)
+    p = as_exponent(p)
     if not p.is_finite:
         raise ConfigurationError("reg_abs requires a finite exponent")
     v = np.asarray(v, dtype=np.float64)
@@ -157,7 +156,7 @@ def dotted_lp_norm(h, p):
     The largest magnitude among positively weighted samples is factored out
     (see lp_norm_from_magnitudes).  The result is at least 1/p.
     """
-    p = _as_p(p)
+    p = as_exponent(p)
     if not p.is_finite:
         raise ConfigurationError("dotted_lp_norm requires a finite exponent")
     r = reg_abs(h.values, p)
@@ -177,7 +176,7 @@ def dual_weight(h, p):
     The output carries the same weights and lies in the unit ball of the
     averaged conjugate-exponent norm.
     """
-    p = _as_p(p)
+    p = as_exponent(p)
     if not p.is_finite:
         raise ConfigurationError("dual_weight requires a finite exponent")
     r = reg_abs(h.values, p)
@@ -192,7 +191,7 @@ def holder_gap(q, p):
     For 1 <= q <= p the q-norm exceeds the p-norm by at most this amount;
     p may be infinite, in which case the gap is 1/q.
     """
-    q, p = _as_p(q), _as_p(p)
+    q, p = as_exponent(q), as_exponent(p)
     if q.value > p.value:
         raise ConfigurationError(f"need q <= p, got q={q.value}, p={p.value}")
     p_term = 0.0 if not p.is_finite else p.value ** -2

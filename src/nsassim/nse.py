@@ -12,9 +12,11 @@ The residual and all norms over the space-time domain are evaluated on
 interior nodes at levels 1..nt only, with uniform quadrature weights;
 one-sided boundary stencils never enter the misfit directly.
 
-The momentum expression has one implementation, momentum_operator plus
-advection, each linear map followed by its transpose; the assembly, the
-tangent, the adjoint and the reference solver all call them.
+The momentum expression has one implementation: momentum_operator on the
+velocity, pressure_gradient on the control's pressure block and advection,
+each linear map followed by its transpose; the assembly, the tangent, the
+adjoint and the reference solver all call them.  The pressure field itself
+(pressure_map) is built only for output and field-level checks.
 """
 
 from dataclasses import dataclass
@@ -25,8 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidFieldError, SolverError
 from .grid import (
     GridSpec, ScalarField, VectorField, curl_kernel, divergence_kernel,
-    gradient_kernel, trapezoid_weights, zero_boundary_ring, zero_mean_kernel,
-    zero_mean_transpose_kernel, _d1_matrix,
+    gradient_kernel, trapezoid_weights, zero_boundary_ring, zero_mean_kernel, _d1_matrix,
 )
 from .norms import dot
 
@@ -36,11 +37,10 @@ def extend_interior(levels, grid):
 
     Boundary values are second-order extrapolations, so centered first
     derivatives of the extended field at interior nodes coincide with
-    one-sided interior-only stencils.  Each end row is 3a0 - 3a1 + a2 of
-    the three nearest interior rows; the end columns are then extrapolated
-    the same way over the full height, so a corner combines both
-    directions.  The work is O(1) per node, and extend_interior_transpose
-    is the exact transpose.
+    one-sided interior-only stencils: pressure_gradient.  Each end row is
+    3a0 - 3a1 + a2 of the three nearest interior rows; the end columns are
+    then extrapolated the same way over the full height, so a corner
+    combines both directions.  The work is O(1) per node.
     """
     out = np.empty((levels.shape[0], grid.ny, grid.nx))
     out[:, 1:-1, 1:-1] = levels
@@ -49,29 +49,6 @@ def extend_interior(levels, grid):
     out[..., 0] = 3.0 * out[..., 1] - 3.0 * out[..., 2] + out[..., 3]
     out[..., -1] = out[..., -4] - 3.0 * out[..., -3] + 3.0 * out[..., -2]
     return out
-
-
-def extend_interior_transpose(levels_bar, grid):
-    """Transpose of extend_interior: (nt, ny, nx) -> (nt, ny-2, nx-2).
-
-    The steps of extend_interior in reverse: each end column is folded onto
-    the three columns it was extrapolated from, in the interior rows and in
-    the two end rows, and then each end row onto its three interior rows.
-    """
-    w = np.array([3.0, -3.0, 1.0])  # first end; the last end reads them reversed
-    out = levels_bar[:, 1:-1, 1:-1].copy()
-    ends = levels_bar[:, ::grid.ny - 1, 1:-1].copy()  # rows 0 and ny-1
-    for dst, src in ((out, levels_bar[:, 1:-1]), (ends, levels_bar[:, ::grid.ny - 1])):
-        dst[..., :3] += src[..., :1] * w
-        dst[..., -3:] += src[..., -1:] * w[::-1]
-    out[:, :3] += ends[:, :1] * w[:, None]
-    out[:, -3:] += ends[:, 1:] * w[::-1, None]
-    return out
-
-
-def interior_trapezoid_weights(grid):
-    """Trapezoidal weights over the interior subgrid (shared, read-only)."""
-    return trapezoid_weights(grid.ny - 2, grid.nx - 2)
 
 
 @dataclass
@@ -110,7 +87,7 @@ class ControlVector:
 
     def normalized(self):
         """Remove the per-level trapezoidal mean from the pressure block."""
-        w = interior_trapezoid_weights(self.grid)
+        w = trapezoid_weights(self.grid.ny - 2, self.grid.nx - 2)
         means = np.einsum("yx,tyx->t", w, self.pr)
         return ControlVector(self.grid, self.psi.copy(), self.pr - means[:, None, None])
 
@@ -181,12 +158,22 @@ def state_from_control(c, setup):
 def state_fields(u, p, setup):
     """Velocity and pressure fields over all levels from levels 1..nt.
 
-    u (2, nt, ny, nx), component axis first, and p (nt, ny, nx) are the
-    state maps' values; level 0 holds setup.u0 and zero pressure.
+    u (2, nt, ny, nx), component axis first, and p (nt, ny, nx) are values
+    of velocity_map and pressure_map; level 0 holds setup.u0 and zero
+    pressure.
     """
     u = np.concatenate([setup.u0[None], np.moveaxis(u, 0, -1)])
     p = np.pad(p, ((1, 0), (0, 0), (0, 0)))
     return VectorField(setup.grid, u), ScalarField(setup.grid, p)
+
+
+def pressure_map(pr, grid):
+    """Pressure at levels 1..nt from the pressure block (linear).
+
+    The extension to the boundary minus the trapezoidal mean per level; its
+    centred gradient at interior nodes is pressure_gradient(pr).
+    """
+    return zero_mean_kernel(extend_interior(pr, grid), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +194,6 @@ def velocity_map(psi, grid):
     return u
 
 
-def pressure_map(pr, grid):
-    """Pressure at levels 1..nt from the pressure block (linear).
-
-    The extension to the boundary minus the trapezoidal mean per level.
-    """
-    return zero_mean_kernel(extend_interior(pr, grid), grid)
-
-
 def velocity_map_transpose(ubar, grid):
     """Transpose of velocity_map: (2, nt, ny, nx) -> (nt, ny-4, nx-4).
 
@@ -223,16 +202,6 @@ def velocity_map_transpose(ubar, grid):
     """
     d1x, d1y = grid.d1x()[1:-1, 2:-2], grid.d1y()[1:-1, 2:-2]
     return d1y.T @ ubar[0, :, 1:-1, 2:-2] - ubar[1, :, 2:-2, 1:-1] @ d1x
-
-
-def state_map_transpose(ubar, pbar, grid):
-    """Transpose of velocity_map and pressure_map: cotangents -> control.
-
-    ubar (2, nt, ny, nx) and pbar (nt, ny, nx) are full-grid cotangents of
-    the velocity and pressure at levels 1..nt.
-    """
-    pr_bar = extend_interior_transpose(zero_mean_transpose_kernel(pbar, grid), grid)
-    return ControlVector(grid, velocity_map_transpose(ubar, grid), pr_bar)
 
 
 def velocity_gradient(u, grid):
@@ -257,38 +226,32 @@ def velocity_gradient_transpose(gbar, grid, ubar):
     return ubar
 
 
-def momentum_operator(u, p, grid, nu, u_init=None):
-    """Linear momentum terms D_t u - nu Lap u + grad p at interior nodes.
+def momentum_operator(u, grid, nu, u_init=None):
+    """Linear velocity terms D_t u - nu Lap u of the momentum at interior nodes.
 
-    u (2, ..., nt, ny, nx) and p (..., nt, ny, nx) are velocity and
-    pressure at levels 1..nt on the full grid; either may be None for zero,
-    not both.  D_t is the backward time difference along the level axis,
+    u (2, ..., nt, ny, nx) is the velocity at levels 1..nt on the full
+    grid.  D_t is the backward time difference along the level axis,
     u_init (2, ..., ny-2, nx-2) the interior slice before level 1 (zero when
     None).  Returns (2, ..., nt, ny-2, nx-2).
     """
-    lead = (p if u is None else u[0]).shape[:-2]
-    out = np.zeros((2,) + lead + (grid.ny - 2, grid.nx - 2))
-    if u is not None:
-        ui = u[..., 1:-1, 1:-1]
-        np.subtract(ui[..., 1:, :, :], ui[..., :-1, :, :], out=out[..., 1:, :, :])
-        out[..., 0, :, :] = ui[..., 0, :, :] if u_init is None else ui[..., 0, :, :] - u_init
-        out /= grid.dt
-        lap = u[..., 1:-1, :] @ grid.d2x()[1:-1].T
-        lap += grid.d2y()[1:-1] @ u[..., 1:-1]
-        lap *= nu
-        out -= lap
-    if p is not None:
-        out[0] += p[..., 1:-1, :] @ grid.d1x()[1:-1].T
-        out[1] += grid.d1y()[1:-1] @ p[..., 1:-1]
+    ui = u[..., 1:-1, 1:-1]
+    out = np.empty(ui.shape)
+    np.subtract(ui[..., 1:, :, :], ui[..., :-1, :, :], out=out[..., 1:, :, :])
+    out[..., 0, :, :] = ui[..., 0, :, :] if u_init is None else ui[..., 0, :, :] - u_init
+    out /= grid.dt
+    lap = u[..., 1:-1, :] @ grid.d2x()[1:-1].T
+    lap += grid.d2y()[1:-1] @ u[..., 1:-1]
+    lap *= nu
+    out -= lap
     return out
 
 
 def momentum_operator_transpose(ybar, grid, nu):
-    """Transpose of momentum_operator in (u, p) with a zero u_init.
+    """Transpose of momentum_operator with a zero u_init.
 
-    ybar (2, ..., nt, ny-2, nx-2) -> full-grid cotangents ubar
-    (2, ..., nt, ny, nx) and pbar (..., nt, ny, nx).  Level k of the
-    velocity feeds the time differences of levels k and k+1.
+    ybar (2, ..., nt, ny-2, nx-2) -> the full-grid velocity cotangent
+    (2, ..., nt, ny, nx).  Level k of the velocity feeds the time
+    differences of levels k and k+1.
     """
     lead = ybar.shape[1:-2]
     ubar = np.zeros((2,) + lead + (grid.ny, grid.nx))
@@ -298,10 +261,24 @@ def momentum_operator_transpose(ybar, grid, nu):
     ui = ubar[..., 1:-1, 1:-1]
     ui += s
     ui[..., :-1, :, :] -= s[..., 1:, :, :]
-    pbar = np.zeros(lead + (grid.ny, grid.nx))
-    np.matmul(ybar[0], grid.d1x()[1:-1], out=pbar[..., 1:-1, :])
-    pbar[..., 1:-1] += grid.d1y()[1:-1].T @ ybar[1]
-    return ubar, pbar
+    return ubar
+
+
+def pressure_gradient(pr, grid):
+    """G pr: the gradient of the pressure block at interior nodes (linear).
+
+    pr (..., ny-2, nx-2) -> (2, ..., ny-2, nx-2), with G the first-derivative
+    matrices of the interior subgrid, one-sided at its ends.  Equal to the
+    centred gradient of pressure_map(pr) at interior nodes, up to round-off.
+    """
+    dy, dx = _pressure_gradient_factors(grid)[:2]
+    return np.stack([pr @ dx.T, dy @ pr])
+
+
+def pressure_gradient_transpose(v, grid):
+    """Transpose of pressure_gradient: (2, ..., ny-2, nx-2) -> (..., ny-2, nx-2)."""
+    dy, dx = _pressure_gradient_factors(grid)[:2]
+    return v[0] @ dx + dy.T @ v[1]
 
 
 def advection(a, grad_b):
@@ -334,8 +311,10 @@ def _momentum_terms(u, p, setup, u0):
     """Every momentum term except the forcing, interior nodes, levels 1..nt.
 
     u and p are full-grid fields; the result is (nt, ny-2, nx-2, 2), the
-    component axis last: momentum_operator plus the advection (u.D)u.  The
-    initial slice of the time difference is u0, default setup.u0.
+    component axis last: momentum_operator, the centred gradient of the
+    given pressure (a manufactured field carries its own boundary values)
+    and the advection (u.D)u.  The initial slice of the time difference is
+    u0, default setup.u0.
     """
     g = setup.grid
     if u.grid != g or p.grid != g:
@@ -344,8 +323,10 @@ def _momentum_terms(u, p, setup, u0):
         u0 = setup.u0
     elif u0.shape != (g.ny, g.nx, 2):
         raise ConfigurationError(f"u0 shape {u0.shape} != {(g.ny, g.nx, 2)}")
-    uv = np.moveaxis(u.values[1:], -1, 0)
-    out = momentum_operator(uv, p.values[1:], g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
+    uv, pv = np.moveaxis(u.values[1:], -1, 0), p.values[1:]
+    out = momentum_operator(uv, g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
+    out[0] += pv[..., 1:-1, :] @ g.d1x()[1:-1].T
+    out[1] += g.d1y()[1:-1] @ pv[..., 1:-1]
     if setup.include_advection:
         out += advection(uv[..., 1:-1, 1:-1], velocity_gradient(uv, g))
     return np.moveaxis(out, 0, -1)
@@ -428,16 +409,10 @@ def _curl_gram_factors(grid):
     return _fast_diagonalization(d1y, d1x, null_mode=False)
 
 
-def _pressure_gradient(pr, grid):
-    """G pr, equal to momentum_operator(None, pressure_map(pr)) at interior nodes."""
-    dy, dx = _pressure_gradient_factors(grid)[:2]
-    return np.stack([pr @ dx.T, dy @ pr])
-
-
 def _pressure_fit(v, grid):
     """(G^T G)^+ G^T v: the minimum-norm pressure whose gradient best fits v."""
-    dy, dx, *factors = _pressure_gradient_factors(grid)
-    return _diagonalized_solve(v[0] @ dx + dy.T @ v[1], *factors)
+    return _diagonalized_solve(pressure_gradient_transpose(v, grid),
+                               *_pressure_gradient_factors(grid)[2:])
 
 
 def _level_lstsq(psi, b, a, setup):
@@ -455,18 +430,18 @@ def _level_lstsq(psi, b, a, setup):
 
     def apply(x):  # P A x
         u = velocity_map(x, g)
-        y = momentum_operator(u, None, g, nu)
+        y = momentum_operator(u, g, nu)
         if a is not None:
             y += advection(a, velocity_gradient(u, g))
-        return y - _pressure_gradient(_pressure_fit(y, g), g)
+        return y - pressure_gradient(_pressure_fit(y, g), g)
 
     def apply_transpose(y):  # A^T y
-        ubar = momentum_operator_transpose(y, g, nu)[0]
+        ubar = momentum_operator_transpose(y, g, nu)
         if a is not None:
             velocity_gradient_transpose(advection_transpose_grad_b(y, a), g, ubar)
         return velocity_map_transpose(ubar, g)
 
-    r = b - _pressure_gradient(_pressure_fit(b, g), g)  # P b
+    r = b - pressure_gradient(_pressure_fit(b, g), g)  # P b
     s = apply_transpose(r)
     stop = _CGLS_TOL ** 2 * dot(s, s)
     r -= apply(psi)
@@ -530,7 +505,7 @@ def reference_solve(setup, tol_ref=None, advection_sweeps=3):
             u_adv = velocity_map(psi[k:k + 1], g)
 
     u = velocity_map(psi[1:], g)
-    target = f[:, 1:] - momentum_operator(u, None, g, setup.nu, u0[:, 0, 1:-1, 1:-1])
+    target = f[:, 1:] - momentum_operator(u, g, setup.nu, u0[:, 0, 1:-1, 1:-1])
     if setup.include_advection:
         target -= advection(u[..., 1:-1, 1:-1], velocity_gradient(u, g))
     control = ControlVector(g, psi[1:], _pressure_fit(target, g)).normalized()

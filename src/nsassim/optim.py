@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidFieldError
 from .misfit import assemble_state, gradient_from_state, report_from_state
-from .norms import PExponent, dot
+from .norms import PExponent, as_exponent, dot
 from .nse import ControlVector
 
 
@@ -117,7 +117,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     the result as stalled and returns the best point found so far.
     """
     opts = opts or OptimOptions()
-    p = p if isinstance(p, PExponent) else PExponent(float(p))
+    p = as_exponent(p)
     grid = setup.grid
     sv = preconditioner_scales(grid)
 

@@ -8,7 +8,8 @@ from nsassim.diagnostics import (
     sigma_infty_support_check,
 )
 from nsassim.grid import (
-    GridSpec, VectorField, apply_x, apply_y, curl_kernel, gradient_kernel, zero_boundary_ring,
+    GridSpec, VectorField, apply_x, apply_y, curl_kernel, gradient_kernel, trapezoid_weights,
+    zero_boundary_ring,
 )
 from nsassim.misfit import assemble_state
 from nsassim.norms import PExponent, reg_abs
@@ -189,8 +190,7 @@ class TestElResidual:
         assert len(bank) == 12
         assert sum(1 for b in bank if b.psi is not None) == 8
         assert sum(1 for b in bank if b.pr is not None) == 4
-        from nsassim.nse import interior_trapezoid_weights
-        w = interior_trapezoid_weights(g)
+        w = trapezoid_weights(g.ny - 2, g.nx - 2)
         for b in bank:
             if b.pr is not None:
                 means = np.einsum("yx,tyx->t", w, b.pr)

@@ -89,3 +89,18 @@ def test_dof_array_round_trip(tmp_path, grid):
     values, back_grid, meta = fieldio.read_array(stem)
     assert np.array_equal(values, dofs)
     assert back_grid == grid
+
+
+@pytest.mark.parametrize("key, line", [("shape", None), ("nx", None), ("lx", None),
+                                       ("nt", "nt=x"), ("t_end", "t_end=late"),
+                                       ("shape", "shape=4,6,seven")])
+def test_malformed_sidecar_names_stem_and_key(tmp_path, grid, key, line):
+    # a missing line or a non-numeric value is a ConfigurationError naming
+    # the stem and the key, not a bare KeyError or ValueError
+    stem = tmp_path / "sidecar"
+    fieldio.write_scalar_field(stem, ScalarField.zeros(grid))
+    meta = tmp_path / "sidecar.meta"
+    lines = [ln for ln in meta.read_text().splitlines() if not ln.startswith(key + "=")]
+    meta.write_text("\n".join(lines + ([line] if line else [])) + "\n")
+    with pytest.raises(ConfigurationError, match=f"sidecar.*{key}"):
+        fieldio.read_scalar_field(stem)

@@ -345,6 +345,17 @@ def test_overflowing_control_is_invalid_for_every_kind():
             assemble_state(c, setup_for(g, advection=False), model)
 
 
+def test_overflowing_pressure_gradient_is_invalid():
+    # a pressure block of 1e308 is finite, but its gradient overflows: the
+    # residual is not finite, and the assembly says so
+    g = grid()
+    c = ControlVector(g, np.zeros((g.nt, g.ny - 4, g.nx - 4)),
+                      np.full((g.nt, g.ny - 2, g.nx - 2), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidFieldError, match="residual"):
+            assemble_state(c, setup_for(g), noisy_model(g))
+
+
 def test_gradient_is_adjoint_of_scaled_dual_weights():
     g = grid()
     rng = np.random.default_rng(4)
@@ -368,7 +379,7 @@ from nsassim.observation import synth_data
 from nsassim.optim import OptimOptions, minimize_E_p
 
 digest = hashlib.sha256()
-for n in (16, 32):
+for n in (16, 32, 48):
     g = GridSpec(n, n, 3 * n // 4, 1.0, 1.0, 0.36)
     setup = PhysicsSetup(grid=g, nu=0.002, lam=0.5, f=forcing_preset(g, "swirl", 0.1),
                          u0=initial_velocity_preset(g, "vortex", 0.15))
@@ -393,9 +404,10 @@ print(digest.hexdigest())
 
 
 def test_hot_path_bits_independent_of_blas_threads():
-    # assemble_state, gradient_from_state and three L-BFGS steps at 16^2
-    # and 32^2, and the reference-solve truth at 16^2, 24^2 and 64^2 (where
-    # OpenBLAS threads dgemm), hash the same under one and two OpenBLAS threads
+    # assemble_state, gradient_from_state and three L-BFGS steps at 16^2,
+    # 32^2 and 48^2 (the assim-48 grid), and the reference-solve truth at
+    # 16^2, 24^2 and 64^2 (where OpenBLAS threads dgemm), hash the same
+    # under one and two OpenBLAS threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(nsassim.__file__)))
     digests = []
     for threads in ("1", "2"):
