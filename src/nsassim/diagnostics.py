@@ -18,9 +18,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import trapezoid_weights
-from .misfit import AssembledState, adjoint_from_state, assemble_state, tangent_from_state
+from .misfit import AssembledState, adjoint_from_state, assemble_state
 from .norms import as_exponent, dot, dual_factor, lp_norm_from_squares, magnitudes
-from .nse import ControlVector, pressure_gradient_transpose, velocity_map_transpose
+from .nse import (
+    advection, momentum_operator, pressure_gradient, pressure_gradient_transpose,
+    velocity_gradient, velocity_map, velocity_map_transpose,
+)
+from .observation import eval_K_jvp
 
 
 @dataclass
@@ -86,18 +90,20 @@ def concentration_mass(measure, eps):
     return measure.mass_on(measure.field_magnitudes < peak - eps)
 
 
-def density_bound_check(y_field, p, eps, sup_proxy=None):
+def density_bound_check(y, p, eps, sup_proxy=None):
     """Closed-form density estimate for the residual measure.
 
-    With M the sup-norm stand-in (by default the field's own maximum), the
-    sub-level set A = {|y| <= M - eps} must satisfy
+    y is the residual VectorField, or its measure build_sigma(y_field, p)
+    at the same p, which is then not rebuilt.  With M the sup-norm stand-in
+    (by default the field's own maximum), the sub-level set
+    A = {|y| <= M - eps} must satisfy
 
         mass(A) / volume(A)  <=  (1 - eps/(2M - eps))^(p-1).
 
     Returns (lhs, rhs, passed) with passed allowing 1e-8 relative slack.
     """
     p = as_exponent(p)
-    measure = build_sigma(y_field, p)
+    measure = y if isinstance(y, DiscreteMeasure) else build_sigma(y, p)
     m_sup = float(measure.field_magnitudes.max()) if sup_proxy is None else float(sup_proxy)
     if not (0.0 < eps < m_sup):
         raise ConfigurationError(f"need 0 < eps < M={m_sup}, got {eps}")
@@ -130,13 +136,30 @@ def sigma_infty_support_check(measure, tol):
 @dataclass
 class TestPair:
     """One admissible test direction: a stream-function block, a pressure
-    block, or both.  Arrays are DOF-shaped like ControlVector blocks."""
+    block, or both.
+
+    The stream-function block is time-separable, profile (x) shape: a time
+    profile over levels 1..nt times one spatial shape on the free
+    stream-function nodes.  pr is DOF-shaped like ControlVector.pr.
+    """
 
     __test__ = False  # domain object, not a pytest case
 
     label: str
-    psi: np.ndarray = None   # (nt, ny-4, nx-4) or None
-    pr: np.ndarray = None    # (nt, ny-2, nx-2) or None
+    profile: np.ndarray = None  # (nt,) or None
+    shape: np.ndarray = None    # (ny-4, nx-4) or None
+    pr: np.ndarray = None       # (nt, ny-2, nx-2) or None
+
+    def __post_init__(self):
+        if (self.profile is None) != (self.shape is None):
+            raise ConfigurationError(f"test pair {self.label!r}: profile and shape go together")
+
+    @property
+    def psi(self):
+        """The stream-function block profile (x) shape, (nt, ny-4, nx-4), or None."""
+        if self.profile is None:
+            return None
+        return self.profile[:, None, None] * self.shape[None]
 
 
 def default_test_bank(grid):
@@ -164,8 +187,7 @@ def default_test_bank(grid):
     ]
     for name, shape in shapes:
         for tname, prof in (("ramp", ramp), ("swell", swell)):
-            psi = prof[:, None, None] * shape[None]
-            bank.append(TestPair(label=f"{name}-{tname}", psi=psi))
+            bank.append(TestPair(label=f"{name}-{tname}", profile=prof, shape=shape))
 
     wi = trapezoid_weights(grid.ny - 2, grid.nx - 2)
     press_shapes = [
@@ -186,22 +208,59 @@ def _assembled(state, setup, model):
     return state if isinstance(state, AssembledState) else assemble_state(state, setup, model)
 
 
+def _level_pairings(state, setup, model, m_k, m_y, shape):
+    """Per-level pairings of the tangent along profile (x) shape, any profile.
+
+    The state maps act level by level, so velocity_map and
+    velocity_gradient run on the one-level shape only: along the direction
+    a (x) shape, the tangent velocity at level t is a_t V and its gradient
+    a_t Gamma.  The residual tangent is d_t V + a_t Z_t, with d the backward
+    difference of a over dt (zero before level 1) and Z_t the viscous term
+    -nu Lap V plus the advection linearized as (V.D)u_t + (u_t.D)V.  The
+    misfit tangent is a_t J_t with J = eval_K_jvp(u, V, Gamma), pointwise
+    linear in the direction.  Only Z and J meet the state at full size.
+
+    Returns (|V|^2, |Gamma|^2, rows) with rows the per-level pairings
+    <J_t, m_K,t>, <Z_t, m_y,t>, <V, m_y,t>, |Z_t|^2 and <Z_t, V>, from which
+    el_residual forms the pairing and the scale of every profile.
+    """
+    g = setup.grid
+    u, gu = state.u_int, state.grad_u
+    v = velocity_map(shape[None], g)
+    vi, gam = v[..., 1:-1, 1:-1], velocity_gradient(v, g)
+    # with its own level as the initial slice the time difference vanishes: -nu Lap V
+    z = momentum_operator(v, g, setup.nu, vi[:, 0])
+    if setup.include_advection:
+        z = z + advection(vi, gu)
+        z += advection(u, gam)
+    z = np.broadcast_to(z, m_y.shape)
+    j = np.broadcast_to(eval_K_jvp(u, vi, gam, model), m_k.shape)
+    vb = np.broadcast_to(vi, m_y.shape)
+    rows = [np.einsum("ctyx,ctyx->t", x, y)
+            for x, y in ((j, m_k), (z, m_y), (vb, m_y), (z, z), (z, vb))]
+    return dot(vi, vi), dot(gam, gam), rows
+
+
 def el_residual(state, p, setup, model, test_bank=None):
     """Stationarity defect paired against the test bank.
 
     state is the minimizer's AssembledState, or its ControlVector.
     For every velocity-type pair the defect pairs the chain's tangent along
-    the pair (misfit.tangent_from_state) with the dual weights: the
-    observation channel (1-lam) w <dK, m_K> plus the residual channel
-    lam w <dy, m_y>, where dy is the linearized momentum operator (time
-    difference with zero initial slice, implicit diffusion, advection
-    linearized around the minimizer).
+    the pair with the dual weights: the observation channel
+    (1-lam) w <dK, m_K> plus the residual channel lam w <dy, m_y>, where dy
+    is the linearized momentum operator (time difference with zero initial
+    slice, implicit diffusion, advection linearized around the minimizer).
     For pressure-type pairs it is the pairing w <dy, m_y> of the test
     pressure gradient against the residual dual weights.  Both are
     normalized by the quadrature norm of the tangent's fields.  At a
     computed minimizer they are small, but they need not shrink in
     proportion to the optimizer tolerance: the fixed bank directions pick
     up a varying share of the remaining gradient.
+
+    The velocity tangent is never formed: _level_pairings reduces it per
+    level once per shape, and consecutive pairs sharing a shape array (the
+    default bank's two profiles) reuse those sums.  The result equals the
+    pairing of misfit.tangent_from_state along pair.psi to round-off.
     """
     g = setup.grid
     if test_bank is None:
@@ -213,21 +272,26 @@ def el_residual(state, p, setup, model, test_bank=None):
     w = state.weight
     m_k, m_y = state.dual_weights(p)
     lam = setup.lam
-    zero = ControlVector.zeros(g)
 
     r_momentum = 0.0
     r_pressure = 0.0
+    shape = None
     for pair in test_bank:
-        if pair.psi is not None:
-            t = tangent_from_state(state, setup, model, ControlVector(g, pair.psi, zero.pr))
-            pairing = (1.0 - lam) * w * dot(t.K, m_k) + lam * w * dot(t.y, m_y)
-            scale = math.sqrt(w * (dot(t.u, t.u) + dot(t.grad_u, t.grad_u)
-                                   + dot(t.y, t.y)))
-            r_momentum = max(r_momentum, abs(pairing) / max(scale, 1e-30))
+        if pair.profile is not None:
+            if pair.shape is not shape:
+                shape = pair.shape
+                vv, gg, (jm, zm, vm, zz, zv) = _level_pairings(state, setup, model,
+                                                               m_k, m_y, shape)
+            a = pair.profile
+            d = np.diff(a, prepend=0.0) / g.dt
+            pairing = (1.0 - lam) * w * dot(a, jm) + lam * w * (dot(a, zm) + dot(d, vm))
+            # |du|^2 + |dgrad|^2 + |dy|^2, with dy_t = d_t V + a_t Z_t
+            sq = dot(a, a) * (vv + gg) + dot(a * a, zz) + 2.0 * dot(a * d, zv) + dot(d, d) * vv
+            r_momentum = max(r_momentum, abs(pairing) / max(math.sqrt(w * sq), 1e-30))
         if pair.pr is not None:
-            t = tangent_from_state(state, setup, model, ControlVector(g, zero.psi, pair.pr))
-            scale = math.sqrt(w * dot(t.y, t.y))
-            r_pressure = max(r_pressure, abs(w * dot(t.y, m_y)) / max(scale, 1e-30))
+            dy = pressure_gradient(pair.pr, g)
+            scale = math.sqrt(w * dot(dy, dy))
+            r_pressure = max(r_pressure, abs(w * dot(dy, m_y)) / max(scale, 1e-30))
     return r_momentum, r_pressure
 
 
@@ -258,9 +322,10 @@ def bank_pairings(state, p, setup, model, test_bank=None):
     rows = []
     for pair in test_bank:
         sig = big = 0.0
-        if pair.psi is not None:
-            sig = dot(pair.psi, sigma_psi)
-            big = dot(pair.psi, big_sigma.psi)
+        psi = pair.psi
+        if psi is not None:
+            sig = dot(psi, sigma_psi)
+            big = dot(psi, big_sigma.psi)
         if pair.pr is not None:
             sig = dot(pair.pr, sigma_pr)
         rows.append((pair.label, sig, big))

@@ -125,7 +125,7 @@ def run_twin(cfg, out_dir=None, plots=None, log=print):
                  for frac in (0.05, 0.1, 0.2)]
         eps = 0.2 * m_proxy
         if m_proxy > 0.0 and (sigma.field_magnitudes <= m_proxy - eps).any():
-            lhs, rhs, _ = density_bound_check(state.y, st.p, eps, sup_proxy=m_proxy)
+            lhs, rhs, _ = density_bound_check(sigma, st.p, eps, sup_proxy=m_proxy)
         else:
             # vacuous: zero residual, or no cell below the threshold
             lhs, rhs = 0.0, 1.0

@@ -11,7 +11,7 @@ from nsassim.grid import (
     GridSpec, VectorField, apply_x, apply_y, curl_kernel, gradient_kernel, trapezoid_weights,
     zero_boundary_ring,
 )
-from nsassim.misfit import assemble_state
+from nsassim.misfit import assemble_state, tangent_from_state
 from nsassim.norms import PExponent, reg_abs
 from nsassim.nse import (
     ControlVector, PhysicsSetup, extend_interior, forcing_preset, initial_velocity_preset,
@@ -140,6 +140,16 @@ class TestDensityBound:
             lhs, rhs, ok = density_bound_check(vec_field(vals), p, 0.3)
             assert ok, (p, lhs, rhs)
 
+    @pytest.mark.parametrize("p", [2.0, 16.0, 128.0])
+    def test_measure_input_matches_field(self, p):
+        # the residual measure built at the same p is not rebuilt
+        rng = np.random.default_rng(6)
+        y = vec_field(rng.standard_normal((3, 6, 6, 2)))
+        m_sup = float(build_sigma(y, p).field_magnitudes.max())
+        for eps, proxy in ((0.3 * m_sup, None), (0.5, 1.1 * m_sup)):
+            assert density_bound_check(build_sigma(y, p), p, eps, proxy) \
+                == density_bound_check(y, p, eps, proxy)
+
 
 class TestSupportFraction:
     def test_constant_field_full_support(self):
@@ -174,10 +184,20 @@ def sanity_problem():
 class TestElResidual:
     def test_zero_pair_gives_zero(self):
         g, setup, model = sanity_problem()
-        bank = [TestPair("zero", psi=np.zeros((g.nt, g.ny - 4, g.nx - 4)),
+        bank = [TestPair("zero", profile=np.zeros(g.nt), shape=np.zeros((g.ny - 4, g.nx - 4)),
                          pr=np.zeros((g.nt, g.ny - 2, g.nx - 2)))]
         rm, rp = el_residual(ControlVector.zeros(g), 2.0, setup, model, bank)
         assert rm == 0.0 and rp == 0.0
+
+    def test_pair_psi_is_derived(self):
+        g = GridSpec(nx=10, ny=10, nt=4, t_end=0.3)
+        pair = default_test_bank(g)[0]
+        with pytest.raises(AttributeError):
+            pair.psi = np.zeros((g.nt, g.ny - 4, g.nx - 4))
+        with pytest.raises(ConfigurationError):
+            TestPair("half", profile=pair.profile)
+        with pytest.raises(ConfigurationError):
+            TestPair("half", shape=pair.shape)
 
     def test_empty_bank_rejected(self):
         g, setup, model = sanity_problem()
@@ -189,6 +209,10 @@ class TestElResidual:
         bank = default_test_bank(g)
         assert len(bank) == 12
         assert sum(1 for b in bank if b.psi is not None) == 8
+        for b in bank:
+            if b.psi is not None:
+                assert b.psi.shape == (g.nt, g.ny - 4, g.nx - 4)
+                assert np.array_equal(b.psi, b.profile[:, None, None] * b.shape[None])
         assert sum(1 for b in bank if b.pr is not None) == 4
         w = trapezoid_weights(g.ny - 2, g.nx - 2)
         for b in bank:
@@ -313,7 +337,7 @@ def test_diagnostics_match_direct_per_direction_evaluation(kind, advection):
     bank = default_test_bank(setup.grid)
     # one pair with both blocks: el_residual pairs them separately, and the
     # pressure pairing takes the sigma column
-    bank.append(TestPair("both", psi=bank[0].psi, pr=bank[-1].pr))
+    bank.append(TestPair("both", profile=bank[0].profile, shape=bank[0].shape, pr=bank[-1].pr))
     (r_mom, r_pr), rows = direct_bank_evaluation(c, 4.0, setup, model, bank)
 
     def close(a, b):
@@ -344,3 +368,45 @@ def test_measures_equal_state_dual_weights(kind, p):
     sq_k, sq_y = state.squared_magnitudes()
     assert np.array_equal(build_sigma(state.y, p).field_magnitudes, np.sqrt(sq_y).ravel())
     assert np.array_equal(build_Sigma(state.K, p).field_magnitudes, np.sqrt(sq_k).ravel())
+
+
+def tangent_bank_evaluation(state, p, setup, model, bank):
+    """Reference: el_residual with every pair pushed through the chain tangent."""
+    g = setup.grid
+    w, lam = state.weight, setup.lam
+    m_k, m_y = state.dual_weights(PExponent(p))
+    zero_psi = np.zeros((g.nt, g.ny - 4, g.nx - 4))
+    zero_pr = np.zeros((g.nt, g.ny - 2, g.nx - 2))
+    r_mom = r_pr = 0.0
+    for pair in bank:
+        if pair.psi is not None:
+            t = tangent_from_state(state, setup, model, ControlVector(g, pair.psi, zero_pr))
+            pairing = (1 - lam) * w * np.vdot(t.K, m_k) + lam * w * np.vdot(t.y, m_y)
+            scale = np.sqrt(w * (np.vdot(t.u, t.u) + np.vdot(t.grad_u, t.grad_u)
+                                 + np.vdot(t.y, t.y)))
+            r_mom = max(r_mom, abs(pairing) / max(scale, 1e-30))
+        if pair.pr is not None:
+            t = tangent_from_state(state, setup, model, ControlVector(g, zero_psi, pair.pr))
+            scale = np.sqrt(w * np.vdot(t.y, t.y))
+            r_pr = max(r_pr, abs(w * np.vdot(t.y, m_y)) / max(scale, 1e-30))
+    return r_mom, r_pr
+
+
+@pytest.mark.parametrize("p", [2.0, 16.0, 128.0])
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_el_residual_matches_chain_tangent(kind, advection, p):
+    # the per-level sums of the time-separable pairs against the full tangent
+    setup, model, c = bank_problem(kind, advection)
+    g = setup.grid
+    bank = default_test_bank(g)
+    bank.append(TestPair("zero", profile=np.zeros(g.nt), shape=np.zeros((g.ny - 4, g.nx - 4)),
+                         pr=np.zeros((g.nt, g.ny - 2, g.nx - 2))))
+    bank.append(TestPair("both", profile=bank[1].profile, shape=bank[0].shape, pr=bank[-2].pr))
+    state = assemble_state(c, setup, model)
+    # the whole bank (consecutive pairs share a shape) and every pair alone
+    for sub in [bank] + [[pair] for pair in bank]:
+        got = el_residual(state, p, setup, model, sub)
+        expect = tangent_bank_evaluation(state, p, setup, model, sub)
+        for a, b in zip(got, expect):
+            assert abs(a - b) <= 1e-12 * abs(b), (sub[0].label, a, b)

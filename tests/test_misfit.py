@@ -301,6 +301,24 @@ def test_tangent_is_transpose_of_adjoint(kind, advection):
 
 
 @pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_adjoint_without_residual_cotangent(kind, advection):
+    # ybar=None skips the residual branch; the pull-back equals the explicit
+    # zero cotangent's up to the sign of zeros
+    g = grid(nx=9, ny=13, nt=4)
+    rng = np.random.default_rng(23)
+    truth = VectorField(g, 0.2 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    model = synth_data(truth, kind, 0.2, seed=3, mask_stride=2)
+    setup = setup_for(g, advection=advection)
+    state = assemble_state(random_control(g, rng), setup, model)
+    kbar = rng.standard_normal(state.misfit.shape)
+    got = adjoint_from_state(state, setup, model, kbar, None)
+    expect = adjoint_from_state(state, setup, model, kbar, np.zeros(state.residual.shape))
+    assert np.array_equal(got.psi, expect.psi)
+    assert np.array_equal(got.pr, expect.pr)
+
+
+@pytest.mark.parametrize("advection", [True, False])
 @pytest.mark.parametrize("kind", KINDS)
 def test_assembled_fields_match_field_level_path(kind, advection):
     # the component-last fields built for output agree with the field-level
@@ -371,6 +389,7 @@ def test_gradient_is_adjoint_of_scaled_dual_weights():
 HASH_HOT_PATH = """
 import hashlib
 import numpy as np
+from nsassim.diagnostics import bank_pairings, el_residual
 from nsassim.grid import GridSpec
 from nsassim.misfit import assemble_state, gradient_from_state
 from nsassim.nse import ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset
@@ -394,6 +413,13 @@ for n in (16, 32, 48):
         steps = minimize_E_p(c, setup, model, 16.0, OptimOptions(max_iters=3)).control.to_flat()
         for a in (state.u.values, state.p.values, state.y_int, state.K.values, grad, steps):
             digest.update(np.ascontiguousarray(a).tobytes())
+    if n == 48:
+        model = synth_data(state_from_control(truth, setup)[0], "speed-squared", 0.5, 1)
+        state = assemble_state(c, setup, model)
+        for p in (2.0, 128.0):
+            rows = bank_pairings(state, p, setup, model)
+            digest.update(np.array(el_residual(state, p, setup, model)).tobytes())
+            digest.update(np.array([row[1:] for row in rows]).tobytes())
 for n, sweeps in ((16, 3), (24, 1), (64, 1)):
     g = GridSpec(n, n, 3 * n // 4, 1.0, 1.0, 0.36)
     setup = PhysicsSetup(grid=g, nu=0.002, lam=0.5, f=forcing_preset(g, "none", 0.0),
@@ -405,9 +431,10 @@ print(digest.hexdigest())
 
 def test_hot_path_bits_independent_of_blas_threads():
     # assemble_state, gradient_from_state and three L-BFGS steps at 16^2,
-    # 32^2 and 48^2 (the assim-48 grid), and the reference-solve truth at
-    # 16^2, 24^2 and 64^2 (where OpenBLAS threads dgemm), hash the same
-    # under one and two OpenBLAS threads
+    # 32^2 and 48^2 (the assim-48 grid), the stage diagnostics el_residual
+    # and bank_pairings at 48^2 with speed-squared data, and the
+    # reference-solve truth at 16^2, 24^2 and 64^2 (where OpenBLAS threads
+    # dgemm), hash the same under one and two OpenBLAS threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(nsassim.__file__)))
     digests = []
     for threads in ("1", "2"):
