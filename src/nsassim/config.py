@@ -202,7 +202,7 @@ _KNOWN = {(section, key) for section, key, *_ in _KEYS}
 
 def load_config(text=None, path=None):
     """Parse and validate a configuration from text or a file path."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -237,7 +237,7 @@ def apply_override(cfg, dotted_key, raw_value):
         raise ConfigFieldError(dotted_key, "unknown parameter")
     section, key = dotted_key.split(".", 1)
     base = cfg.to_ini()
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(base)
     if not parser.has_section(section):
         parser.add_section(section)

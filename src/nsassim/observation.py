@@ -156,7 +156,7 @@ def eval_K_vjp(u, kbar, model, ubar, gbar):
         raise ConfigurationError(f"unknown observation kind {kind!r}")
 
 
-def synth_data(u_truth, kind, noise_amplitude, seed, mask=None, mask_stride=4):
+def synth_data(u_truth, kind, noise_amplitude, seed, mask_stride=4):
     """Twin-experiment data: q = Q(truth) + noise_amplitude * xi.
 
     xi is i.i.d. uniform on [-1, 1] from a generator seeded with `seed`, so
@@ -166,8 +166,7 @@ def synth_data(u_truth, kind, noise_amplitude, seed, mask=None, mask_stride=4):
     if noise_amplitude < 0.0:
         raise ConfigurationError(f"noise amplitude must be >= 0, got {noise_amplitude}")
     grid = u_truth.grid
-    if kind == "masked-velocity" and mask is None:
-        mask = default_mask(grid, mask_stride)
+    mask = default_mask(grid, mask_stride) if kind == "masked-velocity" else None
     u = np.moveaxis(u_truth.values[1:], -1, 0)
     probe = ObservationModel(
         kind, grid, np.zeros((grid.nt, grid.ny - 2, grid.nx - 2, n_components(kind))),

@@ -15,11 +15,13 @@ when that norm falls below grad_tol * max(1, ||g0||) with g0 the gradient
 at the entry point.  Two runs from the same start with different
 tolerances therefore end with final gradient norms bounded by those
 tolerances, not in their ratio: the last step may land anywhere below its
-bound.  All arithmetic is deterministic.
+bound.  The Armijo line search has fixed constants (_ARMIJO_FACTOR,
+_ARMIJO_SLOPE, _MAX_BACKTRACKS).  All arithmetic is deterministic.
 """
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,23 +31,22 @@ from .misfit import assemble_state, gradient_from_state, report_from_state
 from .norms import PExponent, as_exponent, dot
 from .nse import ControlVector
 
+_ARMIJO_FACTOR = 0.5
+_ARMIJO_SLOPE = 1e-4
+_MAX_BACKTRACKS = 60  # 0.5**60 ~ 1e-18: the step has fallen below round-off
+
 
 @dataclass
 class OptimOptions:
     max_iters: int = 500
     grad_tol: float = 1e-6
     memory: int = 10
-    armijo_factor: float = 0.5
-    armijo_slope: float = 1e-4
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if self.max_iters < 0 or self.memory < 1:
             raise ConfigurationError("max_iters must be >= 0 and memory >= 1")
         if not (0.0 < self.grad_tol < math.inf):
             raise ConfigurationError(f"grad_tol must be positive and finite, got {self.grad_tol}")
-        if not (0.0 < self.armijo_factor < 1.0) or not (0.0 < self.armijo_slope < 1.0):
-            raise ConfigurationError("Armijo parameters must lie in (0, 1)")
 
 
 @dataclass
@@ -70,6 +71,7 @@ class ContinuationSchedule:
 class MinimizeResult:
     control: ControlVector
     report: object
+    report_inf: object
     converged: bool
     stalled: bool
     iterations: int
@@ -92,17 +94,18 @@ def preconditioner_scales(grid):
     return np.concatenate([np.full(n_psi, h * grid.dt), np.full(n_pr, h)])
 
 
-def _two_loop(g, s_hist, y_hist, rho_hist):
+def _two_loop(g, pairs):
+    """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over (s, y, 1/s.y)."""
     q = g.copy()
     alphas = []
-    for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+    for s, yv, rho in reversed(pairs):
         a = rho * dot(s, q)
         alphas.append(a)
         q -= a * yv
-    if y_hist:
-        gamma = dot(s_hist[-1], y_hist[-1]) / dot(y_hist[-1], y_hist[-1])
-        q *= gamma
-    for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+    if pairs:
+        s, yv, _ = pairs[-1]
+        q *= dot(s, yv) / dot(yv, yv)
+    for (s, yv, rho), a in zip(pairs, reversed(alphas)):
         b = rho * dot(yv, q)
         q += (a - b) * s
     return -q
@@ -111,10 +114,10 @@ def _two_loop(g, s_hist, y_hist, rho_hist):
 def minimize_E_p(c0, setup, model, p, opts=None):
     """Descend the p-misfit from c0 to stationarity.
 
-    Returns the best iterate with its report and a monotone objective
-    trace.  A trial point whose state is not finite fails the Armijo test
-    and is backtracked.  A line search that exhausts its backtracks flags
-    the result as stalled and returns the best point found so far.
+    Returns the best iterate with its p- and sup-norm reports and a
+    monotone trace.  A trial point whose state is not finite fails the
+    Armijo test and is backtracked.  A line search that exhausts its
+    backtracks flags the result as stalled and returns the best point.
     """
     opts = opts or OptimOptions()
     p = as_exponent(p)
@@ -133,29 +136,29 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     g_ref = max(1.0, g_norm)
     trace = [(0, report.e_p, g_norm)]
 
-    s_hist, y_hist, rho_hist = [], [], []
+    pairs = deque(maxlen=opts.memory)
     converged = g_norm <= opts.grad_tol * g_ref
     stalled = False
     it = 0
     while not converged and it < opts.max_iters:
-        d = _two_loop(grad, s_hist, y_hist, rho_hist)
+        d = _two_loop(grad, pairs)
         descent = dot(d, grad)
         if descent >= 0.0:
             d = -grad
             descent = -g_norm * g_norm
-        alpha = 1.0 if s_hist else min(1.0, 1.0 / g_ref)
+        alpha = 1.0 if pairs else min(1.0, 1.0 / g_ref)
         accepted = None
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             x_try = x + alpha * d
             try:
                 report_try, state_try = forward(x_try)
             except InvalidFieldError:
                 report_try = None
             if (report_try is not None
-                    and report_try.e_p <= report.e_p + opts.armijo_slope * alpha * descent):
+                    and report_try.e_p <= report.e_p + _ARMIJO_SLOPE * alpha * descent):
                 accepted = (x_try, report_try, state_try)
                 break
-            alpha *= opts.armijo_factor
+            alpha *= _ARMIJO_FACTOR
         if accepted is None:
             stalled = True
             break
@@ -165,13 +168,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
         yv = grad_new - grad
         sy = dot(s, yv)
         if sy > 1e-14 * math.sqrt(dot(s, s)) * math.sqrt(dot(yv, yv)):
-            s_hist.append(s)
-            y_hist.append(yv)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > opts.memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            pairs.append((s, yv, 1.0 / sy))
         x, grad = x_new, grad_new
         g_norm = math.sqrt(dot(grad, grad))
         it += 1
@@ -180,6 +177,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
 
     return MinimizeResult(
         control=ControlVector.from_flat(grid, sv * x), report=report,
+        report_inf=report_from_state(state, setup, PExponent.infinity()),
         converged=converged, stalled=stalled, iterations=it,
         grad_norm=g_norm, trace=trace)
 
@@ -188,7 +186,6 @@ def minimize_E_p(c0, setup, model, p, opts=None):
 class StageResult:
     p: float
     result: MinimizeResult
-    report_inf: object
     wall_ms: float
 
     @property
@@ -198,6 +195,10 @@ class StageResult:
     @property
     def report(self):
         return self.result.report
+
+    @property
+    def report_inf(self):
+        return self.result.report_inf
 
 
 def stage_tolerance(opts, p_first, p):
@@ -221,10 +222,7 @@ def run_continuation(c0, setup, model, schedule=None, opts=None):
         t0 = time.perf_counter()
         result = minimize_E_p(current, setup, model, p, stage_opts)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        state = assemble_state(result.control, setup, model)
-        report_inf = report_from_state(state, setup, PExponent.infinity())
-        stages.append(StageResult(p=p, result=result, report_inf=report_inf,
-                                  wall_ms=wall_ms))
+        stages.append(StageResult(p=p, result=result, wall_ms=wall_ms))
         if schedule.warm_start:
             current = result.control
         else:

@@ -239,6 +239,14 @@ class TestSweep:
         assert code == 2
         assert "ERROR sweep.values" in capsys.readouterr().err
 
+    def test_percent_value_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path)
+        code = main(["sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "sweep"), "--no-plots",
+                     "--param", "physics.forcing", "--values", "none%"])
+        assert code == 2
+        assert "ERROR physics.forcing" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["../escape", "a/b", ".."])
     def test_path_like_values_rejected(self, tmp_path, capsys, value):
         cfg_path = write_cfg(tmp_path)

@@ -160,6 +160,20 @@ def test_apply_override():
         apply_override(cfg, "physics.lambda", "2.0")
 
 
+def test_percent_value_is_literal():
+    cfg = load_config(text=GOOD.replace("runs/demo", "runs/100%"))
+    assert cfg.directory == "runs/100%"
+    assert load_config(text=cfg.to_ini()) == cfg
+    assert apply_override(cfg, "physics.lambda", "0.25").directory == "runs/100%"
+    assert apply_override(cfg, "output.directory", "runs/50%").directory == "runs/50%"
+
+
+def test_interpolation_syntax_is_not_substituted():
+    cfg = load_config(text=GOOD.replace("runs/demo", "runs/%(nx)s"))
+    assert cfg.directory == "runs/%(nx)s"
+    assert load_config(text=cfg.to_ini()).directory == "runs/%(nx)s"
+
+
 def test_build_setup_runs_invariants():
     cfg = load_config(text=GOOD)
     setup = cfg.build_setup()

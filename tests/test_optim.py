@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import GridSpec, VectorField
 from nsassim.misfit import assemble_state, report_from_state
+from nsassim.norms import PExponent
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset,
     reference_solve,
@@ -32,8 +35,7 @@ class TestOptions:
         assert opts.max_iters == 500
         assert opts.grad_tol == 1e-6
         assert opts.memory == 10
-        assert opts.armijo_factor == 0.5
-        assert opts.armijo_slope == 1e-4
+        assert [f.name for f in fields(OptimOptions)] == ["max_iters", "grad_tol", "memory"]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -42,8 +44,6 @@ class TestOptions:
             OptimOptions(grad_tol=0.0)
         with pytest.raises(ConfigurationError, match="finite"):
             OptimOptions(grad_tol=float("inf"))  # would stop every stage at iteration 0
-        with pytest.raises(ConfigurationError):
-            OptimOptions(armijo_factor=1.5)
 
     def test_schedule_validation(self):
         assert ContinuationSchedule().p_list == (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -108,6 +108,27 @@ class TestMinimize:
         assert np.allclose(calls[2].to_flat(), 0.5 * calls[1].to_flat())
         values = [row[1] for row in res.trace]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_exhausted_line_search_stalls_at_the_start(self, monkeypatch):
+        g, setup, model = small_problem()
+        c0 = ControlVector.zeros(g)
+        calls = []
+
+        def only_the_start_is_finite(c, setup_, model_):
+            calls.append(c)
+            if len(calls) > 1:
+                raise InvalidFieldError("velocity field contains non-finite values")
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr("nsassim.optim.assemble_state", only_the_start_is_finite)
+        res = minimize_E_p(c0, setup, model, 4.0, OptimOptions(max_iters=5, grad_tol=1e-12))
+        assert res.stalled and not res.converged
+        assert res.iterations == 0 and len(res.trace) == 1
+        assert len(calls) == 1 + 61  # the start, then the first trial and 60 backtracks
+        assert np.array_equal(res.control.to_flat(), c0.to_flat())
+        start = assemble_state(c0, setup, model)
+        assert res.report == report_from_state(start, setup, 4.0)
+        assert res.report_inf == report_from_state(start, setup, PExponent.infinity())
 
     def test_converged_gradient_below_tolerance(self):
         g, setup, model = small_problem()
@@ -178,6 +199,24 @@ class TestContinuation:
         assert stages[0].report.e_p == direct.report.e_p
         assert stages[0].result.iterations == direct.iterations
 
+    def test_single_stage_assembles_as_often_as_minimize(self, monkeypatch):
+        import nsassim.optim as optim
+        g, setup, model = small_problem()
+        c0 = ControlVector.zeros(g)
+        opts = OptimOptions(max_iters=20, grad_tol=1e-6)
+        calls = []
+
+        def counted(c, setup_, model_):
+            calls.append(c)
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr(optim, "assemble_state", counted)
+        run_continuation(c0, setup, model, ContinuationSchedule(p_list=(4.0,)), opts)
+        in_continuation = len(calls)
+        calls.clear()
+        minimize_E_p(c0, setup, model, 4.0, opts)
+        assert in_continuation == len(calls) > 1
+
     def test_every_option_reaches_every_stage(self, monkeypatch):
         import nsassim.optim as optim
         seen = []
@@ -188,15 +227,13 @@ class TestContinuation:
 
         monkeypatch.setattr(optim, "minimize_E_p", record)
         g, setup, model = small_problem()
-        opts = OptimOptions(max_iters=3, grad_tol=1e-5, memory=4, armijo_factor=0.3,
-                            armijo_slope=1e-3, max_backtracks=7)
+        opts = OptimOptions(max_iters=3, grad_tol=1e-5, memory=4)
         run_continuation(ControlVector.zeros(g), setup, model,
                          ContinuationSchedule(p_list=(2.0, 8.0)), opts)
         assert [p for p, _ in seen] == [2.0, 8.0]
         for p, stage_opts in seen:
             assert stage_opts.grad_tol == stage_tolerance(opts, 2.0, p)
-            assert (stage_opts.max_iters, stage_opts.memory, stage_opts.armijo_factor,
-                    stage_opts.armijo_slope, stage_opts.max_backtracks) == (3, 4, 0.3, 1e-3, 7)
+            assert (stage_opts.max_iters, stage_opts.memory) == (3, 4)
 
     def test_stage_records_and_running_min(self):
         g, setup, model = small_problem(noise=0.3)
@@ -210,6 +247,8 @@ class TestContinuation:
         for st in stages:
             assert isinstance(st.result, MinimizeResult)
             assert st.wall_ms >= 0.0
+            state = assemble_state(st.control, setup, model)
+            assert st.report_inf == report_from_state(state, setup, PExponent.infinity())
 
     def test_warm_start_iteration_report(self):
         # statistical comparison, reported rather than asserted hard
