@@ -7,7 +7,7 @@ unit-ball bound), and as the exponent grows they concentrate on the cells
 where the underlying field magnitude is close to its maximum.  This module
 builds those measures, quantifies the concentration, evaluates the
 closed-form density bound, and pairs the stationarity relations against a
-fixed bank of admissible test directions.
+fixed bank of admissible test directions, every one separable in time.
 """
 
 import math
@@ -135,31 +135,17 @@ def sigma_infty_support_check(measure, tol):
 
 @dataclass
 class TestPair:
-    """One admissible test direction: a stream-function block, a pressure
-    block, or both.
-
-    The stream-function block is time-separable, profile (x) shape: a time
-    profile over levels 1..nt times one spatial shape on the free
-    stream-function nodes.  pr is DOF-shaped like ControlVector.pr.
+    """One admissible test direction, separable in time: at level t it is
+    profile[t] times a stream-function shape on the free nodes, a one-level
+    pressure shape like one level of ControlVector.pr, or both.
     """
 
     __test__ = False  # domain object, not a pytest case
 
     label: str
-    profile: np.ndarray = None  # (nt,) or None
+    profile: np.ndarray         # (nt,)
     shape: np.ndarray = None    # (ny-4, nx-4) or None
-    pr: np.ndarray = None       # (nt, ny-2, nx-2) or None
-
-    def __post_init__(self):
-        if (self.profile is None) != (self.shape is None):
-            raise ConfigurationError(f"test pair {self.label!r}: profile and shape go together")
-
-    @property
-    def psi(self):
-        """The stream-function block profile (x) shape, (nt, ny-4, nx-4), or None."""
-        if self.profile is None:
-            return None
-        return self.profile[:, None, None] * self.shape[None]
+    pr: np.ndarray = None       # (ny-2, nx-2) or None
 
 
 def default_test_bank(grid):
@@ -197,9 +183,7 @@ def default_test_bank(grid):
         ("p4", np.outer(np.cos(2 * np.pi * yi), np.cos(np.pi * xi))),
     ]
     for name, shape in press_shapes:
-        pr = (1.0 + 0.5 * ts)[:, None, None] * shape[None]
-        means = np.einsum("yx,tyx->t", wi, pr)
-        bank.append(TestPair(label=name, pr=pr - means[:, None, None]))
+        bank.append(TestPair(label=name, profile=1.0 + 0.5 * ts, pr=shape - dot(wi, shape)))
     return bank
 
 
@@ -257,41 +241,44 @@ def el_residual(state, p, setup, model, test_bank=None):
     proportion to the optimizer tolerance: the fixed bank directions pick
     up a varying share of the remaining gradient.
 
-    The velocity tangent is never formed: _level_pairings reduces it per
-    level once per shape, and consecutive pairs sharing a shape array (the
-    default bank's two profiles) reuse those sums.  The result equals the
-    pairing of misfit.tangent_from_state along pair.psi to round-off.
+    No tangent is formed: _level_pairings and the one-level pressure
+    gradient are reduced per level once per shape, consecutive pairs
+    sharing a shape array (the default bank's two profiles) reuse those
+    sums, and each profile costs a few length-nt dot products.  The result
+    equals the pairing of misfit.tangent_from_state along the pair to
+    round-off.
     """
     g = setup.grid
     if test_bank is None:
         test_bank = default_test_bank(g)
     if len(test_bank) == 0:
         raise ConfigurationError("empty test bank")
-    p = as_exponent(p)
     state = _assembled(state, setup, model)
     w = state.weight
-    m_k, m_y = state.dual_weights(p)
+    m_k, m_y = state.dual_weights(as_exponent(p))
     lam = setup.lam
 
-    r_momentum = 0.0
-    r_pressure = 0.0
-    shape = None
+    r_momentum = r_pressure = 0.0
+    shape = pr = None
     for pair in test_bank:
-        if pair.profile is not None:
+        a = pair.profile
+        if pair.shape is not None:
             if pair.shape is not shape:
                 shape = pair.shape
                 vv, gg, (jm, zm, vm, zz, zv) = _level_pairings(state, setup, model,
                                                                m_k, m_y, shape)
-            a = pair.profile
             d = np.diff(a, prepend=0.0) / g.dt
             pairing = (1.0 - lam) * w * dot(a, jm) + lam * w * (dot(a, zm) + dot(d, vm))
             # |du|^2 + |dgrad|^2 + |dy|^2, with dy_t = d_t V + a_t Z_t
             sq = dot(a, a) * (vv + gg) + dot(a * a, zz) + 2.0 * dot(a * d, zv) + dot(d, d) * vv
             r_momentum = max(r_momentum, abs(pairing) / max(math.sqrt(w * sq), 1e-30))
         if pair.pr is not None:
-            dy = pressure_gradient(pair.pr, g)
-            scale = math.sqrt(w * dot(dy, dy))
-            r_pressure = max(r_pressure, abs(w * dot(dy, m_y)) / max(scale, 1e-30))
+            if pair.pr is not pr:
+                pr = pair.pr
+                gp = pressure_gradient(pr, g)
+                pp, pm = dot(gp, gp), np.einsum("cyx,ctyx->t", gp, m_y)
+            scale = math.sqrt(w * dot(a, a) * pp)
+            r_pressure = max(r_pressure, abs(w * dot(a, pm)) / max(scale, 1e-30))
     return r_momentum, r_pressure
 
 
@@ -303,30 +290,34 @@ def bank_pairings(state, p, setup, model, test_bank=None):
     measure pairs against the test velocity and the misfit measure against
     the observation-channel direction; pressure-type pairs report the
     pressure-gradient pairing in the sigma column.  Each measure is pulled
-    back to the control once, through the transposed chain, and every pair
-    then costs one dot product: <J t, m> = <t, J^T m>.
+    back to the control once, <J t, m> = <t, J^T m>, reduced per level
+    once per shape as in el_residual, and dotted with each pair's profile.
     """
     g = setup.grid
     if test_bank is None:
         test_bank = default_test_bank(g)
-    p = as_exponent(p)
     state = _assembled(state, setup, model)
     w = state.weight
-    m_k, m_y = state.dual_weights(p)
+    m_k, m_y = state.dual_weights(as_exponent(p))
     # sigma pairs with the test velocity, or with the test pressure gradient
     sigma_y = w * m_y
     sigma_psi = velocity_map_transpose(np.pad(sigma_y, ((0, 0), (0, 0), (1, 1), (1, 1))), g)
     sigma_pr = pressure_gradient_transpose(sigma_y, g)
-    big_sigma = adjoint_from_state(state, setup, model, w * m_k, None)
+    big_psi = adjoint_from_state(state, setup, model, w * m_k, None).psi
 
     rows = []
+    shape = pr = None
     for pair in test_bank:
-        sig = big = 0.0
-        psi = pair.psi
-        if psi is not None:
-            sig = dot(psi, sigma_psi)
-            big = dot(psi, big_sigma.psi)
+        a, sig, big = pair.profile, 0.0, 0.0
+        if pair.shape is not None:
+            if pair.shape is not shape:
+                shape = pair.shape
+                s_rows, b_rows = (np.einsum("tyx,yx->t", x, shape) for x in (sigma_psi, big_psi))
+            sig, big = dot(a, s_rows), dot(a, b_rows)
         if pair.pr is not None:
-            sig = dot(pair.pr, sigma_pr)
+            if pair.pr is not pr:
+                pr = pair.pr
+                p_rows = np.einsum("tyx,yx->t", sigma_pr, pr)
+            sig = dot(a, p_rows)
         rows.append((pair.label, sig, big))
     return rows

@@ -18,12 +18,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import GridSpec, ScalarField, VectorField
 
-_LAYOUTS = {
-    "scalar": ("t,y,x", 0),
-    "vector": ("t,y,x,c2", 2),
-    "obs": ("t,iy,ix,n", -1),
-    "dofs": ("free", -1),
-}
+_LAYOUTS = {"scalar": "t,y,x", "vector": "t,y,x,c2", "obs": "t,iy,ix,n", "dofs": "free"}
 
 
 def _meta_path(stem):
@@ -45,7 +40,7 @@ def write_array(stem, values, grid, layout, extra=None):
         fh.write(payload)
     lines = {
         "layout": layout,
-        "order": _LAYOUTS[layout][0],
+        "order": _LAYOUTS[layout],
         "shape": ",".join(str(s) for s in values.shape),
         "nx": grid.nx,
         "ny": grid.ny,
@@ -94,6 +89,8 @@ def read_array(stem):
         raise ConfigurationError(
             f"checksum mismatch for {stem}: file is corrupt or was edited")
     shape = _meta_value(meta, stem, "shape", lambda v: tuple(int(s) for s in v.split(",")))
+    if any(s < 0 for s in shape):
+        raise ConfigurationError(f"shape {meta['shape']} of {stem} has a negative entry")
     if 8 * math.prod(shape) != len(payload):
         raise ConfigurationError(
             f"shape {meta['shape']} of {stem} does not match its {len(payload)}-byte payload")

@@ -93,6 +93,8 @@ class AssembledState:
         """
         out = self._lp.get(p.value)
         if out is None:
+            if not p.is_finite:
+                raise ConfigurationError("p-norms and dual weights require a finite exponent")
             out = tuple(lp_norm_from_squares(sq, self.weight, p.value)
                         for sq in self.squared_magnitudes())
             self._lp[p.value] = out

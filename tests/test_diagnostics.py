@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,11 @@ from nsassim.grid import (
     GridSpec, VectorField, apply_x, apply_y, curl_kernel, gradient_kernel, trapezoid_weights,
     zero_boundary_ring,
 )
-from nsassim.misfit import assemble_state, tangent_from_state
+from nsassim.misfit import adjoint_from_state, assemble_state, tangent_from_state
 from nsassim.norms import PExponent, reg_abs
 from nsassim.nse import (
     ControlVector, PhysicsSetup, extend_interior, forcing_preset, initial_velocity_preset,
+    pressure_gradient_transpose, velocity_map_transpose,
 )
 from nsassim.observation import ObsField, synth_data
 from nsassim.optim import OptimOptions, minimize_E_p
@@ -184,19 +188,17 @@ def sanity_problem():
 class TestElResidual:
     def test_zero_pair_gives_zero(self):
         g, setup, model = sanity_problem()
-        bank = [TestPair("zero", profile=np.zeros(g.nt), shape=np.zeros((g.ny - 4, g.nx - 4)),
-                         pr=np.zeros((g.nt, g.ny - 2, g.nx - 2)))]
+        bank = [zero_pair(g)]
         rm, rp = el_residual(ControlVector.zeros(g), 2.0, setup, model, bank)
         assert rm == 0.0 and rp == 0.0
 
-    def test_pair_psi_is_derived(self):
+    def test_pair_profile_is_required(self):
+        # every pair is separable: one time profile, one-level shapes, no block
         g = GridSpec(nx=10, ny=10, nt=4, t_end=0.3)
         pair = default_test_bank(g)[0]
-        with pytest.raises(AttributeError):
-            pair.psi = np.zeros((g.nt, g.ny - 4, g.nx - 4))
-        with pytest.raises(ConfigurationError):
-            TestPair("half", profile=pair.profile)
-        with pytest.raises(ConfigurationError):
+        assert [f.name for f in dataclasses.fields(TestPair)] == ["label", "profile", "shape", "pr"]
+        assert not hasattr(pair, "psi")
+        with pytest.raises(TypeError):
             TestPair("half", shape=pair.shape)
 
     def test_empty_bank_rejected(self):
@@ -208,17 +210,17 @@ class TestElResidual:
         g = GridSpec(nx=10, ny=10, nt=4, t_end=0.3)
         bank = default_test_bank(g)
         assert len(bank) == 12
-        assert sum(1 for b in bank if b.psi is not None) == 8
-        for b in bank:
-            if b.psi is not None:
-                assert b.psi.shape == (g.nt, g.ny - 4, g.nx - 4)
-                assert np.array_equal(b.psi, b.profile[:, None, None] * b.shape[None])
-        assert sum(1 for b in bank if b.pr is not None) == 4
+        assert all(b.profile.shape == (g.nt,) for b in bank)
+        velocity = [b for b in bank if b.shape is not None]
+        assert len(velocity) == 8
+        assert all(b.shape.shape == (g.ny - 4, g.nx - 4) and b.pr is None for b in velocity)
+        pressure = [b for b in bank if b.pr is not None]
+        assert len(pressure) == 4
         w = trapezoid_weights(g.ny - 2, g.nx - 2)
-        for b in bank:
-            if b.pr is not None:
-                means = np.einsum("yx,tyx->t", w, b.pr)
-                assert np.abs(means).max() <= 1e-13
+        for b in pressure:
+            assert b.pr.shape == (g.ny - 2, g.nx - 2) and b.shape is None
+            # zero trapezoidal mean on the one level, hence on every level
+            assert abs(np.sum(w * b.pr)) <= 1e-13
 
     def test_near_zero_at_tight_minimizer(self):
         g, setup, model = sanity_problem()
@@ -240,6 +242,14 @@ class TestElResidual:
         assert out[1e-7][0] < out[1e-5][0]
         assert out[1e-7][1] < out[1e-5][1]
 
+    @pytest.mark.parametrize("p", [math.inf, PExponent.infinity()])
+    def test_infinite_exponent_rejected(self, p):
+        # the dual weights need a finite p; inf must not read as "stationary"
+        g, setup, model = sanity_problem()
+        for diagnostic in (el_residual, bank_pairings):
+            with pytest.raises(ConfigurationError):
+                diagnostic(ControlVector.zeros(g), p, setup, model)
+
     def test_pairings_table_shape(self):
         g, setup, model = sanity_problem()
         rows = bank_pairings(ControlVector.zeros(g), 2.0, setup, model)
@@ -247,6 +257,17 @@ class TestElResidual:
         for label, sig, big in rows:
             assert isinstance(label, str)
             assert np.isfinite(sig) and np.isfinite(big)
+
+
+def zero_pair(g):
+    return TestPair("zero", profile=np.zeros(g.nt), shape=np.zeros((g.ny - 4, g.nx - 4)),
+                    pr=np.zeros((g.ny - 2, g.nx - 2)))
+
+
+def blocks(pair):
+    """The pair's (nt, ...) stream-function and pressure blocks, profile (x) shape, or None."""
+    return tuple(None if s is None else pair.profile[:, None, None] * s[None]
+                 for s in (pair.shape, pair.pr))
 
 
 def full_grid_laplacian(u, g):
@@ -291,9 +312,10 @@ def direct_bank_evaluation(c_star, p, setup, model, bank):
     rows = []
     for pair in bank:
         sig = big = 0.0
-        if pair.psi is not None:
+        psi, pr = blocks(pair)
+        if psi is not None:
             psi_full = np.zeros((g.nt, g.ny, g.nx))
-            psi_full[:, 2:-2, 2:-2] = pair.psi
+            psi_full[:, 2:-2, 2:-2] = psi
             u_t = zero_boundary_ring(curl_kernel(psi_full, g))
             du_t = gradient_kernel(u_t, g)
             k_dir = k_direction(u_t, du_t)
@@ -308,8 +330,8 @@ def direct_bank_evaluation(c_star, p, setup, model, bank):
             r_mom = max(r_mom, abs(pairing) / scale)
             sig = w * np.sum(u_t[inner] * m_y)
             big = w * np.sum(k_dir * m_k)
-        if pair.pr is not None:
-            p_t = extend_interior(pair.pr, g)
+        if pr is not None:
+            p_t = extend_interior(pr, g)
             dp = np.stack([apply_x(p_t, g.d1x()), apply_y(p_t, g.d1y())], axis=-1)[inner]
             sig = w * np.sum(dp * m_y)
             r_pr = max(r_pr, abs(sig) / np.sqrt(w * np.sum(dp ** 2)))
@@ -379,14 +401,15 @@ def tangent_bank_evaluation(state, p, setup, model, bank):
     zero_pr = np.zeros((g.nt, g.ny - 2, g.nx - 2))
     r_mom = r_pr = 0.0
     for pair in bank:
-        if pair.psi is not None:
-            t = tangent_from_state(state, setup, model, ControlVector(g, pair.psi, zero_pr))
+        psi, pr = blocks(pair)
+        if psi is not None:
+            t = tangent_from_state(state, setup, model, ControlVector(g, psi, zero_pr))
             pairing = (1 - lam) * w * np.vdot(t.K, m_k) + lam * w * np.vdot(t.y, m_y)
             scale = np.sqrt(w * (np.vdot(t.u, t.u) + np.vdot(t.grad_u, t.grad_u)
                                  + np.vdot(t.y, t.y)))
             r_mom = max(r_mom, abs(pairing) / max(scale, 1e-30))
-        if pair.pr is not None:
-            t = tangent_from_state(state, setup, model, ControlVector(g, zero_psi, pair.pr))
+        if pr is not None:
+            t = tangent_from_state(state, setup, model, ControlVector(g, zero_psi, pr))
             scale = np.sqrt(w * np.vdot(t.y, t.y))
             r_pr = max(r_pr, abs(w * np.vdot(t.y, m_y)) / max(scale, 1e-30))
     return r_mom, r_pr
@@ -400,8 +423,7 @@ def test_el_residual_matches_chain_tangent(kind, advection, p):
     setup, model, c = bank_problem(kind, advection)
     g = setup.grid
     bank = default_test_bank(g)
-    bank.append(TestPair("zero", profile=np.zeros(g.nt), shape=np.zeros((g.ny - 4, g.nx - 4)),
-                         pr=np.zeros((g.nt, g.ny - 2, g.nx - 2))))
+    bank.append(zero_pair(g))
     bank.append(TestPair("both", profile=bank[1].profile, shape=bank[0].shape, pr=bank[-2].pr))
     state = assemble_state(c, setup, model)
     # the whole bank (consecutive pairs share a shape) and every pair alone
@@ -410,3 +432,49 @@ def test_el_residual_matches_chain_tangent(kind, advection, p):
         expect = tangent_bank_evaluation(state, p, setup, model, sub)
         for a, b in zip(got, expect):
             assert abs(a - b) <= 1e-12 * abs(b), (sub[0].label, a, b)
+
+
+def block_bank_pairings(state, p, setup, model, bank):
+    """Reference: bank_pairings as it paired full (nt, ...) test blocks.
+
+    Each measure is pulled back through the transposed chain and dotted
+    with the pair's whole stream-function or pressure block.
+    """
+    g = setup.grid
+    w = state.weight
+    m_k, m_y = state.dual_weights(PExponent(p))
+    sigma_y = w * m_y
+    sigma_psi = velocity_map_transpose(np.pad(sigma_y, ((0, 0), (0, 0), (1, 1), (1, 1))), g)
+    sigma_pr = pressure_gradient_transpose(sigma_y, g)
+    big_sigma = adjoint_from_state(state, setup, model, w * m_k, None)
+    rows = []
+    for pair in bank:
+        sig = big = 0.0
+        psi, pr = blocks(pair)
+        if psi is not None:
+            sig = np.vdot(psi, sigma_psi)
+            big = np.vdot(psi, big_sigma.psi)
+        if pr is not None:
+            sig = np.vdot(pr, sigma_pr)
+        rows.append((pair.label, sig, big))
+    return rows
+
+
+@pytest.mark.parametrize("p", [2.0, 16.0, 128.0])
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_bank_pairings_match_block_pairings(kind, advection, p):
+    # the per-level reductions against the pairings of the full test blocks
+    setup, model, c = bank_problem(kind, advection)
+    g = setup.grid
+    bank = default_test_bank(g)
+    bank.append(zero_pair(g))
+    # both blocks: the pressure pairing fills the sigma column
+    bank.append(TestPair("both", profile=bank[1].profile, shape=bank[0].shape, pr=bank[-2].pr))
+    state = assemble_state(c, setup, model)
+    got = bank_pairings(state, p, setup, model, bank)
+    expect = block_bank_pairings(state, p, setup, model, bank)
+    for (label, sig, big), (ref_label, ref_sig, ref_big) in zip(got, expect, strict=True):
+        assert label == ref_label
+        assert abs(sig - ref_sig) <= 1e-12 * abs(ref_sig), (label, sig, ref_sig)
+        assert abs(big - ref_big) <= 1e-12 * abs(ref_big), (label, big, ref_big)

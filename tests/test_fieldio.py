@@ -67,6 +67,16 @@ def test_shape_disagreeing_with_payload_names_stem(tmp_path, grid):
         fieldio.read_scalar_field(stem)
 
 
+def test_negative_shape_entry_names_stem(tmp_path, grid):
+    # -2 x -4 entries hold the payload's 8 values, so only the sign tells
+    stem = tmp_path / "negshape"
+    fieldio.write_array(stem, np.arange(8.0).reshape(2, 4), grid, "dofs")
+    meta = tmp_path / "negshape.meta"
+    meta.write_text(meta.read_text().replace("shape=2,4", "shape=-2,-4"))
+    with pytest.raises(ConfigurationError, match="negshape.*negative"):
+        fieldio.read_array(stem)
+
+
 def test_unknown_layout_rejected(tmp_path, grid):
     with pytest.raises(ConfigurationError):
         fieldio.write_array(tmp_path / "x", np.zeros(3), grid, "nope")
