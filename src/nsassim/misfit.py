@@ -196,24 +196,27 @@ def adjoint_from_state(state, setup, model, kbar, ybar):
 
     kbar is shaped like state.misfit and ybar like state.residual, component
     axis first; either may be None for a zero cotangent, whose branch is
-    skipped.  The steps of the tangent in reverse order; returns a
-    ControlVector.
+    skipped, as is the velocity-gradient transpose when neither the
+    advection nor the observation feeds it.  The steps of the tangent in
+    reverse order; returns a ControlVector.
     """
     g = setup.grid
     u, gu = state.u_int, state.grad_u
+    gbar = None  # the gradient cotangent, built only by a branch that writes it
     if ybar is None:
-        ubar, gbar = np.zeros(state.u_full.shape), np.zeros(gu.shape)
-        prbar = np.zeros(state.pr.shape)
+        ubar, prbar = np.zeros(state.u_full.shape), np.zeros(state.pr.shape)
     else:
         ubar = momentum_operator_transpose(ybar, g, setup.nu)
-        gbar = np.zeros(gu.shape)
         if setup.include_advection:
             ubar[..., 1:-1, 1:-1] += advection_transpose_a(ybar, gu)
             gbar = advection_transpose_grad_b(ybar, u)
         prbar = pressure_gradient_transpose(ybar, g)
     if kbar is not None:
+        if gbar is None and model.reads_gradient:
+            gbar = np.zeros(gu.shape)
         eval_K_vjp(u, kbar, model, ubar[..., 1:-1, 1:-1], gbar)
-    velocity_gradient_transpose(gbar, g, ubar)
+    if gbar is not None:
+        velocity_gradient_transpose(gbar, g, ubar)
     return ControlVector(g, velocity_map_transpose(ubar, g), prbar)
 
 

@@ -20,6 +20,10 @@ import numpy as np
 from .errors import ConfigurationError, InvalidFieldError
 
 _EXP_CLIP = 700.0  # exp(700) is near the float64 overflow edge
+# exp(-600) ~ 1e-261: a dual factor below it is flushed to zero.  The largest
+# factor is at least 1/norm, so the flushed ones lie far below its round-off,
+# and left in place they make the adjoint's arithmetic subnormal and slow.
+_EXP_FLOOR = -600.0
 
 
 @dataclass(frozen=True)
@@ -144,9 +148,11 @@ def dual_factor(r, norm, p):
     """Per-sample factor r^(p-2) / norm^(p-1) of the dual-weight map (float p).
 
     Evaluated in log space; the exponent is clipped only for zero-weight
-    samples, which carry no mass.  dual_weight is the checked entry point.
+    samples, which carry no mass, and factors below exp(_EXP_FLOOR) are
+    zero.  dual_weight is the checked entry point.
     """
     expo = (p - 2.0) * np.log(r) - (p - 1.0) * math.log(norm)
+    expo[expo < _EXP_FLOOR] = -np.inf
     return np.exp(np.minimum(expo, _EXP_CLIP))
 
 

@@ -409,6 +409,33 @@ def _curl_gram_factors(grid):
     return _fast_diagonalization(d1y, d1x, null_mode=False)
 
 
+@lru_cache(maxsize=None)
+def _time_gram_inverse(nt):
+    """(B^T B)^-1 over levels 1..nt, read-only: entries 1 + min(i, j).
+
+    B is the unit backward difference with level 0 fixed; its inverse L is
+    the lower-triangular matrix of ones, and (B^T B)^-1 = L L^T.
+    """
+    idx = np.arange(nt)
+    out = 1.0 + np.minimum.outer(idx, idx)
+    out.flags.writeable = False
+    return out
+
+
+def stream_metric_inverse(psi, grid):
+    """M_psi^-1 psi for M_psi = (B^T B) (x) (C^T C), psi (nt, ny-4, nx-4).
+
+    M_psi is the Gram matrix of the residual's leading stream-function term,
+    the backward time difference of velocity_map, up to the factor 1/dt^2:
+    C^T C inverted per level by the fast diagonalization of
+    _curl_gram_factors, then one cached nt x nt product over the levels.
+    Symmetric.
+    """
+    nt = psi.shape[0]
+    levels = _diagonalized_solve(psi, *_curl_gram_factors(grid))
+    return (_time_gram_inverse(nt) @ levels.reshape(nt, -1)).reshape(psi.shape)
+
+
 def _pressure_fit(v, grid):
     """(G^T G)^+ G^T v: the minimum-norm pressure whose gradient best fits v."""
     return _diagonalized_solve(pressure_gradient_transpose(v, grid),

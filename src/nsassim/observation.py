@@ -26,6 +26,7 @@ from .nse import velocity_gradient
 KINDS = ("masked-velocity", "vorticity", "speed-squared")
 
 _N_COMPONENTS = {"masked-velocity": 2, "vorticity": 1, "speed-squared": 1}
+_READS_GRADIENT = ("vorticity",)  # kinds whose Q depends on the velocity gradient
 
 
 def n_components(kind):
@@ -78,6 +79,11 @@ class ObservationModel:
     @property
     def n(self):
         return n_components(self.kind)
+
+    @property
+    def reads_gradient(self):
+        """Whether Q depends on the velocity gradient, so eval_K_vjp writes gbar."""
+        return self.kind in _READS_GRADIENT
 
     def interior_mask(self):
         return self.mask[1:-1, 1:-1]
@@ -141,8 +147,9 @@ def eval_K_vjp(u, kbar, model, ubar, gbar):
     Component axis first, as in eval_K_jvp: u is the interior velocity
     (2, nt, ny-2, nx-2), kbar is shaped like the tangent of K (N, ...), and
     the velocity and gradient cotangents ubar (2, ...) and gbar (4, ...) are
-    updated in place.  The Jacobian entries are 0, +-1 and 2u, so each
-    product is exact or a single rounding.
+    updated in place; gbar may be None unless model.reads_gradient.  The
+    Jacobian entries are 0, +-1 and 2u, so each product is exact or a
+    single rounding.
     """
     kind = model.kind
     if kind == "masked-velocity":

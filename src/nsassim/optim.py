@@ -17,6 +17,15 @@ tolerances therefore end with final gradient norms bounded by those
 tolerances, not in their ratio: the last step may land anywhere below its
 bound.  The Armijo line search has fixed constants (_ARMIJO_FACTOR,
 _ARMIJO_SLOPE, _MAX_BACKTRACKS).  All arithmetic is deterministic.
+
+The initial inverse Hessian of the two-loop is gamma M^-1 with
+gamma = s.y / y.M^-1 y (Nocedal & Wright, sec. 7.2), in place of a
+multiple of the identity.  M is the Gram matrix of the residual's leading
+term on the stream-function block, the backward time difference of the
+curl (nse.stream_metric_inverse, h^-2 M_psi^-1 in these variables), and
+the identity on the pressure block.  M^-1 is applied once per gradient
+evaluation; each curvature pair keeps the stream-function block of
+M^-1 y as the difference of those of its two gradients.
 """
 
 import math
@@ -29,7 +38,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidFieldError
 from .misfit import assemble_state, gradient_from_state, report_from_state
 from .norms import PExponent, as_exponent, dot
-from .nse import ControlVector
+from .nse import ControlVector, stream_metric_inverse
 
 _ARMIJO_FACTOR = 0.5
 _ARMIJO_SLOPE = 1e-4
@@ -94,18 +103,25 @@ def preconditioner_scales(grid):
     return np.concatenate([np.full(n_psi, h * grid.dt), np.full(n_pr, h)])
 
 
-def _two_loop(g, pairs):
-    """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over (s, y, 1/s.y)."""
+def _two_loop(g, mg, pairs):
+    """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4), H0 = gamma M^-1.
+
+    mg and the my of each pair (s, y, 1/s.y, my) are the stream-function
+    blocks of M^-1 g and M^-1 y; M^-1 is linear, so M^-1 q needs no new M^-1.
+    """
+    n_psi = mg.size
     q = g.copy()
+    r = mg.copy()
     alphas = []
-    for s, yv, rho in reversed(pairs):
+    for s, yv, rho, my in reversed(pairs):
         a = rho * dot(s, q)
         alphas.append(a)
         q -= a * yv
-    if pairs:
-        s, yv, _ = pairs[-1]
-        q *= dot(s, yv) / dot(yv, yv)
-    for (s, yv, rho), a in zip(pairs, reversed(alphas)):
+        r -= a * my
+    q[:n_psi] = r
+    _, yv, rho, my = pairs[-1]
+    q *= 1.0 / (rho * (dot(yv[:n_psi], my) + dot(yv[n_psi:], yv[n_psi:])))
+    for (s, yv, rho, _), a in zip(pairs, reversed(alphas)):
         b = rho * dot(yv, q)
         q += (a - b) * s
     return -q
@@ -123,6 +139,12 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     p = as_exponent(p)
     grid = setup.grid
     sv = preconditioner_scales(grid)
+    psi_shape = (grid.nt, grid.ny - 4, grid.nx - 4)
+    n_psi = math.prod(psi_shape)
+    h2 = min(grid.hx, grid.hy) ** 2
+
+    def metric(g):  # stream-function block of M^-1 g, once per gradient
+        return stream_metric_inverse(g[:n_psi].reshape(psi_shape), grid).ravel() / h2
 
     x = c0.to_flat() / sv
 
@@ -132,6 +154,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
 
     report, state = forward(x)
     grad = gradient_from_state(state, setup, model, p).to_flat() * sv
+    mg = metric(grad)
     g_norm = math.sqrt(dot(grad, grad))
     g_ref = max(1.0, g_norm)
     trace = [(0, report.e_p, g_norm)]
@@ -141,7 +164,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     stalled = False
     it = 0
     while not converged and it < opts.max_iters:
-        d = _two_loop(grad, pairs)
+        d = _two_loop(grad, mg, pairs) if pairs else -grad
         descent = dot(d, grad)
         if descent >= 0.0:
             d = -grad
@@ -164,12 +187,13 @@ def minimize_E_p(c0, setup, model, p, opts=None):
             break
         x_new, report, state = accepted
         grad_new = gradient_from_state(state, setup, model, p).to_flat() * sv
+        mg_new = metric(grad_new)
         s = x_new - x
         yv = grad_new - grad
         sy = dot(s, yv)
         if sy > 1e-14 * math.sqrt(dot(s, s)) * math.sqrt(dot(yv, yv)):
-            pairs.append((s, yv, 1.0 / sy))
-        x, grad = x_new, grad_new
+            pairs.append((s, yv, 1.0 / sy, mg_new - mg))
+        x, grad, mg = x_new, grad_new, mg_new
         g_norm = math.sqrt(dot(grad, grad))
         it += 1
         trace.append((it, report.e_p, g_norm))

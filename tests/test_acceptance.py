@@ -180,6 +180,14 @@ def test_criterion_6_convergence_surrogate(zero_noise_run):
            f"|E_p - E_inf| at 8: {by_p[8.0]:.3e}, at 128: {by_p[128.0]:.3e}")
 
 
+def test_bundled_stages_to_p32_converge(noisy_run):
+    # the metric-preconditioned L-BFGS reaches each stage's grad_tol up to
+    # p = 32 within max_iters = 700; p = 64 and 128 may still stop at the cap
+    _, result = noisy_run
+    by_p = {st.p: st.result for st in result.stages}
+    assert all(by_p[p].converged and not by_p[p].stalled for p in (2.0, 4.0, 8.0, 16.0, 32.0))
+
+
 def test_criterion_7_concentration(noisy_run):
     _, result = noisy_run
     rows = {row[0]: row for row in result.diagnostics_rows}

@@ -16,7 +16,7 @@ from nsassim.misfit import (
 from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, sup_norm
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset, residual_y,
-    state_from_control, velocity_gradient,
+    state_from_control, velocity_gradient, velocity_gradient_transpose,
 )
 from nsassim.observation import (
     KINDS, ObservationModel, default_mask, eval_K, n_components, synth_data,
@@ -319,6 +319,35 @@ def test_adjoint_without_residual_cotangent(kind, advection):
 
 
 @pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_gradient_transpose_only_for_a_written_cotangent(kind, advection, monkeypatch):
+    # the gradient cotangent is written by the advection and by observations
+    # of the velocity gradient (vorticity) only; otherwise its transpose,
+    # two matmuls over all levels on zeros, is skipped
+    import nsassim.misfit as misfit
+    g = grid(nx=9, ny=13, nt=4)
+    rng = np.random.default_rng(25)
+    truth = VectorField(g, 0.2 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    model = synth_data(truth, kind, 0.2, seed=3, mask_stride=2)
+    assert model.reads_gradient == (kind == "vorticity")
+    setup = setup_for(g, advection=advection)
+    state = assemble_state(random_control(g, rng), setup, model)
+    calls = []
+
+    def counted(gbar, grid_, ubar):
+        calls.append(1)
+        return velocity_gradient_transpose(gbar, grid_, ubar)
+
+    monkeypatch.setattr(misfit, "velocity_gradient_transpose", counted)
+    kbar = rng.standard_normal(state.misfit.shape)
+    adjoint_from_state(state, setup, model, kbar, None)
+    assert len(calls) == int(model.reads_gradient)
+    calls.clear()
+    adjoint_from_state(state, setup, model, kbar, rng.standard_normal(state.residual.shape))
+    assert len(calls) == int(model.reads_gradient or advection)
+
+
+@pytest.mark.parametrize("advection", [True, False])
 @pytest.mark.parametrize("kind", KINDS)
 def test_assembled_fields_match_field_level_path(kind, advection):
     # the component-last fields built for output agree with the field-level
@@ -393,7 +422,7 @@ from nsassim.diagnostics import bank_pairings, el_residual
 from nsassim.grid import GridSpec
 from nsassim.misfit import assemble_state, gradient_from_state
 from nsassim.nse import ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset
-from nsassim.nse import reference_solve, state_from_control
+from nsassim.nse import reference_solve, state_from_control, stream_metric_inverse
 from nsassim.observation import synth_data
 from nsassim.optim import OptimOptions, minimize_E_p
 
@@ -425,6 +454,10 @@ for n, sweeps in ((16, 3), (24, 1), (64, 1)):
     setup = PhysicsSetup(grid=g, nu=0.002, lam=0.5, f=forcing_preset(g, "none", 0.0),
                          u0=initial_velocity_preset(g, "vortex", 0.15))
     digest.update(reference_solve(setup, advection_sweeps=sweeps).control.to_flat().tobytes())
+for n in (48, 64):
+    g = GridSpec(n, n, 3 * n // 4, 1.0, 1.0, 0.36)
+    block = np.random.default_rng(n).standard_normal((g.nt, n - 4, n - 4))
+    digest.update(stream_metric_inverse(block, g).tobytes())
 print(digest.hexdigest())
 """
 
@@ -432,9 +465,11 @@ print(digest.hexdigest())
 def test_hot_path_bits_independent_of_blas_threads():
     # assemble_state, gradient_from_state and three L-BFGS steps at 16^2,
     # 32^2 and 48^2 (the assim-48 grid), the stage diagnostics el_residual
-    # and bank_pairings at 48^2 with speed-squared data, and the
+    # and bank_pairings at 48^2 with speed-squared data, the
     # reference-solve truth at 16^2, 24^2 and 64^2 (where OpenBLAS threads
-    # dgemm), hash the same under one and two OpenBLAS threads
+    # dgemm), and the L-BFGS metric stream_metric_inverse at 48^2 and 64^2
+    # (its level product is a dgemm) hash the same under one and two
+    # OpenBLAS threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(nsassim.__file__)))
     digests = []
     for threads in ("1", "2"):

@@ -178,6 +178,20 @@ class TestDualWeight:
             assert np.array_equal(vals * dual_factor(r, norm, p)[:, None],
                                   dual_weight(h, p).values)
 
+    def test_factor_has_no_subnormals(self):
+        # at p = 128 magnitudes from 1/p to 4 spread the factor's exponent
+        # over about -780..10: below exp(-600) it is zero, never subnormal,
+        # and above it exp of the exponent to the bit
+        p = 128.0
+        r = np.geomspace(1.0 / p, 4.0, 2000)
+        _, norm = lp_norm_from_squares(r * r - p ** -2, 1.0 / r.size, p)
+        expo = (p - 2.0) * np.log(r) - (p - 1.0) * math.log(norm)
+        assert expo.min() < math.log(np.finfo(float).tiny) < -600.0 < expo.max()
+        f = dual_factor(r, norm, p)
+        assert not np.any((f > 0.0) & (f < np.finfo(float).tiny))
+        assert np.all(f[expo < -600.0] == 0.0)
+        assert np.array_equal(f[expo >= -600.0], np.exp(expo[expo >= -600.0]))
+
 
 class TestHolderGap:
     def test_equal_exponents(self):

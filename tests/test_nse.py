@@ -17,7 +17,8 @@ from nsassim.nse import (
     pressure_gradient_transpose, pressure_map, reference_solve, residual_y,
     state_from_control, stream_bump, velocity_gradient, velocity_gradient_transpose,
     velocity_map, velocity_map_transpose,
-    _curl_gram_factors, _diagonalized_solve, _level_lstsq, _pressure_fit,
+    stream_metric_inverse,
+    _curl_gram_factors, _diagonalized_solve, _level_lstsq, _pressure_fit, _time_gram_inverse,
 )
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.ini")
@@ -539,3 +540,35 @@ class TestReducedLevelSolve:
         setup = cfg.build_setup(cfg.validate())
         ref = reference_solve(setup, tol_ref=cfg.ref_tol, advection_sweeps=cfg.ref_sweeps)
         assert ref.sup_residual == pytest.approx(0.05282840681776, rel=1e-9)
+
+
+def unit_backward_difference(nt):
+    """B over levels 1..nt with level 0 fixed: (B x)_k = x_k - x_(k-1), x_0 = 0."""
+    return np.eye(nt) - np.eye(nt, k=-1)
+
+
+class TestStreamMetric:
+    """M_psi = (B^T B) (x) (C^T C) and its inverse, the L-BFGS metric."""
+
+    @pytest.mark.parametrize("nt", [1, 2, 12, 36])
+    def test_time_gram_inverse_is_exact(self, nt):
+        b = unit_backward_difference(nt)
+        assert np.array_equal(_time_gram_inverse(nt) @ (b.T @ b), np.eye(nt))
+
+    @pytest.mark.parametrize("n", [16, 24, 48])
+    def test_inverts_its_gram(self, n):
+        g = GridSpec(n, n, 3 * n // 4, 1.0, 1.0, 0.36)
+        psi = np.random.default_rng(n).standard_normal((g.nt, n - 4, n - 4))
+        z = stream_metric_inverse(psi, g)
+        b = unit_backward_difference(g.nt)
+        spatial = velocity_map_transpose(velocity_map(z, g), g)
+        back = np.einsum("st,tyx->syx", b.T @ b, spatial)
+        assert np.abs(back - psi).max() <= 1e-12 * np.abs(psi).max()
+
+    def test_symmetric(self):
+        g = GridSpec(24, 24, 18, 1.0, 1.0, 0.36)
+        rng = np.random.default_rng(24)
+        a, b = (rng.standard_normal((g.nt, 20, 20)) for _ in range(2))
+        lhs = np.sum(a * stream_metric_inverse(b, g))
+        rhs = np.sum(stream_metric_inverse(a, g) * b)
+        assert abs(lhs - rhs) <= 1e-14 * abs(lhs)

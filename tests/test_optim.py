@@ -9,11 +9,11 @@ from nsassim.misfit import assemble_state, report_from_state
 from nsassim.norms import PExponent
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset,
-    reference_solve,
+    reference_solve, stream_metric_inverse, velocity_map, velocity_map_transpose,
 )
 from nsassim.observation import ObservationModel, default_mask, synth_data
 from nsassim.optim import (
-    ContinuationSchedule, MinimizeResult, OptimOptions, minimize_E_p,
+    ContinuationSchedule, MinimizeResult, OptimOptions, _two_loop, minimize_E_p,
     run_continuation, stage_tolerance,
 )
 
@@ -185,6 +185,76 @@ class TestMinimize:
                            OptimOptions(max_iters=2000, grad_tol=1e-7))
         truth_rep = report_from_state(assemble_state(ref.control, setup, model), setup, 2.0)
         assert res.report.e_p <= truth_rep.e_p + 1e-6
+
+
+def dense_metric_inverse(g):
+    """M^-1 in the scaled variables, built densely: h^-2 (B^T B (x) C^T C)^-1 on
+    the stream-function block, the identity on the pressure block."""
+    shape = (g.nt, g.ny - 4, g.nx - 4)
+    n_psi = int(np.prod(shape))
+    units = np.eye(n_psi).reshape((n_psi,) + shape)
+    curl_gram = np.array([velocity_map_transpose(velocity_map(e[:1], g), g).ravel()
+                          for e in units[:n_psi // g.nt]])
+    b = np.eye(g.nt) - np.eye(g.nt, k=-1)
+    m_psi = np.kron(b.T @ b, curl_gram)
+    n_pr = g.nt * (g.ny - 2) * (g.nx - 2)
+    out = np.eye(n_psi + n_pr)
+    out[:n_psi, :n_psi] = np.linalg.inv(m_psi) / min(g.hx, g.hy) ** 2
+    return out, n_psi
+
+
+class TestMetricTwoLoop:
+    def test_two_loop_is_bfgs_from_the_metric(self):
+        # pairs from a gradient sequence, each storing the stream-function
+        # block of M^-1 y as the difference of M^-1 g; the dense BFGS
+        # updates of gamma M^-1 from the same pairs are the oracle
+        g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
+        m_inv, n_psi = dense_metric_inverse(g)
+        n = m_inv.shape[0]
+        h2 = min(g.hx, g.hy) ** 2
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((n, n))
+        a = a @ a.T / n + np.eye(n)
+
+        def metric(v):
+            return stream_metric_inverse(v[:n_psi].reshape(g.nt, 4, 4), g).ravel() / h2
+
+        grads = [rng.standard_normal(n)]
+        pairs = []
+        for _ in range(5):
+            s = rng.standard_normal(n)
+            grads.append(grads[-1] + a @ s)
+            pairs.append((s, grads[-1] - grads[-2], 1.0 / np.dot(s, a @ s),
+                          metric(grads[-1]) - metric(grads[-2])))
+        s_new, y_new = pairs[-1][:2]
+        h = (np.dot(s_new, y_new) / (y_new @ m_inv @ y_new)) * m_inv
+        for s, y, rho, _ in pairs:
+            v = np.eye(n) - rho * np.outer(y, s)
+            h = v.T @ h @ v + rho * np.outer(s, s)
+        assert np.abs(h @ y_new - s_new).max() <= 1e-10 * np.abs(s_new).max()
+        d = _two_loop(grads[-1], metric(grads[-1]), pairs)
+        ref = -h @ grads[-1]
+        assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_one_metric_per_gradient(self, monkeypatch):
+        import nsassim.optim as optim
+        g, setup, model = small_problem()
+        counts = {"metric": 0, "gradient": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(optim, "stream_metric_inverse",
+                            counted("metric", stream_metric_inverse))
+        monkeypatch.setattr(optim, "gradient_from_state",
+                            counted("gradient", optim.gradient_from_state))
+        res = minimize_E_p(ControlVector.zeros(g), setup, model, 4.0,
+                           OptimOptions(max_iters=15, grad_tol=1e-12))
+        assert res.iterations == 15
+        assert 0 < counts["metric"] <= counts["gradient"] == res.iterations + 1
 
 
 class TestContinuation:
