@@ -81,8 +81,12 @@ class AssembledState:
     weight: float           # uniform quadrature weight
     _lp: dict = field(default_factory=dict, repr=False, compare=False)  # p -> lp_norms(p)
 
+    @cached_property
     def squared_magnitudes(self):
-        """|K|^2 and |y|^2 per node, summed as norms.magnitudes and reg_abs do."""
+        """|K|^2 and |y|^2 per node, summed as norms.magnitudes and reg_abs do.
+
+        Computed once per state: the sup norms and every lp_norms read it.
+        """
         return tuple(np.einsum("i...,i...->...", v, v) for v in (self.misfit, self.residual))
 
     def lp_norms(self, p):
@@ -96,7 +100,7 @@ class AssembledState:
             if not p.is_finite:
                 raise ConfigurationError("p-norms and dual weights require a finite exponent")
             out = tuple(lp_norm_from_squares(sq, self.weight, p.value)
-                        for sq in self.squared_magnitudes())
+                        for sq in self.squared_magnitudes)
             self._lp[p.value] = out
         return out
 
@@ -146,7 +150,7 @@ def report_from_state(state, setup, p):
     """Misfit report at exponent p (finite or infinite) for assembled state."""
     p = as_exponent(p)
     # sqrt is monotone and correctly rounded: the largest magnitude, to the bit
-    s_k, s_y = (float(np.sqrt(np.max(sq))) for sq in state.squared_magnitudes())
+    s_k, s_y = (float(np.sqrt(np.max(sq))) for sq in state.squared_magnitudes)
     if p.is_finite:
         (_, n_k), (_, n_y) = state.lp_norms(p)
     else:

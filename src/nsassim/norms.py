@@ -20,9 +20,10 @@ import numpy as np
 from .errors import ConfigurationError, InvalidFieldError
 
 _EXP_CLIP = 700.0  # exp(700) is near the float64 overflow edge
-# exp(-600) ~ 1e-261: a dual factor below it is flushed to zero.  The largest
-# factor is at least 1/norm, so the flushed ones lie far below its round-off,
-# and left in place they make the adjoint's arithmetic subnormal and slow.
+# exp(-600) ~ 1e-261: a p-norm term or dual factor below it is flushed to zero.
+# The largest term is the weight itself and the largest factor at least
+# 1/norm, so the flushed ones lie far below their round-off, and left in
+# place they make the arithmetic subnormal and slow.
 _EXP_FLOOR = -600.0
 
 
@@ -127,11 +128,14 @@ def lp_norm_from_magnitudes(r, weights, p):
 
     r holds the positively weighted samples only; weights is their weight
     array or one uniform weight.  Computed as m * (sum_i w_i (r_i/m)^p)^(1/p)
-    with m the largest magnitude, so no intermediate power overflows.  No
-    input is validated: dotted_lp_norm is the checked entry point.
+    with m the largest magnitude, so no intermediate power overflows; terms
+    (r_i/m)^p below exp(_EXP_FLOOR) are zero.  No input is validated:
+    dotted_lp_norm is the checked entry point.
     """
     log_m = np.log(np.max(r))
-    s = np.sum(weights * np.exp(p * (np.log(r) - log_m)))
+    expo = p * (np.log(r) - log_m)
+    expo[expo < _EXP_FLOOR] = -np.inf
+    s = np.sum(weights * np.exp(expo))
     return float(np.exp(log_m + np.log(s) / p))
 
 
@@ -154,6 +158,16 @@ def dual_factor(r, norm, p):
     expo = (p - 2.0) * np.log(r) - (p - 1.0) * math.log(norm)
     expo[expo < _EXP_FLOOR] = -np.inf
     return np.exp(np.minimum(expo, _EXP_CLIP))
+
+
+def peak_curvature(r, norm, p):
+    """Largest pointwise curvature (p-1) rho^(p-2) / norm of the p-norm, rho = max(r) / norm.
+
+    Per unit quadrature weight w: w times it bounds the Hessian of the
+    averaged p-norm in any one sample's vector (float p).  Since
+    norm^p >= w max(r)^p, rho^(p-2) < 1/w and nothing overflows.
+    """
+    return (p - 1.0) * (float(np.max(r)) / norm) ** (p - 2.0) / norm
 
 
 def dotted_lp_norm(h, p):

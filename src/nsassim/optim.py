@@ -4,8 +4,8 @@ The inner solver is L-BFGS with Armijo backtracking.  For large p the
 misfit is a smoothed minimax and badly conditioned, so the continuation
 warm-starts every stage from the previous minimizer and tightens the
 per-stage gradient tolerance like sqrt(p_first/p).  Only the iterate
-carries over: every stage starts with an empty L-BFGS history and a first
-step of 1/max(1, ||g0||), so curvature built at small p is not reused.
+carries over: every stage starts with an empty L-BFGS history, so curvature
+built at small p is not reused.
 
 The iteration runs in preconditioned variables: the stream-function and
 pressure blocks are rescaled by constant factors matching their dominant
@@ -26,6 +26,13 @@ curl (nse.stream_metric_inverse, h^-2 M_psi^-1 in these variables), and
 the identity on the pressure block.  M^-1 is applied once per gradient
 evaluation; each curvature pair keeps the stream-function block of
 M^-1 y as the difference of those of its two gradients.
+
+With no curvature pair yet, as at the start of every stage, the step is
+-gamma0 M^-1 g at unit length, gamma0 = 1 / (lam w c) with w the
+quadrature weight and c the residual norm's peak curvature
+(norms.peak_curvature): M^-1 / gamma0 is the Gauss-Newton Hessian of
+lam |residual|_p at its stiffest node, so at p = 2 the first step of a
+stage is a Gauss-Newton step of the residual term.
 """
 
 import math
@@ -37,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidFieldError
 from .misfit import assemble_state, gradient_from_state, report_from_state
-from .norms import PExponent, as_exponent, dot
+from .norms import PExponent, as_exponent, dot, peak_curvature
 from .nse import ControlVector, stream_metric_inverse
 
 _ARMIJO_FACTOR = 0.5
@@ -146,6 +153,11 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     def metric(g):  # stream-function block of M^-1 g, once per gradient
         return stream_metric_inverse(g[:n_psi].reshape(psi_shape), grid).ravel() / h2
 
+    def first_step(state, g, mg):  # -gamma0 M^-1 g, with no curvature pairs
+        r_y, n_y = state.lp_norms(p)[1]
+        gamma0 = 1.0 / (setup.lam * state.weight * peak_curvature(r_y, n_y, p.value))
+        return -gamma0 * np.concatenate([mg, g[n_psi:]])
+
     x = c0.to_flat() / sv
 
     def forward(z):
@@ -164,12 +176,12 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     stalled = False
     it = 0
     while not converged and it < opts.max_iters:
-        d = _two_loop(grad, mg, pairs) if pairs else -grad
+        d = _two_loop(grad, mg, pairs) if pairs else first_step(state, grad, mg)
         descent = dot(d, grad)
         if descent >= 0.0:
             d = -grad
             descent = -g_norm * g_norm
-        alpha = 1.0 if pairs else min(1.0, 1.0 / g_ref)
+        alpha = 1.0
         accepted = None
         for _ in range(_MAX_BACKTRACKS + 1):
             x_try = x + alpha * d
@@ -181,6 +193,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
                     and report_try.e_p <= report.e_p + _ARMIJO_SLOPE * alpha * descent):
                 accepted = (x_try, report_try, state_try)
                 break
+            state_try = None  # freed before the next trial's forward, not after it
             alpha *= _ARMIJO_FACTOR
         if accepted is None:
             stalled = True

@@ -387,7 +387,7 @@ def test_measures_equal_state_dual_weights(kind, p):
     for measure, dual in ((build_sigma(state.y, p), m_y), (build_Sigma(state.K, p), m_k)):
         last = np.moveaxis(dual, 0, -1)
         assert np.array_equal(measure.vector_weights, last.reshape(-1, last.shape[-1]))
-    sq_k, sq_y = state.squared_magnitudes()
+    sq_k, sq_y = state.squared_magnitudes
     assert np.array_equal(build_sigma(state.y, p).field_magnitudes, np.sqrt(sq_y).ravel())
     assert np.array_equal(build_Sigma(state.K, p).field_magnitudes, np.sqrt(sq_k).ravel())
 

@@ -6,7 +6,7 @@ import pytest
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.norms import (
     PExponent, WeightedSamples, dotted_lp_norm, dual_factor, dual_weight, holder_gap,
-    lp_norm_from_squares, oscillating_step_profile, reg_abs, sup_norm,
+    lp_norm_from_squares, oscillating_step_profile, peak_curvature, reg_abs, sup_norm,
 )
 
 
@@ -191,6 +191,47 @@ class TestDualWeight:
         assert not np.any((f > 0.0) & (f < np.finfo(float).tiny))
         assert np.all(f[expo < -600.0] == 0.0)
         assert np.array_equal(f[expo >= -600.0], np.exp(expo[expo >= -600.0]))
+
+    def test_norm_flushes_subnormal_terms_to_the_same_bits(self):
+        # at p = 128, 1,400 of the 2,000 terms (r_i/m)^p lie below the
+        # smallest normal float; the largest term is the weight itself, so
+        # zeroing them leaves every bit of the unflushed sum
+        p = 128.0
+        r = np.concatenate([np.geomspace(1.0 / p, 0.015, 1400), np.geomspace(0.015, 4.0, 600)])
+        w = 1.0 / r.size
+        r, norm = lp_norm_from_squares(r * r - p ** -2, w, p)
+        terms = np.exp(p * (np.log(r) - np.log(r.max())))
+        assert np.count_nonzero(terms < np.finfo(float).tiny) > 1000
+        unflushed = float(np.exp(np.log(r.max()) + np.log(np.sum(w * terms)) / p))
+        assert norm == unflushed
+
+    @pytest.mark.parametrize("p", [2.0, 16.0, 128.0])
+    def test_peak_curvature_bounds_the_pointwise_hessian(self, p):
+        # central differences of the norm's gradient w f_i v_i in one
+        # sample's vector: w times peak_curvature bounds every block, and
+        # at p = 2 it is the block's largest eigenvalue
+        rng = np.random.default_rng(int(p))
+        vals = rng.standard_normal((200, 2))
+        w = 1.0 / len(vals)
+
+        def grad_of(v, k):
+            r, norm = lp_norm_from_squares(np.einsum("ij,ij->i", v, v), w, p)
+            return w * dual_factor(r, norm, p)[k] * v[k]
+
+        r, norm = lp_norm_from_squares(np.einsum("ij,ij->i", vals, vals), w, p)
+        bound = w * peak_curvature(r, norm, p)
+        eps = 1e-6
+        for k in (int(np.argmax(r)), int(np.argmin(r))):
+            hess = np.empty((2, 2))
+            for j in range(2):
+                up, down = vals.copy(), vals.copy()
+                up[k, j] += eps
+                down[k, j] -= eps
+                hess[:, j] = (grad_of(up, k) - grad_of(down, k)) / (2.0 * eps)
+            top = np.linalg.eigvalsh(0.5 * (hess + hess.T)).max()
+            assert top <= bound * (1.0 + 1e-6)
+            if p == 2.0:
+                assert top == pytest.approx(bound, rel=1e-6)
 
 
 class TestHolderGap:

@@ -5,8 +5,8 @@ import pytest
 
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import GridSpec, VectorField
-from nsassim.misfit import assemble_state, report_from_state
-from nsassim.norms import PExponent
+from nsassim.misfit import assemble_state, gradient_from_state, report_from_state
+from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset,
     reference_solve, stream_metric_inverse, velocity_map, velocity_map_transpose,
@@ -14,12 +14,13 @@ from nsassim.nse import (
 from nsassim.observation import ObservationModel, default_mask, synth_data
 from nsassim.optim import (
     ContinuationSchedule, MinimizeResult, OptimOptions, _two_loop, minimize_E_p,
-    run_continuation, stage_tolerance,
+    preconditioner_scales, run_continuation, stage_tolerance,
 )
 
 
-def small_problem(noise=0.25, lam=0.5, advection=True, seed=3):
-    g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
+def small_problem(noise=0.25, lam=0.5, advection=True, seed=3, n=8):
+    # n nodes per side; the time step is refined with the mesh width
+    g = GridSpec(nx=n, ny=n, nt=3 * n // 4, t_end=0.3)
     setup = PhysicsSetup(grid=g, nu=0.02, lam=lam,
                          f=forcing_preset(g, "none", 0.0),
                          u0=initial_velocity_preset(g, "vortex", 0.1),
@@ -255,6 +256,49 @@ class TestMetricTwoLoop:
                            OptimOptions(max_iters=15, grad_tol=1e-12))
         assert res.iterations == 15
         assert 0 < counts["metric"] <= counts["gradient"] == res.iterations + 1
+
+
+class TestFirstStep:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("advection", [True, False])
+    def test_one_iteration_takes_most_of_the_decrease(self, n, lam, advection):
+        # at p = 2 the curvature-scaled first step is a Gauss-Newton step
+        # of the residual term, so one iteration from the zero control
+        # goes most of the way to the converged minimum
+        g, setup, model = small_problem(lam=lam, advection=advection, n=n)
+        c0 = ControlVector.zeros(g)
+        one = minimize_E_p(c0, setup, model, 2.0, OptimOptions(max_iters=1))
+        best = minimize_E_p(c0, setup, model, 2.0, OptimOptions(max_iters=3000, grad_tol=1e-9))
+        e0 = one.trace[0][1]
+        assert one.iterations == 1 and best.converged
+        assert e0 - one.report.e_p >= 0.75 * (e0 - best.report.e_p)
+
+    @pytest.mark.parametrize("p", [2.0, 16.0])
+    def test_first_trial_is_the_scaled_metric_step(self, p, monkeypatch):
+        # x0 - gamma0 H0 g with H0 the dense metric inverse and
+        # gamma0 = N_y / (lam w (p-1) rho^(p-2)), rho = max r_y / N_y
+        g, setup, model = small_problem()
+        c0 = ControlVector.zeros(g)
+        calls = []
+
+        def recording(c, setup_, model_):
+            calls.append(c.to_flat())
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr("nsassim.optim.assemble_state", recording)
+        minimize_E_p(c0, setup, model, p, OptimOptions(max_iters=1))
+        sv = preconditioner_scales(g)
+        state = assemble_state(c0, setup, model)
+        grad = gradient_from_state(state, setup, model, p).to_flat() * sv
+        y = np.moveaxis(state.residual, 0, -1).reshape(-1, 2)
+        n_y = dotted_lp_norm(WeightedSamples.uniform(y), p)
+        rho = np.sqrt(np.max(np.sum(y * y, axis=1)) + p ** -2) / n_y
+        assert p == 2.0 or rho ** (p - 2.0) > 10.0  # the factor matters at p = 16
+        gamma0 = n_y / (setup.lam * g.interior_weight() * (p - 1.0) * rho ** (p - 2.0))
+        m_inv, _ = dense_metric_inverse(g)
+        expected = c0.to_flat() / sv - gamma0 * (m_inv @ grad)
+        assert np.abs(calls[1] / sv - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestContinuation:
