@@ -236,5 +236,6 @@ def gradient_from_state(state, setup, model, p):
         raise ConfigurationError("the sup-misfit is not differentiable; use finite p")
     w = state.weight
     m_k, m_y = state.dual_weights(p)
-    return adjoint_from_state(state, setup, model, ((1.0 - setup.lam) * w) * m_k,
-                              (setup.lam * w) * m_y)
+    m_k *= (1.0 - setup.lam) * w
+    m_y *= setup.lam * w
+    return adjoint_from_state(state, setup, model, m_k, m_y)

@@ -133,10 +133,13 @@ def lp_norm_from_magnitudes(r, weights, p):
     dotted_lp_norm is the checked entry point.
     """
     log_m = np.log(np.max(r))
-    expo = p * (np.log(r) - log_m)
+    expo = np.log(r)
+    expo -= log_m
+    expo *= p
     expo[expo < _EXP_FLOOR] = -np.inf
-    s = np.sum(weights * np.exp(expo))
-    return float(np.exp(log_m + np.log(s) / p))
+    terms = np.exp(expo, out=expo)
+    terms *= weights
+    return float(np.exp(log_m + np.log(np.sum(terms)) / p))
 
 
 def lp_norm_from_squares(sq, weight, p):
@@ -144,7 +147,8 @@ def lp_norm_from_squares(sq, weight, p):
 
     Unvalidated; equal to the bit to dotted_lp_norm on the same samples.
     """
-    r = np.sqrt(sq + p ** -2)
+    r = np.add(sq, p ** -2)
+    np.sqrt(r, out=r)
     return r, lp_norm_from_magnitudes(r, weight, p)
 
 
@@ -155,9 +159,12 @@ def dual_factor(r, norm, p):
     samples, which carry no mass, and factors below exp(_EXP_FLOOR) are
     zero.  dual_weight is the checked entry point.
     """
-    expo = (p - 2.0) * np.log(r) - (p - 1.0) * math.log(norm)
+    expo = np.log(r)
+    expo *= p - 2.0
+    expo -= (p - 1.0) * math.log(norm)
     expo[expo < _EXP_FLOOR] = -np.inf
-    return np.exp(np.minimum(expo, _EXP_CLIP))
+    np.minimum(expo, _EXP_CLIP, out=expo)
+    return np.exp(expo, out=expo)
 
 
 def peak_curvature(r, norm, p):

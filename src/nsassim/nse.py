@@ -17,6 +17,13 @@ velocity, pressure_gradient on the control's pressure block and advection,
 each linear map followed by its transpose; the assembly, the tangent, the
 adjoint and the reference solver all call them.  The pressure field itself
 (pressure_map) is built only for output and field-level checks.
+
+The linear maps multiply by read-only, C-contiguous blocks of the 1D
+matrices, cached once per grid (_grid_blocks: velocity_map's d1y[1:-1, 2:-2]
+and -d1x[1:-1, 2:-2]^T, velocity_gradient's d1x[1:-1]^T; the pressure
+gradient's dx^T and the fast diagonalization's vx^T with their factors) and
+once per (grid, nu) (_viscous_blocks: nu d2x[1:-1]^T and nu d2y[1:-1] for
+momentum_operator, -nu d2x[1:-1] and (-nu d2y[1:-1])^T for its transpose).
 """
 
 from dataclasses import dataclass
@@ -96,10 +103,11 @@ class ControlVector:
 
     @classmethod
     def from_flat(cls, grid, vec):
+        """The control whose blocks are views of vec: pass a vector nothing else writes."""
         n_psi = grid.nt * (grid.ny - 4) * (grid.nx - 4)
         psi = vec[:n_psi].reshape(grid.nt, grid.ny - 4, grid.nx - 4)
         pr = vec[n_psi:].reshape(grid.nt, grid.ny - 2, grid.nx - 2)
-        return cls(grid, psi.copy(), pr.copy())
+        return cls(grid, psi, pr)
 
 
 @dataclass
@@ -178,19 +186,44 @@ def pressure_map(pr, grid):
 
 # ---------------------------------------------------------------------------
 # linear maps, each followed by its transpose; component axis first.  The
-# momentum operators apply the interior rows of the 1D matrices only.
+# momentum operators apply the interior rows of the 1D matrices only.  The
+# blocks are C-contiguous because numpy's batched matmul takes about twice
+# as long with a transposed view as its right operand.
+
+def _frozen(a):
+    """A read-only C-contiguous copy of a."""
+    out = np.array(a, order="C")
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _grid_blocks(grid):
+    """velocity_map's d1y[1:-1, 2:-2] and -d1x[1:-1, 2:-2]^T, velocity_gradient's d1x[1:-1]^T."""
+    d1x, d1y = grid.d1x(), grid.d1y()
+    return _frozen(d1y[1:-1, 2:-2]), _frozen(-d1x[1:-1, 2:-2].T), _frozen(d1x[1:-1].T)
+
+
+@lru_cache(maxsize=None)
+def _viscous_blocks(grid, nu):
+    """momentum_operator's nu d2x[1:-1]^T and nu d2y[1:-1], its transpose's
+    -nu d2x[1:-1] and (-nu d2y[1:-1])^T, once per (grid, nu)."""
+    d2x, d2y = grid.d2x()[1:-1], grid.d2y()[1:-1]
+    return _frozen(nu * d2x.T), _frozen(nu * d2y), _frozen(-nu * d2x), _frozen((-nu * d2y).T)
+
 
 def velocity_map(psi, grid):
     """Velocity from stream-function dofs (nt, ny-4, nx-4), any nt (linear).
 
     The curl of the zero-padded stream function with the boundary ring
-    zeroed: shaped (2, nt, ny, nx).
+    zeroed: shaped (2, nt, ny, nx).  Only the interior blocks of the 1D
+    matrices meet nonzero values, so each component is one matmul into the
+    block it fills.
     """
-    psi_full = np.zeros((psi.shape[0], grid.ny, grid.nx))
-    psi_full[:, 2:-2, 2:-2] = psi
-    u = curl_kernel(psi_full, grid, axis=0)
-    u[:, :, [0, -1]] = 0.0
-    u[..., [0, -1]] = 0.0
+    curl_y, curl_x_t = _grid_blocks(grid)[:2]
+    u = np.zeros((2, psi.shape[0], grid.ny, grid.nx))
+    np.matmul(curl_y, psi, out=u[0, :, 1:-1, 2:-2])
+    np.matmul(psi, curl_x_t, out=u[1, :, 2:-2, 1:-1])
     return u
 
 
@@ -201,7 +234,9 @@ def velocity_map_transpose(ubar, grid):
     the interior block of each 1D matrix enters.
     """
     d1x, d1y = grid.d1x()[1:-1, 2:-2], grid.d1y()[1:-1, 2:-2]
-    return d1y.T @ ubar[0, :, 1:-1, 2:-2] - ubar[1, :, 2:-2, 1:-1] @ d1x
+    out = d1y.T @ ubar[0, :, 1:-1, 2:-2]
+    out -= ubar[1, :, 2:-2, 1:-1] @ d1x
+    return out
 
 
 def velocity_gradient(u, grid):
@@ -211,7 +246,7 @@ def velocity_gradient(u, grid):
     du1/dx, du1/dy, du2/dx, du2/dy.
     """
     out = np.empty((4,) + u.shape[1:-2] + (grid.ny - 2, grid.nx - 2))
-    np.matmul(u[..., 1:-1, :], grid.d1x()[1:-1].T, out=out[0::2])
+    np.matmul(u[..., 1:-1, :], _grid_blocks(grid)[2], out=out[0::2])
     np.matmul(grid.d1y()[1:-1], u[..., 1:-1], out=out[1::2])
     return out
 
@@ -234,14 +269,14 @@ def momentum_operator(u, grid, nu, u_init=None):
     u_init (2, ..., ny-2, nx-2) the interior slice before level 1 (zero when
     None).  Returns (2, ..., nt, ny-2, nx-2).
     """
+    visc_x_t, visc_y = _viscous_blocks(grid, nu)[:2]
     ui = u[..., 1:-1, 1:-1]
     out = np.empty(ui.shape)
     np.subtract(ui[..., 1:, :, :], ui[..., :-1, :, :], out=out[..., 1:, :, :])
     out[..., 0, :, :] = ui[..., 0, :, :] if u_init is None else ui[..., 0, :, :] - u_init
-    out /= grid.dt
-    lap = u[..., 1:-1, :] @ grid.d2x()[1:-1].T
-    lap += grid.d2y()[1:-1] @ u[..., 1:-1]
-    lap *= nu
+    out *= 1.0 / grid.dt
+    lap = np.matmul(u[..., 1:-1, :], visc_x_t)
+    lap += visc_y @ u[..., 1:-1]
     out -= lap
     return out
 
@@ -253,11 +288,13 @@ def momentum_operator_transpose(ybar, grid, nu):
     (2, ..., nt, ny, nx).  Level k of the velocity feeds the time
     differences of levels k and k+1.
     """
-    lead = ybar.shape[1:-2]
-    ubar = np.zeros((2,) + lead + (grid.ny, grid.nx))
-    np.matmul(ybar, -nu * grid.d2x()[1:-1], out=ubar[..., 1:-1, :])
-    ubar[..., 1:-1] += (-nu * grid.d2y()[1:-1]).T @ ybar
-    s = ybar / grid.dt
+    visc_x, visc_y_t = _viscous_blocks(grid, nu)[2:]
+    ubar = np.empty((2,) + ybar.shape[1:-2] + (grid.ny, grid.nx))
+    ubar[..., 0, :] = 0.0
+    ubar[..., -1, :] = 0.0
+    np.matmul(ybar, visc_x, out=ubar[..., 1:-1, :])
+    ubar[..., 1:-1] += visc_y_t @ ybar
+    s = ybar * (1.0 / grid.dt)
     ui = ubar[..., 1:-1, 1:-1]
     ui += s
     ui[..., :-1, :, :] -= s[..., 1:, :, :]
@@ -271,14 +308,19 @@ def pressure_gradient(pr, grid):
     matrices of the interior subgrid, one-sided at its ends.  Equal to the
     centred gradient of pressure_map(pr) at interior nodes, up to round-off.
     """
-    dy, dx = _pressure_gradient_factors(grid)[:2]
-    return np.stack([pr @ dx.T, dy @ pr])
+    dy, _, dx_t = _pressure_gradient_factors(grid)[:3]
+    out = np.empty((2,) + pr.shape)
+    np.matmul(pr, dx_t, out=out[0])
+    np.matmul(dy, pr, out=out[1])
+    return out
 
 
 def pressure_gradient_transpose(v, grid):
     """Transpose of pressure_gradient: (2, ..., ny-2, nx-2) -> (..., ny-2, nx-2)."""
     dy, dx = _pressure_gradient_factors(grid)[:2]
-    return v[0] @ dx + dy.T @ v[1]
+    out = v[0] @ dx
+    out += dy.T @ v[1]
+    return out
 
 
 def advection(a, grad_b):
@@ -325,7 +367,7 @@ def _momentum_terms(u, p, setup, u0):
         raise ConfigurationError(f"u0 shape {u0.shape} != {(g.ny, g.nx, 2)}")
     uv, pv = np.moveaxis(u.values[1:], -1, 0), p.values[1:]
     out = momentum_operator(uv, g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
-    out[0] += pv[..., 1:-1, :] @ g.d1x()[1:-1].T
+    out[0] += pv[..., 1:-1, :] @ _grid_blocks(g)[2]
     out[1] += g.d1y()[1:-1] @ pv[..., 1:-1]
     if setup.include_advection:
         out += advection(uv[..., 1:-1, 1:-1], velocity_gradient(uv, g))
@@ -371,31 +413,36 @@ _CGLS_TOL = 1e-13  # CGLS stops at |A^T P r| <= _CGLS_TOL |A^T P b|
 
 
 def _fast_diagonalization(dy, dx, null_mode):
-    """dy^T dy (x) I + I (x) dx^T dx diagonalized: vy, vx and 1 / eigenvalue.
+    """dy^T dy (x) I + I (x) dx^T dx diagonalized: vy, vx, vx^T and 1 / eigenvalue.
 
-    vy, vx are the eigenvectors of the two terms.  With null_mode the
-    smallest eigenvalue, a constant null mode, gets inverse 0.
+    vy, vx are the eigenvectors of the two terms, all four read-only and
+    C-contiguous.  With null_mode the smallest eigenvalue, a constant null
+    mode, gets inverse 0.
     """
     (ly, vy), (lx, vx) = np.linalg.eigh(dy.T @ dy), np.linalg.eigh(dx.T @ dx)
     lam = ly[:, None] + lx
     if null_mode:
         lam[0, 0] = np.inf
-    return vy, vx, 1.0 / lam
+    return _frozen(vy), _frozen(vx), _frozen(vx.T), _frozen(1.0 / lam)
 
 
-def _diagonalized_solve(s, vy, vx, inv):
+def _diagonalized_solve(s, vy, vx, vx_t, inv):
     """The Kronecker-sum inverse of _fast_diagonalization applied to s (..., ny, nx)."""
-    return vy @ ((vy.T @ s @ vx) * inv) @ vx.T
+    a = vy.T @ s
+    b = a @ vx
+    b *= inv
+    np.matmul(vy, b, out=a)
+    return np.matmul(a, vx_t, out=b)
 
 
 @lru_cache(maxsize=None)
 def _pressure_gradient_factors(grid):
-    """The 1D matrices dy, dx of the interior pressure gradient G, G^T G diagonalized.
+    """The 1D matrices dy, dx, dx^T of the interior pressure gradient G, G^T G diagonalized.
 
     G^T G = I (x) dx^T dx + dy^T dy (x) I; its only null mode is the constant.
     """
     dy, dx = _d1_matrix(grid.ny - 2, grid.hy), _d1_matrix(grid.nx - 2, grid.hx)
-    return (dy, dx) + _fast_diagonalization(dy, dx, null_mode=True)
+    return (dy, dx, _frozen(dx.T)) + _fast_diagonalization(dy, dx, null_mode=True)
 
 
 @lru_cache(maxsize=None)
@@ -439,7 +486,7 @@ def stream_metric_inverse(psi, grid):
 def _pressure_fit(v, grid):
     """(G^T G)^+ G^T v: the minimum-norm pressure whose gradient best fits v."""
     return _diagonalized_solve(pressure_gradient_transpose(v, grid),
-                               *_pressure_gradient_factors(grid)[2:])
+                               *_pressure_gradient_factors(grid)[3:])
 
 
 def _level_lstsq(psi, b, a, setup):

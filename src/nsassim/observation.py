@@ -158,7 +158,9 @@ def eval_K_vjp(u, kbar, model, ubar, gbar):
         gbar[1] -= kbar[0]
         gbar[2] += kbar[0]
     elif kind == "speed-squared":
-        ubar += (2.0 * u) * kbar
+        prod = np.multiply(u, 2.0)
+        prod *= kbar
+        ubar += prod
     else:
         raise ConfigurationError(f"unknown observation kind {kind!r}")
 

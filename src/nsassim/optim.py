@@ -3,8 +3,9 @@
 The inner solver is L-BFGS with Armijo backtracking.  For large p the
 misfit is a smoothed minimax and badly conditioned, so the continuation
 warm-starts every stage from the previous minimizer and tightens the
-per-stage gradient tolerance like sqrt(p_first/p).  Only the iterate
-carries over: every stage starts with an empty L-BFGS history, so curvature
+per-stage gradient tolerance like sqrt(p_first/p).  Only the iterate and
+its assembled state carry over, so a stage does not assemble its entry
+point again: every stage starts with an empty L-BFGS history, so curvature
 built at small p is not reused.
 
 The iteration runs in preconditioned variables: the stream-function and
@@ -142,6 +143,18 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     Armijo test and is backtracked.  A line search that exhausts its
     backtracks flags the result as stalled and returns the best point.
     """
+    entry = {"x": c0.to_flat() / preconditioner_scales(setup.grid)}
+    return _descend(entry, setup, model, p, opts)
+
+
+def _descend(entry, setup, model, p, opts):
+    """minimize_E_p from entry["x"], in the preconditioned variables.
+
+    entry may hold the assembled state of that point under "state"; it is
+    assembled otherwise.  Both are taken out of entry, so the state is
+    freed at the first accepted step, and the last accepted point and its
+    state are put back for the next stage to start from.
+    """
     opts = opts or OptimOptions()
     p = as_exponent(p)
     grid = setup.grid
@@ -158,14 +171,22 @@ def minimize_E_p(c0, setup, model, p, opts=None):
         gamma0 = 1.0 / (setup.lam * state.weight * peak_curvature(r_y, n_y, p.value))
         return -gamma0 * np.concatenate([mg, g[n_psi:]])
 
-    x = c0.to_flat() / sv
-
     def forward(z):
-        state = assemble_state(ControlVector.from_flat(grid, sv * z), setup, model)
-        return report_from_state(state, setup, p), state
+        return assemble_state(ControlVector.from_flat(grid, sv * z), setup, model)
 
-    report, state = forward(x)
-    grad = gradient_from_state(state, setup, model, p).to_flat() * sv
+    def gradient(state):  # the gradient's blocks scaled straight into one flat array
+        gc = gradient_from_state(state, setup, model, p)
+        out = np.empty(sv.size)
+        np.multiply(gc.psi.ravel(), sv[:n_psi], out=out[:n_psi])
+        np.multiply(gc.pr.ravel(), sv[n_psi:], out=out[n_psi:])
+        return out
+
+    x = entry.pop("x")
+    state = entry.pop("state", None)
+    if state is None:
+        state = forward(x)
+    report = report_from_state(state, setup, p)
+    grad = gradient(state)
     mg = metric(grad)
     g_norm = math.sqrt(dot(grad, grad))
     g_ref = max(1.0, g_norm)
@@ -186,7 +207,8 @@ def minimize_E_p(c0, setup, model, p, opts=None):
         for _ in range(_MAX_BACKTRACKS + 1):
             x_try = x + alpha * d
             try:
-                report_try, state_try = forward(x_try)
+                state_try = forward(x_try)
+                report_try = report_from_state(state_try, setup, p)
             except InvalidFieldError:
                 report_try = None
             if (report_try is not None
@@ -199,7 +221,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
             stalled = True
             break
         x_new, report, state = accepted
-        grad_new = gradient_from_state(state, setup, model, p).to_flat() * sv
+        grad_new = gradient(state)
         mg_new = metric(grad_new)
         s = x_new - x
         yv = grad_new - grad
@@ -212,6 +234,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
         trace.append((it, report.e_p, g_norm))
         converged = g_norm <= opts.grad_tol * g_ref
 
+    entry.update(x=x, state=state)
     return MinimizeResult(
         control=ControlVector.from_flat(grid, sv * x), report=report,
         report_inf=report_from_state(state, setup, PExponent.infinity()),
@@ -252,16 +275,15 @@ def run_continuation(c0, setup, model, schedule=None, opts=None):
     schedule = schedule or ContinuationSchedule()
     opts = opts or OptimOptions()
     stages = []
-    current = c0
+    x0 = c0.to_flat() / preconditioner_scales(setup.grid)
+    entry = {"x": x0}
     p_first = schedule.p_list[0]
     for p in schedule.p_list:
         stage_opts = replace(opts, grad_tol=stage_tolerance(opts, p_first, p))
         t0 = time.perf_counter()
-        result = minimize_E_p(current, setup, model, p, stage_opts)
+        result = _descend(entry, setup, model, p, stage_opts)
         wall_ms = (time.perf_counter() - t0) * 1e3
         stages.append(StageResult(p=p, result=result, wall_ms=wall_ms))
-        if schedule.warm_start:
-            current = result.control
-        else:
-            current = c0
+        if not schedule.warm_start:
+            entry = {"x": x0}
     return stages

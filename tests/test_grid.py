@@ -3,7 +3,7 @@ import pytest
 
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import (
-    GridSpec, ScalarField, curl_kernel, divergence_kernel, gradient_kernel,
+    GridSpec, ScalarField, apply_x, apply_y, curl_kernel, divergence_kernel, gradient_kernel,
     trapezoid_weights, zero_boundary_ring, zero_mean_kernel,
 )
 from nsassim.nse import advection, momentum_operator, velocity_gradient
@@ -270,3 +270,22 @@ def test_zero_boundary_ring():
     assert np.all(z[:, 0] == 0.0) and np.all(z[:, -1] == 0.0)
     assert np.all(z[:, :, 0] == 0.0) and np.all(z[:, :, -1] == 0.0)
     assert np.array_equal(z[:, 1:-1, 1:-1], u[:, 1:-1, 1:-1])
+
+
+@pytest.mark.parametrize("nx, ny", [(48, 37), (11, 17)])
+def test_axis_application_matches_dense_form_and_adjoint(nx, ny):
+    # the parent expressions: a m^T along x, the y axis swapped to the end and back
+    g = grid(nx=nx, ny=ny, nt=4)
+    rng = np.random.default_rng(nx * ny)
+    a = rng.standard_normal((2, g.nt, ny, nx))
+    b = rng.standard_normal((2, g.nt, ny, nx))
+    for m in (g.d1x(), g.d2x()):
+        ref = a @ m.T
+        assert np.abs(apply_x(a, m) - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert float(np.vdot(apply_x(a, m), b)) == pytest.approx(
+            float(np.vdot(a, apply_x(b, m.T))), rel=1e-12)
+    for m in (g.d1y(), g.d2y()):
+        ref = np.swapaxes(np.swapaxes(a, -1, -2) @ m.T, -1, -2)
+        assert np.abs(apply_y(a, m) - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert float(np.vdot(apply_y(a, m), b)) == pytest.approx(
+            float(np.vdot(a, apply_y(b, m.T))), rel=1e-12)

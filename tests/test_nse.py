@@ -8,7 +8,7 @@ from nsassim.config import load_config
 from nsassim.errors import ConfigurationError, InvalidFieldError, SolverError
 from nsassim.grid import (
     GridSpec, ScalarField, VectorField, curl_kernel, divergence_kernel, gradient_kernel,
-    trapezoid_weights, zero_boundary_ring,
+    trapezoid_weights, zero_boundary_ring, _d1_matrix,
 )
 from nsassim.nse import (
     ControlVector, PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
@@ -18,7 +18,8 @@ from nsassim.nse import (
     state_from_control, stream_bump, velocity_gradient, velocity_gradient_transpose,
     velocity_map, velocity_map_transpose,
     stream_metric_inverse,
-    _curl_gram_factors, _diagonalized_solve, _level_lstsq, _pressure_fit, _time_gram_inverse,
+    _curl_gram_factors, _diagonalized_solve, _grid_blocks, _level_lstsq, _pressure_fit,
+    _pressure_gradient_factors, _time_gram_inverse, _viscous_blocks,
 )
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.ini")
@@ -175,6 +176,146 @@ def test_quadrature_weights_cached_read_only(ny, nx):
     assert trapezoid_weights(ny, nx) is w
     assert not w.flags.writeable
     assert w.sum() == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("nx, ny", [(48, 37), (11, 17)])
+def test_operator_blocks_cached_read_only(nx, ny):
+    g = grid(nx=nx, ny=ny, nt=3)
+    cached = {
+        "grid": (_grid_blocks(g), _grid_blocks(g)),
+        "viscous": (_viscous_blocks(g, NU), _viscous_blocks(g, NU)),
+        "pressure": (_pressure_gradient_factors(g), _pressure_gradient_factors(g)),
+        "curl-gram": (_curl_gram_factors(g), _curl_gram_factors(g)),
+    }
+    for first, again in cached.values():
+        assert again is first
+        for block in first:
+            assert not block.flags.writeable
+            assert block.flags.c_contiguous
+    assert _viscous_blocks(g, 2.0 * NU) is not _viscous_blocks(g, NU)
+    np.testing.assert_array_equal(_viscous_blocks(g, 2.0 * NU)[1], 2.0 * _viscous_blocks(g, NU)[1])
+
+
+# The parent expressions of the rewritten maps, written out with the dense 1D
+# matrices and transposed views: each map and its transpose must agree with
+# them to round-off.
+
+def dense_velocity_map(psi, g):
+    full = np.zeros((psi.shape[0], g.ny, g.nx))
+    full[:, 2:-2, 2:-2] = psi
+    u = np.stack([g.d1y() @ full, -(full @ g.d1x().T)])
+    u[:, :, [0, -1]] = 0.0
+    u[..., [0, -1]] = 0.0
+    return u
+
+
+def dense_velocity_map_transpose(ubar, g):
+    d1x, d1y = g.d1x()[1:-1, 2:-2], g.d1y()[1:-1, 2:-2]
+    return d1y.T @ ubar[0, :, 1:-1, 2:-2] - ubar[1, :, 2:-2, 1:-1] @ d1x
+
+
+def dense_velocity_gradient(u, g):
+    ux, uy = u[..., 1:-1, :] @ g.d1x()[1:-1].T, g.d1y()[1:-1] @ u[..., 1:-1]
+    return np.stack([ux[0], uy[0], ux[1], uy[1]])
+
+
+def dense_velocity_gradient_transpose(gbar, g):
+    ubar = np.zeros((2,) + gbar.shape[1:-2] + (g.ny, g.nx))
+    ubar[..., 1:-1, :] += gbar[0::2] @ g.d1x()[1:-1]
+    ubar[..., 1:-1] += g.d1y()[1:-1].T @ gbar[1::2]
+    return ubar
+
+
+def dense_momentum_operator(u, g):
+    ui = u[..., 1:-1, 1:-1]
+    out = np.concatenate([ui[:, :1], ui[:, 1:] - ui[:, :-1]], axis=1) / g.dt
+    lap = u[..., 1:-1, :] @ g.d2x()[1:-1].T + g.d2y()[1:-1] @ u[..., 1:-1]
+    return out - NU * lap
+
+
+def dense_momentum_operator_transpose(ybar, g):
+    ubar = np.zeros((2,) + ybar.shape[1:-2] + (g.ny, g.nx))
+    ubar[..., 1:-1, :] = ybar @ (-NU * g.d2x()[1:-1])
+    ubar[..., 1:-1] += (-NU * g.d2y()[1:-1]).T @ ybar
+    s = ybar / g.dt
+    ubar[..., 1:-1, 1:-1] += s
+    ubar[..., :-1, 1:-1, 1:-1] -= s[:, 1:]
+    return ubar
+
+
+def dense_pressure_gradient(pr, g):
+    dy, dx = _d1_matrix(g.ny - 2, g.hy), _d1_matrix(g.nx - 2, g.hx)
+    return np.stack([pr @ dx.T, dy @ pr])
+
+
+def dense_pressure_gradient_transpose(v, g):
+    dy, dx = _d1_matrix(g.ny - 2, g.hy), _d1_matrix(g.nx - 2, g.hx)
+    return v[0] @ dx + dy.T @ v[1]
+
+
+def dense_diagonalized_solve(s, vy, vx, inv):
+    return vy @ ((vy.T @ s @ vx) * inv) @ vx.T
+
+
+def curl_gram_solve(s, g):
+    return _diagonalized_solve(s, *_curl_gram_factors(g))
+
+
+def dense_curl_gram_solve(s, g):
+    vy, vx, _, inv = _curl_gram_factors(g)
+    return dense_diagonalized_solve(s, vy, vx, inv)
+
+
+def pressure_gram_solve(s, g):
+    return _diagonalized_solve(s, *_pressure_gradient_factors(g)[3:])
+
+
+def dense_pressure_gram_solve(s, g):
+    vy, vx, _, inv = _pressure_gradient_factors(g)[3:]
+    return dense_diagonalized_solve(s, vy, vx, inv)
+
+
+# name -> (map, its dense form, transpose, its dense form, input shape, output shape)
+DENSE_PAIRS = {
+    "velocity-map": (velocity_map, dense_velocity_map,
+                     velocity_map_transpose, dense_velocity_map_transpose,
+                     lambda t, y, x: (t, y - 4, x - 4), lambda t, y, x: (2, t, y, x)),
+    "gradient": (velocity_gradient, dense_velocity_gradient,
+                 lambda w, g: velocity_gradient_transpose(
+                     w, g, np.zeros((2,) + w.shape[1:-2] + (g.ny, g.nx))),
+                 dense_velocity_gradient_transpose,
+                 lambda t, y, x: (2, t, y, x), lambda t, y, x: (4, t, y - 2, x - 2)),
+    "momentum-operator": (lambda v, g: momentum_operator(v, g, NU), dense_momentum_operator,
+                          lambda w, g: momentum_operator_transpose(w, g, NU),
+                          dense_momentum_operator_transpose,
+                          lambda t, y, x: (2, t, y, x), lambda t, y, x: (2, t, y - 2, x - 2)),
+    "pressure-gradient": (pressure_gradient, dense_pressure_gradient,
+                          pressure_gradient_transpose, dense_pressure_gradient_transpose,
+                          lambda t, y, x: (t, y - 2, x - 2),
+                          lambda t, y, x: (2, t, y - 2, x - 2)),
+    "curl-gram-solve": (curl_gram_solve, dense_curl_gram_solve,
+                        curl_gram_solve, dense_curl_gram_solve,
+                        lambda t, y, x: (t, y - 4, x - 4), lambda t, y, x: (t, y - 4, x - 4)),
+    "pressure-gram-solve": (pressure_gram_solve, dense_pressure_gram_solve,
+                            pressure_gram_solve, dense_pressure_gram_solve,
+                            lambda t, y, x: (t, y - 2, x - 2),
+                            lambda t, y, x: (t, y - 2, x - 2)),
+}
+
+
+@pytest.mark.parametrize("nx, ny", [(48, 37), (11, 17)])
+@pytest.mark.parametrize("name", sorted(DENSE_PAIRS))
+def test_maps_match_dense_form_and_adjoint(name, nx, ny):
+    fwd, fwd_dense, bwd, bwd_dense, in_shape, out_shape = DENSE_PAIRS[name]
+    g = grid(nx=nx, ny=ny, nt=4)
+    rng = np.random.default_rng(nx + ny)
+    v = rng.standard_normal(in_shape(g.nt, g.ny, g.nx))
+    w = rng.standard_normal(out_shape(g.nt, g.ny, g.nx))
+    for got, ref in ((fwd(v, g), fwd_dense(v, g)), (bwd(w, g), bwd_dense(w, g))):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert float(np.vdot(fwd(v, g), w)) == pytest.approx(float(np.vdot(v, bwd(w, g))),
+                                                          rel=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(ADJOINT_PAIRS))

@@ -5,7 +5,9 @@ import pytest
 
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import GridSpec, VectorField
-from nsassim.misfit import assemble_state, gradient_from_state, report_from_state
+from nsassim.misfit import (
+    AssembledState, assemble_state, gradient_from_state, report_from_state,
+)
 from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset,
@@ -331,15 +333,46 @@ class TestContinuation:
         minimize_E_p(c0, setup, model, 4.0, opts)
         assert in_continuation == len(calls) > 1
 
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_stage_entry_hands_the_last_state_over(self, warm_start, monkeypatch):
+        import nsassim.optim as optim
+        g, setup, model = small_problem()
+        c0 = ControlVector.zeros(g)
+        opts = OptimOptions(max_iters=3, grad_tol=1e-9)
+        calls = []
+
+        def counted(c, setup_, model_):
+            calls.append(c)
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr(optim, "assemble_state", counted)
+        stages = run_continuation(c0, setup, model,
+                                  ContinuationSchedule(p_list=(2.0, 4.0), warm_start=warm_start),
+                                  opts)
+        in_continuation = len(calls)
+        calls.clear()
+        first = minimize_E_p(c0, setup, model, 2.0, opts)
+        minimize_E_p(first.control if warm_start else c0, setup, model, 4.0, opts)
+        assert in_continuation == len(calls) - (1 if warm_start else 0)
+
+        entry = stages[0].control if warm_start else c0
+        expected = report_from_state(assemble_state(entry, setup, model), setup, 4.0)
+        assert stages[1].result.trace[0][1] == expected.e_p
+        for st in stages:  # the handed-over state lives on no result
+            assert not any(isinstance(v, AssembledState) for v in vars(st).values())
+            assert not any(isinstance(v, AssembledState) for v in vars(st.result).values())
+
     def test_every_option_reaches_every_stage(self, monkeypatch):
         import nsassim.optim as optim
         seen = []
 
-        def record(c, setup, model, p, opts):
-            seen.append((p, opts))
-            return minimize_E_p(c, setup, model, p, opts)
+        descend = optim._descend
 
-        monkeypatch.setattr(optim, "minimize_E_p", record)
+        def record(entry, setup, model, p, opts):
+            seen.append((p, opts))
+            return descend(entry, setup, model, p, opts)
+
+        monkeypatch.setattr(optim, "_descend", record)
         g, setup, model = small_problem()
         opts = OptimOptions(max_iters=3, grad_tol=1e-5, memory=4)
         run_continuation(ControlVector.zeros(g), setup, model,
