@@ -16,8 +16,15 @@ when that norm falls below grad_tol * max(1, ||g0||) with g0 the gradient
 at the entry point.  Two runs from the same start with different
 tolerances therefore end with final gradient norms bounded by those
 tolerances, not in their ratio: the last step may land anywhere below its
-bound.  The Armijo line search has fixed constants (_ARMIJO_FACTOR,
-_ARMIJO_SLOPE, _MAX_BACKTRACKS).  All arithmetic is deterministic.
+bound.
+
+The Armijo line search (slope _ARMIJO_SLOPE) starts at unit length and,
+after a trial that fails the test, tries the minimiser of the quadratic
+through e(0), the slope e'(0) and the failed e(alpha), clipped to
+[alpha/4, alpha/2] (_BACKTRACK_BOUNDS; Nocedal & Wright, sec. 3.5).  A
+non-finite trial halves.  Every backtrack at least halves the length, so
+_MAX_BACKTRACKS of them end the search below round-off and flag the stage
+as stalled.  All arithmetic is deterministic.
 
 The initial inverse Hessian of the two-loop is gamma M^-1 with
 gamma = s.y / y.M^-1 y (Nocedal & Wright, sec. 7.2), in place of a
@@ -48,9 +55,9 @@ from .misfit import assemble_state, gradient_from_state, report_from_state
 from .norms import PExponent, as_exponent, dot, peak_curvature
 from .nse import ControlVector, stream_metric_inverse
 
-_ARMIJO_FACTOR = 0.5
 _ARMIJO_SLOPE = 1e-4
-_MAX_BACKTRACKS = 60  # 0.5**60 ~ 1e-18: the step has fallen below round-off
+_BACKTRACK_BOUNDS = (0.25, 0.5)  # a backtrack keeps this fraction of the trial length
+_MAX_BACKTRACKS = 60  # at most 0.5**60 ~ 1e-18: the step has fallen below round-off
 
 
 @dataclass
@@ -94,10 +101,12 @@ class MinimizeResult:
     iterations: int
     grad_norm: float
     trace: list = field(default_factory=list)  # (iteration, e_p, grad_norm) rows
+    forward_evals: int = 0  # state assemblies, rejected trials included
+    backtracks: int = 0     # line-search trials that failed the Armijo test
 
 
 def preconditioner_scales(grid):
-    """Static diagonal preconditioner for the control blocks.
+    """Static diagonal preconditioner: the (stream-function, pressure) block scales.
 
     The stream-function chain passes through the curl (1/h) and the backward
     time difference (1/dt), the pressure chain through the gradient (1/h);
@@ -105,10 +114,31 @@ def preconditioner_scales(grid):
     and removes most of the block ill-conditioning from the quasi-Newton
     iteration.
     """
-    n_psi = grid.nt * (grid.ny - 4) * (grid.nx - 4)
-    n_pr = grid.nt * (grid.ny - 2) * (grid.nx - 2)
     h = min(grid.hx, grid.hy)
-    return np.concatenate([np.full(n_psi, h * grid.dt), np.full(n_pr, h)])
+    return h * grid.dt, h
+
+
+def _scaled(c, grid):
+    """The flat preconditioned variables of control c."""
+    s_psi, s_pr = preconditioner_scales(grid)
+    return np.concatenate([c.psi.ravel() / s_psi, c.pr.ravel() / s_pr])
+
+
+def _backtrack(alpha, descent, e0, e_try):
+    """Next trial length after the trial at alpha failed the Armijo test.
+
+    The minimiser -descent alpha^2 / (2 (e_try - e0 - descent alpha)) of the
+    quadratic through e(0) = e0, e'(0) = descent and e(alpha) = e_try,
+    clipped to _BACKTRACK_BOUNDS times alpha.  A trial without a finite
+    value (e_try None or not finite) halves alpha.
+    """
+    lo, hi = _BACKTRACK_BOUNDS
+    # a failed Armijo test with descent < 0 makes curv positive; only a
+    # trial without a finite value leaves it outside (0, inf)
+    curv = math.nan if e_try is None else e_try - e0 - descent * alpha
+    if not 0.0 < curv < math.inf:
+        return hi * alpha
+    return min(max(-descent * alpha * alpha / (2.0 * curv), lo * alpha), hi * alpha)
 
 
 def _two_loop(g, mg, pairs):
@@ -143,7 +173,7 @@ def minimize_E_p(c0, setup, model, p, opts=None):
     Armijo test and is backtracked.  A line search that exhausts its
     backtracks flags the result as stalled and returns the best point.
     """
-    entry = {"x": c0.to_flat() / preconditioner_scales(setup.grid)}
+    entry = {"x": _scaled(c0, setup.grid)}
     return _descend(entry, setup, model, p, opts)
 
 
@@ -154,12 +184,21 @@ def _descend(entry, setup, model, p, opts):
     assembled otherwise.  Both are taken out of entry, so the state is
     freed at the first accepted step, and the last accepted point and its
     state are put back for the next stage to start from.
+
+    Each iteration tries unit length along its direction.  A trial that
+    fails the Armijo test is followed by _backtrack's length, the quadratic
+    interpolant's minimiser kept within [alpha/4, alpha/2] (alpha/2 after a
+    non-finite trial), until a trial passes or _MAX_BACKTRACKS are spent,
+    which stalls the stage.  Every trial is an accepted iteration or a
+    backtrack, so the result's forward_evals is iterations + backtracks,
+    plus one when the entry state was assembled here.
     """
     opts = opts or OptimOptions()
     p = as_exponent(p)
     grid = setup.grid
-    sv = preconditioner_scales(grid)
+    s_psi, s_pr = preconditioner_scales(grid)
     psi_shape = (grid.nt, grid.ny - 4, grid.nx - 4)
+    pr_shape = (grid.nt, grid.ny - 2, grid.nx - 2)
     n_psi = math.prod(psi_shape)
     h2 = min(grid.hx, grid.hy) ** 2
 
@@ -171,18 +210,23 @@ def _descend(entry, setup, model, p, opts):
         gamma0 = 1.0 / (setup.lam * state.weight * peak_curvature(r_y, n_y, p.value))
         return -gamma0 * np.concatenate([mg, g[n_psi:]])
 
+    def control(z):  # two fresh blocks: a state keeps only the pressure one alive
+        return ControlVector(grid, (s_psi * z[:n_psi]).reshape(psi_shape),
+                             (s_pr * z[n_psi:]).reshape(pr_shape))
+
     def forward(z):
-        return assemble_state(ControlVector.from_flat(grid, sv * z), setup, model)
+        return assemble_state(control(z), setup, model)
 
     def gradient(state):  # the gradient's blocks scaled straight into one flat array
         gc = gradient_from_state(state, setup, model, p)
-        out = np.empty(sv.size)
-        np.multiply(gc.psi.ravel(), sv[:n_psi], out=out[:n_psi])
-        np.multiply(gc.pr.ravel(), sv[n_psi:], out=out[n_psi:])
+        out = np.empty(n_psi + gc.pr.size)
+        np.multiply(gc.psi.ravel(), s_psi, out=out[:n_psi])
+        np.multiply(gc.pr.ravel(), s_pr, out=out[n_psi:])
         return out
 
     x = entry.pop("x")
     state = entry.pop("state", None)
+    entry_evals = int(state is None)
     if state is None:
         state = forward(x)
     report = report_from_state(state, setup, p)
@@ -195,7 +239,7 @@ def _descend(entry, setup, model, p, opts):
     pairs = deque(maxlen=opts.memory)
     converged = g_norm <= opts.grad_tol * g_ref
     stalled = False
-    it = 0
+    it = backtracks = 0
     while not converged and it < opts.max_iters:
         d = _two_loop(grad, mg, pairs) if pairs else first_step(state, grad, mg)
         descent = dot(d, grad)
@@ -216,7 +260,9 @@ def _descend(entry, setup, model, p, opts):
                 accepted = (x_try, report_try, state_try)
                 break
             state_try = None  # freed before the next trial's forward, not after it
-            alpha *= _ARMIJO_FACTOR
+            backtracks += 1
+            alpha = _backtrack(alpha, descent, report.e_p,
+                               None if report_try is None else report_try.e_p)
         if accepted is None:
             stalled = True
             break
@@ -236,10 +282,13 @@ def _descend(entry, setup, model, p, opts):
 
     entry.update(x=x, state=state)
     return MinimizeResult(
-        control=ControlVector.from_flat(grid, sv * x), report=report,
+        # one vector: results outlive the stage, and two blocks each left
+        # heap holes that raised the peak RSS of the later diagnostics
+        control=ControlVector.from_flat(grid, control(x).to_flat()), report=report,
         report_inf=report_from_state(state, setup, PExponent.infinity()),
         converged=converged, stalled=stalled, iterations=it,
-        grad_norm=g_norm, trace=trace)
+        grad_norm=g_norm, trace=trace,
+        forward_evals=entry_evals + it + backtracks, backtracks=backtracks)
 
 
 @dataclass
@@ -275,8 +324,7 @@ def run_continuation(c0, setup, model, schedule=None, opts=None):
     schedule = schedule or ContinuationSchedule()
     opts = opts or OptimOptions()
     stages = []
-    x0 = c0.to_flat() / preconditioner_scales(setup.grid)
-    entry = {"x": x0}
+    entry = {"x": _scaled(c0, setup.grid)}
     p_first = schedule.p_list[0]
     for p in schedule.p_list:
         stage_opts = replace(opts, grad_tol=stage_tolerance(opts, p_first, p))
@@ -285,5 +333,5 @@ def run_continuation(c0, setup, model, schedule=None, opts=None):
         wall_ms = (time.perf_counter() - t0) * 1e3
         stages.append(StageResult(p=p, result=result, wall_ms=wall_ms))
         if not schedule.warm_start:
-            entry = {"x": x0}
+            entry = {"x": _scaled(c0, setup.grid)}
     return stages

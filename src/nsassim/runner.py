@@ -112,7 +112,8 @@ def run_twin(cfg, out_dir=None, plots=None, log=print):
         rep = st.report
         stage_rows.append((st.p, st.result.iterations, rep.e_p, st.report_inf.e_p,
                            st.result.grad_norm, int(st.result.converged),
-                           int(st.result.stalled)))
+                           int(st.result.stalled), st.result.forward_evals,
+                           st.result.backtracks))
         misfit_rows.append((st.p, rep.e_p, rep.term_K, rep.term_y, rep.sup_K,
                             rep.sup_y, st.result.grad_norm, st.result.iterations))
         timing_rows.append((st.p, st.wall_ms))
@@ -141,8 +142,8 @@ def run_twin(cfg, out_dir=None, plots=None, log=print):
             f"iters={st.result.iterations} converged={st.result.converged}")
 
     _write_csv(os.path.join(out, "stages.csv"),
-               ("p", "iterations", "e_p", "e_inf", "grad_norm", "converged", "stalled"),
-               stage_rows)
+               ("p", "iterations", "e_p", "e_inf", "grad_norm", "converged", "stalled",
+                "forward_evals", "backtracks"), stage_rows)
     _write_csv(os.path.join(out, "misfit.csv"),
                ("p", "e_p", "term_K", "term_y", "sup_K", "sup_y", "grad_norm",
                 "iterations"), misfit_rows)

@@ -58,7 +58,8 @@ class TestTwin:
         assert main(["twin", "--config", str(cfg_path)]) == 0
         out = tmp_path / "out"
         lines = (out / "stages.csv").read_text().splitlines()
-        assert lines[0] == "p,iterations,e_p,e_inf,grad_norm,converged,stalled"
+        assert lines[0] == ("p,iterations,e_p,e_inf,grad_norm,converged,stalled,"
+                            "forward_evals,backtracks")
         assert len(lines) == 3  # header + two stages
         # the p = 2 misfit can be worse than the feasible truth only by slack
         cfg = load_config(path=str(cfg_path))

@@ -1,8 +1,12 @@
-from dataclasses import fields
+import math
+import os
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from nsassim.config import load_config
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import GridSpec, VectorField
 from nsassim.misfit import (
@@ -15,9 +19,12 @@ from nsassim.nse import (
 )
 from nsassim.observation import ObservationModel, default_mask, synth_data
 from nsassim.optim import (
-    ContinuationSchedule, MinimizeResult, OptimOptions, _two_loop, minimize_E_p,
-    preconditioner_scales, run_continuation, stage_tolerance,
+    _ARMIJO_SLOPE, _MAX_BACKTRACKS, ContinuationSchedule, MinimizeResult, OptimOptions,
+    _backtrack, _two_loop, minimize_E_p, preconditioner_scales, run_continuation,
+    stage_tolerance,
 )
+
+ASSIM48 = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads", "assim48.ini")
 
 
 def small_problem(noise=0.25, lam=0.5, advection=True, seed=3, n=8):
@@ -190,6 +197,136 @@ class TestMinimize:
         assert res.report.e_p <= truth_rep.e_p + 1e-6
 
 
+class TestBacktrack:
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, 1e-9])
+    @pytest.mark.parametrize("ratio", [0.26, 0.37, 0.49])
+    def test_quadratic_minimiser_inside_the_bounds(self, alpha, ratio):
+        # e(a) = e0 + descent a + c a^2 has its minimum at ratio * alpha
+        e0, descent = 0.7, -2.5
+        c = -descent / (2.0 * ratio * alpha)
+        e_try = e0 + descent * alpha + c * alpha * alpha
+        assert e_try > e0 + _ARMIJO_SLOPE * alpha * descent
+        assert _backtrack(alpha, descent, e0, e_try) == pytest.approx(ratio * alpha, rel=1e-9)
+
+    def test_clipped_at_both_ends(self):
+        e0, descent, alpha = 0.7, -2.5, 0.5
+        # a steep rise: the quadratic's minimum lies below alpha/4
+        assert _backtrack(alpha, descent, e0, e0 + 100.0) == 0.25 * alpha
+        # just above the Armijo line: the minimum lies near alpha / (2 (1 - slope))
+        armijo = e0 + _ARMIJO_SLOPE * alpha * descent
+        assert _backtrack(alpha, descent, e0, armijo + 1e-12) == 0.5 * alpha
+
+    @pytest.mark.parametrize("e_try", [None, math.nan, math.inf])
+    def test_non_finite_trial_halves(self, e_try):
+        assert _backtrack(0.5, -2.5, 0.7, e_try) == 0.25
+
+    def test_sixty_backtracks_fall_below_round_off(self):
+        rng = np.random.default_rng(4)
+        e0, descent = 0.7, -2.5
+        for draw in ("armijo", "random", "non-finite"):
+            alpha = 1.0
+            for _ in range(_MAX_BACKTRACKS):
+                armijo = e0 + _ARMIJO_SLOPE * alpha * descent
+                e_try = {"armijo": np.nextafter(armijo, math.inf),
+                         "random": armijo + rng.exponential(),
+                         "non-finite": None}[draw]
+                new = _backtrack(alpha, descent, e0, e_try)
+                assert 0.25 * alpha <= new <= 0.5 * alpha
+                alpha = new
+            assert alpha <= 2.0 ** -_MAX_BACKTRACKS
+
+    def test_assim48_second_iteration_backtracks_at_most_twice(self):
+        # the p = 2 stage of perfbench/workloads/assim48.ini as a twin run
+        # (config seed, two iterations): halving took alpha = 1/8 in its
+        # second iteration, three backtracks
+        cfg = load_config(path=ASSIM48)
+        grid = cfg.validate()
+        setup = cfg.build_setup(grid)
+        ref = reference_solve(setup, tol_ref=cfg.ref_tol, advection_sweeps=cfg.ref_sweeps)
+        model = synth_data(ref.u, cfg.kind, cfg.noise_amplitude, cfg.seed,
+                           mask_stride=cfg.mask_stride)
+        c0 = ControlVector.zeros(grid)
+        opts = cfg.optim_options()
+        assert opts.max_iters == 2
+        one = minimize_E_p(c0, setup, model, 2.0, replace(opts, max_iters=1))
+        two = minimize_E_p(c0, setup, model, 2.0, opts)
+        assert two.iterations == 2 and not two.stalled
+        assert two.backtracks - one.backtracks <= 2
+
+
+class TestAccounting:
+    def test_every_trial_is_an_iteration_or_a_backtrack(self, monkeypatch):
+        import nsassim.optim as optim
+        g, setup, model = small_problem()
+        calls = []
+
+        def counted(c, setup_, model_):
+            calls.append(c)
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr(optim, "assemble_state", counted)
+        res = minimize_E_p(ControlVector.zeros(g), setup, model, 16.0,
+                           OptimOptions(max_iters=40, grad_tol=1e-12))
+        assert res.backtracks > 0
+        assert res.forward_evals == len(calls) == 1 + res.iterations + res.backtracks
+
+    def test_stalled_search_counts_its_trials(self, monkeypatch):
+        g, setup, model = small_problem()
+        calls = []
+
+        def only_the_start_is_finite(c, setup_, model_):
+            calls.append(c)
+            if len(calls) > 1:
+                raise InvalidFieldError("velocity field contains non-finite values")
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr("nsassim.optim.assemble_state", only_the_start_is_finite)
+        res = minimize_E_p(ControlVector.zeros(g), setup, model, 4.0, OptimOptions(max_iters=5))
+        assert res.stalled
+        assert res.backtracks == _MAX_BACKTRACKS + 1
+        assert res.forward_evals == len(calls) == 1 + _MAX_BACKTRACKS + 1
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_handed_over_entry_is_not_counted(self, warm_start, monkeypatch):
+        import nsassim.optim as optim
+        g, setup, model = small_problem()
+        calls = []
+
+        def counted(c, setup_, model_):
+            calls.append(c)
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr(optim, "assemble_state", counted)
+        stages = run_continuation(ControlVector.zeros(g), setup, model,
+                                  ContinuationSchedule(p_list=(2.0, 8.0, 32.0),
+                                                       warm_start=warm_start),
+                                  OptimOptions(max_iters=6, grad_tol=1e-12))
+        assert sum(st.result.forward_evals for st in stages) == len(calls)
+        for i, st in enumerate(stages):
+            entry = 0 if warm_start and i > 0 else 1
+            res = st.result
+            assert res.forward_evals == entry + res.iterations + res.backtracks
+
+    def test_traced_peak_in_control_vectors(self):
+        # 26.9 vectors: the iterate, its direction and gradient, two curvature
+        # pairs, and the current and trial states (about 7 each) while the
+        # trial is reported.  A control-sized scale vector adds 1.0, states
+        # pinning their whole unscaled control 0.9
+        g, setup, model = small_problem(n=24)
+        c0 = ControlVector.zeros(g)
+        opts = OptimOptions(max_iters=3, grad_tol=1e-12)
+        minimize_E_p(c0, setup, model, 4.0, opts)  # fills the operator caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = minimize_E_p(c0, setup, model, 4.0, opts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 3
+        assert peak / c0.to_flat().nbytes <= 27.5
+
+
 def dense_metric_inverse(g):
     """M^-1 in the scaled variables, built densely: h^-2 (B^T B (x) C^T C)^-1 on
     the stream-function block, the identity on the pressure block."""
@@ -290,7 +427,9 @@ class TestFirstStep:
 
         monkeypatch.setattr("nsassim.optim.assemble_state", recording)
         minimize_E_p(c0, setup, model, p, OptimOptions(max_iters=1))
-        sv = preconditioner_scales(g)
+        s_psi, s_pr = preconditioner_scales(g)
+        n_psi = g.nt * (g.ny - 4) * (g.nx - 4)
+        sv = np.where(np.arange(c0.to_flat().size) < n_psi, s_psi, s_pr)
         state = assemble_state(c0, setup, model)
         grad = gradient_from_state(state, setup, model, p).to_flat() * sv
         y = np.moveaxis(state.residual, 0, -1).reshape(-1, 2)
