@@ -483,6 +483,30 @@ def stream_metric_inverse(psi, grid):
     return (_time_gram_inverse(nt) @ levels.reshape(nt, -1)).reshape(psi.shape)
 
 
+@lru_cache(maxsize=None)
+def _pressure_metric_factors(grid, kappa):
+    """vy, vx, vx^T of _pressure_gradient_factors and 1 / (h^2 lambda + kappa), 1 on the constant.
+
+    lambda are the eigenvalues of G^T G and h = min(hx, hy).
+    """
+    vy, vx, vx_t, inv = _pressure_gradient_factors(grid)[3:]
+    out = inv / (min(grid.hx, grid.hy) ** 2 + kappa * inv)
+    out[0, 0] = 1.0
+    return vy, vx, vx_t, _frozen(out)
+
+
+def pressure_metric_inverse(pr, grid, kappa):
+    """(h^2 G^T G + kappa I)^-1 pr per level, pr (..., ny-2, nx-2), h = min(hx, hy).
+
+    h^2 G^T G is the Gram matrix of the residual's pressure term in the
+    pressure block scaled by h (optim.preconditioner_scales), and kappa > 0
+    bounds its inverse where h G is small.  The constant, G's null mode on
+    every level, is mapped to itself.  Applied through the fast
+    diagonalization of _pressure_gradient_factors; symmetric.
+    """
+    return _diagonalized_solve(pr, *_pressure_metric_factors(grid, kappa))
+
+
 def _pressure_fit(v, grid):
     """(G^T G)^+ G^T v: the minimum-norm pressure whose gradient best fits v."""
     return _diagonalized_solve(pressure_gradient_transpose(v, grid),

@@ -28,12 +28,17 @@ as stalled.  All arithmetic is deterministic.
 
 The initial inverse Hessian of the two-loop is gamma M^-1 with
 gamma = s.y / y.M^-1 y (Nocedal & Wright, sec. 7.2), in place of a
-multiple of the identity.  M is the Gram matrix of the residual's leading
-term on the stream-function block, the backward time difference of the
-curl (nse.stream_metric_inverse, h^-2 M_psi^-1 in these variables), and
-the identity on the pressure block.  M^-1 is applied once per gradient
-evaluation; each curvature pair keeps the stream-function block of
-M^-1 y as the difference of those of its two gradients.
+multiple of the identity.  M is block diagonal, the Gram matrix of each
+block's leading term in the residual.  On the stream-function block that
+term is the backward time difference of the curl
+(nse.stream_metric_inverse, h^-2 M_psi^-1 in these variables).  On the
+pressure block it is the pressure gradient G, and M^-1 is
+(h^2 G^T G + kappa I)^-1 per level with kappa = _PRESSURE_KAPPA
+(nse.pressure_metric_inverse); kappa bounds the inverse on the smooth
+modes where h G is small, and each level's constant, G's null mode, keeps
+the identity.  Both are fast diagonalizations (Lynch, Rice & Thomas 1964).
+M^-1 is applied once per gradient evaluation; each curvature pair keeps
+M^-1 y, the difference of M^-1 of its two gradients.
 
 With no curvature pair yet, as at the start of every stage, the step is
 -gamma0 M^-1 g at unit length, gamma0 = 1 / (lam w c) with w the
@@ -53,9 +58,10 @@ import numpy as np
 from .errors import ConfigurationError, InvalidFieldError
 from .misfit import assemble_state, gradient_from_state, report_from_state
 from .norms import PExponent, as_exponent, dot, peak_curvature
-from .nse import ControlVector, stream_metric_inverse
+from .nse import ControlVector, pressure_metric_inverse, stream_metric_inverse
 
 _ARMIJO_SLOPE = 1e-4
+_PRESSURE_KAPPA = 0.03  # kappa of the pressure block's metric h^2 G^T G + kappa I
 _BACKTRACK_BOUNDS = (0.25, 0.5)  # a backtrack keeps this fraction of the trial length
 _MAX_BACKTRACKS = 60  # at most 0.5**60 ~ 1e-18: the step has fallen below round-off
 
@@ -144,10 +150,9 @@ def _backtrack(alpha, descent, e0, e_try):
 def _two_loop(g, mg, pairs):
     """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4), H0 = gamma M^-1.
 
-    mg and the my of each pair (s, y, 1/s.y, my) are the stream-function
-    blocks of M^-1 g and M^-1 y; M^-1 is linear, so M^-1 q needs no new M^-1.
+    mg is M^-1 g and the my of each pair (s, y, 1/s.y, my) is M^-1 y; M^-1
+    is linear, so M^-1 q needs no new M^-1.
     """
-    n_psi = mg.size
     q = g.copy()
     r = mg.copy()
     alphas = []
@@ -156,13 +161,12 @@ def _two_loop(g, mg, pairs):
         alphas.append(a)
         q -= a * yv
         r -= a * my
-    q[:n_psi] = r
     _, yv, rho, my = pairs[-1]
-    q *= 1.0 / (rho * (dot(yv[:n_psi], my) + dot(yv[n_psi:], yv[n_psi:])))
+    r *= 1.0 / (rho * dot(yv, my))
     for (s, yv, rho, _), a in zip(pairs, reversed(alphas)):
-        b = rho * dot(yv, q)
-        q += (a - b) * s
-    return -q
+        b = rho * dot(yv, r)
+        r += (a - b) * s
+    return -r
 
 
 def minimize_E_p(c0, setup, model, p, opts=None):
@@ -181,9 +185,17 @@ def _descend(entry, setup, model, p, opts):
     """minimize_E_p from entry["x"], in the preconditioned variables.
 
     entry may hold the assembled state of that point under "state"; it is
-    assembled otherwise.  Both are taken out of entry, so the state is
-    freed at the first accepted step, and the last accepted point and its
-    state are put back for the next stage to start from.
+    assembled otherwise.  Both are taken out of entry, and the last
+    accepted point and its state are put back for the next stage to start
+    from.
+
+    The entry state lives until the first accepted step.  An accepted
+    state is kept only when the loop ends with its gradient (converged, or
+    at max_iters); otherwise the next direction is taken from it and it is
+    dropped once the next line search has assembled its first trial, so
+    that trial is reported, and its successor assembled, beside one state
+    only.  A stalled search then assembles its last accepted point once
+    more.  A trial point itself lives only in its control's blocks.
 
     Each iteration tries unit length along its direction.  A trial that
     fails the Armijo test is followed by _backtrack's length, the quadratic
@@ -191,7 +203,8 @@ def _descend(entry, setup, model, p, opts):
     non-finite trial), until a trial passes or _MAX_BACKTRACKS are spent,
     which stalls the stage.  Every trial is an accepted iteration or a
     backtrack, so the result's forward_evals is iterations + backtracks,
-    plus one when the entry state was assembled here.
+    plus one when the entry state was assembled here and one when a
+    stalled search assembled its last point again.
     """
     opts = opts or OptimOptions()
     p = as_exponent(p)
@@ -202,13 +215,18 @@ def _descend(entry, setup, model, p, opts):
     n_psi = math.prod(psi_shape)
     h2 = min(grid.hx, grid.hy) ** 2
 
-    def metric(g):  # stream-function block of M^-1 g, once per gradient
-        return stream_metric_inverse(g[:n_psi].reshape(psi_shape), grid).ravel() / h2
+    def metric(g):  # M^-1 g, once per gradient
+        out = np.empty_like(g)
+        np.divide(stream_metric_inverse(g[:n_psi].reshape(psi_shape), grid).ravel(), h2,
+                  out=out[:n_psi])
+        out[n_psi:] = pressure_metric_inverse(g[n_psi:].reshape(pr_shape), grid,
+                                              _PRESSURE_KAPPA).ravel()
+        return out
 
-    def first_step(state, g, mg):  # -gamma0 M^-1 g, with no curvature pairs
+    def first_step(state, mg):  # -gamma0 M^-1 g, with no curvature pairs
         r_y, n_y = state.lp_norms(p)[1]
         gamma0 = 1.0 / (setup.lam * state.weight * peak_curvature(r_y, n_y, p.value))
-        return -gamma0 * np.concatenate([mg, g[n_psi:]])
+        return -gamma0 * mg
 
     def control(z):  # two fresh blocks: a state keeps only the pressure one alive
         return ControlVector(grid, (s_psi * z[:n_psi]).reshape(psi_shape),
@@ -226,7 +244,7 @@ def _descend(entry, setup, model, p, opts):
 
     x = entry.pop("x")
     state = entry.pop("state", None)
-    entry_evals = int(state is None)
+    extra_evals = int(state is None)
     if state is None:
         state = forward(x)
     report = report_from_state(state, setup, p)
@@ -241,32 +259,32 @@ def _descend(entry, setup, model, p, opts):
     stalled = False
     it = backtracks = 0
     while not converged and it < opts.max_iters:
-        d = _two_loop(grad, mg, pairs) if pairs else first_step(state, grad, mg)
+        d = _two_loop(grad, mg, pairs) if pairs else first_step(state, mg)
         descent = dot(d, grad)
         if descent >= 0.0:
             d = -grad
             descent = -g_norm * g_norm
         alpha = 1.0
-        accepted = None
         for _ in range(_MAX_BACKTRACKS + 1):
-            x_try = x + alpha * d
-            try:
-                state_try = forward(x_try)
-                report_try = report_from_state(state_try, setup, p)
+            try:  # the trial point is freed once its control's blocks are built
+                state_try = assemble_state(control(x + alpha * d), setup, model)
             except InvalidFieldError:
-                report_try = None
+                state_try = None
+            if it > 0:  # the last accepted state is not needed past a trial's forward
+                state = None
+            report_try = None if state_try is None else report_from_state(state_try, setup, p)
             if (report_try is not None
                     and report_try.e_p <= report.e_p + _ARMIJO_SLOPE * alpha * descent):
-                accepted = (x_try, report_try, state_try)
                 break
             state_try = None  # freed before the next trial's forward, not after it
             backtracks += 1
             alpha = _backtrack(alpha, descent, report.e_p,
                                None if report_try is None else report_try.e_p)
-        if accepted is None:
+        else:
             stalled = True
             break
-        x_new, report, state = accepted
+        x_new, report, state = x + alpha * d, report_try, state_try
+        state_try = d = None  # only the accepted point outlives its search
         grad_new = gradient(state)
         mg_new = metric(grad_new)
         s = x_new - x
@@ -279,6 +297,9 @@ def _descend(entry, setup, model, p, opts):
         it += 1
         trace.append((it, report.e_p, g_norm))
         converged = g_norm <= opts.grad_tol * g_ref
+    if state is None:  # a stalled search dropped the last accepted state
+        state = forward(x)
+        extra_evals += 1
 
     entry.update(x=x, state=state)
     return MinimizeResult(
@@ -288,7 +309,7 @@ def _descend(entry, setup, model, p, opts):
         report_inf=report_from_state(state, setup, PExponent.infinity()),
         converged=converged, stalled=stalled, iterations=it,
         grad_norm=g_norm, trace=trace,
-        forward_evals=entry_evals + it + backtracks, backtracks=backtracks)
+        forward_evals=extra_evals + it + backtracks, backtracks=backtracks)
 
 
 @dataclass

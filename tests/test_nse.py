@@ -17,7 +17,7 @@ from nsassim.nse import (
     pressure_gradient_transpose, pressure_map, reference_solve, residual_y,
     state_from_control, stream_bump, velocity_gradient, velocity_gradient_transpose,
     velocity_map, velocity_map_transpose,
-    stream_metric_inverse,
+    pressure_metric_inverse, stream_metric_inverse,
     _curl_gram_factors, _diagonalized_solve, _grid_blocks, _level_lstsq, _pressure_fit,
     _pressure_gradient_factors, _time_gram_inverse, _viscous_blocks,
 )
@@ -713,3 +713,31 @@ class TestStreamMetric:
         lhs = np.sum(a * stream_metric_inverse(b, g))
         rhs = np.sum(stream_metric_inverse(a, g) * b)
         assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
+
+
+def dense_pressure_metric_inverse(g, kappa):
+    """(h^2 G^T G + kappa I)^-1 on one level, densely, with the identity on the constant.
+
+    The constant is an eigenvector of h^2 G^T G + kappa I with eigenvalue
+    kappa; adding (1 - kappa) times its projector makes that eigenvalue 1.
+    """
+    n = (g.ny - 2) * (g.nx - 2)
+    units = np.eye(n).reshape(n, g.ny - 2, g.nx - 2)
+    cols = dense_pressure_gradient(units, g).transpose(1, 0, 2, 3).reshape(n, -1)
+    gram = min(g.hx, g.hy) ** 2 * (cols @ cols.T) + kappa * np.eye(n)
+    return np.linalg.inv(gram + (1.0 - kappa) * np.full((n, n), 1.0 / n))
+
+
+class TestPressureMetric:
+    """(h^2 G^T G + kappa I)^-1 per level, the pressure block of the L-BFGS metric."""
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.03, 1.0])
+    @pytest.mark.parametrize("nx, ny", [(11, 17), (24, 24)])
+    def test_matches_dense_inverse(self, nx, ny, kappa):
+        g = GridSpec(nx, ny, 3, 1.0, 1.0, 0.36)
+        n = (ny - 2) * (nx - 2)
+        m = pressure_metric_inverse(np.eye(n).reshape(n, ny - 2, nx - 2), g, kappa)
+        m = m.reshape(n, n)
+        ref = dense_pressure_metric_inverse(g, kappa)
+        assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(m - m.T).max() <= 1e-12 * np.abs(ref).max()

@@ -15,16 +15,18 @@ from nsassim.misfit import (
 from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset,
-    reference_solve, stream_metric_inverse, velocity_map, velocity_map_transpose,
+    pressure_gradient, pressure_metric_inverse, reference_solve, stream_metric_inverse,
+    velocity_map, velocity_map_transpose,
 )
 from nsassim.observation import ObservationModel, default_mask, synth_data
 from nsassim.optim import (
-    _ARMIJO_SLOPE, _MAX_BACKTRACKS, ContinuationSchedule, MinimizeResult, OptimOptions,
-    _backtrack, _two_loop, minimize_E_p, preconditioner_scales, run_continuation,
-    stage_tolerance,
+    _ARMIJO_SLOPE, _MAX_BACKTRACKS, _PRESSURE_KAPPA, ContinuationSchedule, MinimizeResult,
+    OptimOptions, _backtrack, _two_loop, minimize_E_p, preconditioner_scales,
+    run_continuation, stage_tolerance,
 )
 
 ASSIM48 = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads", "assim48.ini")
+EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.ini")
 
 
 def small_problem(noise=0.25, lam=0.5, advection=True, seed=3, n=8):
@@ -286,6 +288,28 @@ class TestAccounting:
         assert res.backtracks == _MAX_BACKTRACKS + 1
         assert res.forward_evals == len(calls) == 1 + _MAX_BACKTRACKS + 1
 
+    def test_stall_after_a_step_assembles_its_point_once(self, monkeypatch):
+        # the accepted state is dropped during the next search, so a stall
+        # there assembles the last accepted point again, once
+        import nsassim.optim as optim
+        g, setup, model = small_problem()
+        c0 = ControlVector.zeros(g)
+        two = minimize_E_p(c0, setup, model, 4.0, OptimOptions(max_iters=2))
+        calls = []
+
+        def third_search_fails(c, setup_, model_):
+            calls.append(c)
+            if two.forward_evals < len(calls) <= two.forward_evals + _MAX_BACKTRACKS + 1:
+                raise InvalidFieldError("velocity field contains non-finite values")
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr(optim, "assemble_state", third_search_fails)
+        res = minimize_E_p(c0, setup, model, 4.0, OptimOptions(max_iters=5))
+        assert res.stalled and res.iterations == 2
+        assert res.forward_evals == len(calls) == two.forward_evals + _MAX_BACKTRACKS + 2
+        assert np.array_equal(res.control.to_flat(), two.control.to_flat())
+        assert res.report_inf == two.report_inf
+
     @pytest.mark.parametrize("warm_start", [True, False])
     def test_handed_over_entry_is_not_counted(self, warm_start, monkeypatch):
         import nsassim.optim as optim
@@ -308,10 +332,12 @@ class TestAccounting:
             assert res.forward_evals == entry + res.iterations + res.backtracks
 
     def test_traced_peak_in_control_vectors(self):
-        # 26.9 vectors: the iterate, its direction and gradient, two curvature
-        # pairs, and the current and trial states (about 7 each) while the
-        # trial is reported.  A control-sized scale vector adds 1.0, states
-        # pinning their whole unscaled control 0.9
+        # 27.0 vectors: the iterate and the accepted point, their gradients
+        # and M^-1 of them, two curvature pairs of three vectors, the
+        # accepted state and the adjoint's temporaries while the last
+        # gradient is taken.  Keeping the last accepted state and the trial
+        # point through the next trial's report read 28.6; keeping only the
+        # trial point alive during its forward, 27.8
         g, setup, model = small_problem(n=24)
         c0 = ControlVector.zeros(g)
         opts = OptimOptions(max_iters=3, grad_tol=1e-12)
@@ -329,7 +355,8 @@ class TestAccounting:
 
 def dense_metric_inverse(g):
     """M^-1 in the scaled variables, built densely: h^-2 (B^T B (x) C^T C)^-1 on
-    the stream-function block, the identity on the pressure block."""
+    the stream-function block, (h^2 G^T G + kappa I)^-1 per level on the
+    pressure block with the identity on each level's constant."""
     shape = (g.nt, g.ny - 4, g.nx - 4)
     n_psi = int(np.prod(shape))
     units = np.eye(n_psi).reshape((n_psi,) + shape)
@@ -337,17 +364,24 @@ def dense_metric_inverse(g):
                           for e in units[:n_psi // g.nt]])
     b = np.eye(g.nt) - np.eye(g.nt, k=-1)
     m_psi = np.kron(b.T @ b, curl_gram)
-    n_pr = g.nt * (g.ny - 2) * (g.nx - 2)
-    out = np.eye(n_psi + n_pr)
-    out[:n_psi, :n_psi] = np.linalg.inv(m_psi) / min(g.hx, g.hy) ** 2
+    h2 = min(g.hx, g.hy) ** 2
+    n_level = (g.ny - 2) * (g.nx - 2)
+    grad_cols = pressure_gradient(np.eye(n_level).reshape(n_level, g.ny - 2, g.nx - 2), g)
+    grad_cols = grad_cols.transpose(1, 0, 2, 3).reshape(n_level, -1)
+    # the constant has eigenvalue kappa; its projector times 1 - kappa makes it 1
+    m_pr = (h2 * grad_cols @ grad_cols.T + _PRESSURE_KAPPA * np.eye(n_level)
+            + (1.0 - _PRESSURE_KAPPA) * np.full((n_level, n_level), 1.0 / n_level))
+    out = np.zeros((n_psi + g.nt * n_level,) * 2)
+    out[:n_psi, :n_psi] = np.linalg.inv(m_psi) / h2
+    out[n_psi:, n_psi:] = np.kron(np.eye(g.nt), np.linalg.inv(m_pr))
     return out, n_psi
 
 
 class TestMetricTwoLoop:
     def test_two_loop_is_bfgs_from_the_metric(self):
-        # pairs from a gradient sequence, each storing the stream-function
-        # block of M^-1 y as the difference of M^-1 g; the dense BFGS
-        # updates of gamma M^-1 from the same pairs are the oracle
+        # pairs from a gradient sequence, each storing M^-1 y as the
+        # difference of M^-1 g; the dense BFGS updates of gamma M^-1 from
+        # the same pairs are the oracle
         g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
         m_inv, n_psi = dense_metric_inverse(g)
         n = m_inv.shape[0]
@@ -357,7 +391,10 @@ class TestMetricTwoLoop:
         a = a @ a.T / n + np.eye(n)
 
         def metric(v):
-            return stream_metric_inverse(v[:n_psi].reshape(g.nt, 4, 4), g).ravel() / h2
+            return np.concatenate([
+                stream_metric_inverse(v[:n_psi].reshape(g.nt, 4, 4), g).ravel() / h2,
+                pressure_metric_inverse(v[n_psi:].reshape(g.nt, 6, 6), g,
+                                        _PRESSURE_KAPPA).ravel()])
 
         grads = [rng.standard_normal(n)]
         pairs = []
@@ -395,6 +432,25 @@ class TestMetricTwoLoop:
                            OptimOptions(max_iters=15, grad_tol=1e-12))
         assert res.iterations == 15
         assert 0 < counts["metric"] <= counts["gradient"] == res.iterations + 1
+
+
+class TestPressureMetric:
+    def test_first_stage_at_24_takes_at_most_half_the_identity_iterations(self):
+        # the bundled physics at 24x24x18, one reference sweep: with the
+        # identity on the pressure block the p = 2 stage from the zero
+        # control took 62-63 iterations; with (h^2 G^T G + kappa I)^-1, 27
+        cfg = load_config(path=EXAMPLE)
+        cfg.nx = cfg.ny = 24
+        cfg.nt = 18
+        grid = cfg.validate()
+        setup = cfg.build_setup(grid)
+        ref = reference_solve(setup, advection_sweeps=1)
+        model = synth_data(ref.u, cfg.kind, cfg.noise_amplitude, cfg.seed,
+                           mask_stride=cfg.mask_stride)
+        res = minimize_E_p(ControlVector.zeros(grid), setup, model, 2.0,
+                           OptimOptions(max_iters=3000, grad_tol=1e-6))
+        assert res.converged and not res.stalled
+        assert res.iterations <= 31
 
 
 class TestFirstStep:
