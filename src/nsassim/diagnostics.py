@@ -18,13 +18,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import trapezoid_weights
-from .misfit import AssembledState, adjoint_from_state, assemble_state
+from .misfit import AssembledState, adjoint_from_state, assemble_state, velocity_tangent
 from .norms import as_exponent, dot, dual_factor, lp_norm_from_squares, magnitudes
 from .nse import (
-    advection, momentum_operator, pressure_gradient, pressure_gradient_transpose,
-    velocity_gradient, velocity_map, velocity_map_transpose,
+    pressure_gradient, pressure_gradient_transpose, velocity_map, velocity_map_transpose,
 )
-from .observation import eval_K_jvp
 
 
 @dataclass
@@ -195,34 +193,29 @@ def _assembled(state, setup, model):
 def _level_pairings(state, setup, model, m_k, m_y, shape):
     """Per-level pairings of the tangent along profile (x) shape, any profile.
 
-    The state maps act level by level, so velocity_map and
-    velocity_gradient run on the one-level shape only: along the direction
-    a (x) shape, the tangent velocity at level t is a_t V and its gradient
-    a_t Gamma.  The residual tangent is d_t V + a_t Z_t, with d the backward
-    difference of a over dt (zero before level 1) and Z_t the viscous term
-    -nu Lap V plus the advection linearized as (V.D)u_t + (u_t.D)V.  The
-    misfit tangent is a_t J_t with J = eval_K_jvp(u, V, Gamma), pointwise
-    linear in the direction.  Only Z and J meet the state at full size.
+    The state maps act level by level, so velocity_tangent runs on the
+    one-level velocity V of the shape only: along the direction a (x) shape,
+    the tangent velocity at level t is a_t V and its gradient a_t Gamma.
+    The residual tangent is d_t V + a_t Z_t, with d the backward difference
+    of a over dt (zero before level 1) and Z_t the viscous term -nu Lap V
+    plus the advection linearized as (V.D)u_t + (u_t.D)V.  The misfit
+    tangent is a_t J_t with J = eval_K_jvp(u, V, Gamma), pointwise linear in
+    the direction.  Only Z and J meet the state at full size.
 
     Returns (|V|^2, |Gamma|^2, rows) with rows the per-level pairings
     <J_t, m_K,t>, <Z_t, m_y,t>, <V, m_y,t>, |Z_t|^2 and <Z_t, V>, from which
     el_residual forms the pairing and the scale of every profile.
     """
-    g = setup.grid
-    u, gu = state.u_int, state.grad_u
-    v = velocity_map(shape[None], g)
-    vi, gam = v[..., 1:-1, 1:-1], velocity_gradient(v, g)
+    v = velocity_map(shape[None], setup.grid)
+    vi = v[..., 1:-1, 1:-1]
     # with its own level as the initial slice the time difference vanishes: -nu Lap V
-    z = momentum_operator(v, g, setup.nu, vi[:, 0])
-    if setup.include_advection:
-        z = z + advection(vi, gu)
-        z += advection(u, gam)
-    z = np.broadcast_to(z, m_y.shape)
-    j = np.broadcast_to(eval_K_jvp(u, vi, gam, model), m_k.shape)
+    t = velocity_tangent(state, setup, model, v, vi[:, 0])
+    z = np.broadcast_to(t.y, m_y.shape)
+    j = np.broadcast_to(t.K, m_k.shape)
     vb = np.broadcast_to(vi, m_y.shape)
     rows = [np.einsum("ctyx,ctyx->t", x, y)
             for x, y in ((j, m_k), (z, m_y), (vb, m_y), (z, z), (z, vb))]
-    return dot(vi, vi), dot(gam, gam), rows
+    return dot(vi, vi), dot(t.grad_u, t.grad_u), rows
 
 
 def el_residual(state, p, setup, model, test_bank=None):

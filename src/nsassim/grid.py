@@ -208,9 +208,9 @@ class VectorField:
 # ---------------------------------------------------------------------------
 # raw-array kernels
 
-def curl_kernel(psi, grid, axis=-1):
-    """(d psi/dy, -d psi/dx) for psi shaped (..., ny, nx), components along axis."""
-    return np.stack([apply_y(psi, grid.d1y()), -apply_x(psi, grid.d1x())], axis=axis)
+def curl_kernel(psi, grid):
+    """(d psi/dy, -d psi/dx) for psi shaped (..., ny, nx), components along the last axis."""
+    return np.stack([apply_y(psi, grid.d1y()), -apply_x(psi, grid.d1x())], axis=-1)
 
 
 def gradient_kernel(u, grid):

@@ -17,16 +17,18 @@ agreement for small fields.
 The chain has one array layout, the nse operators': interior nodes at
 levels 1..nt, component axis first.  The state, K, the residual, their
 dual weights and the cotangents all live in it; AssembledState builds its
-component-last fields only when the output stage reads them.  The pressure
-enters only through nse.pressure_gradient of the control's pressure block;
-its field is built for output only.  No stencil arithmetic lives here: the
-chain calls the nse operators and eval_K and its derivatives, each
-transpose the literal transpose of its forward map.
+component-last fields only when the output stage reads them.  The residual
+is nse.momentum_residual, its pressure term nse.pressure_gradient of the
+control's pressure block; the pressure field is built for output only.  No
+stencil arithmetic lives here: the chain calls the nse operators and eval_K
+and its derivatives, each transpose the literal transpose of its forward map.
 
-tangent_from_state is the forward-mode derivative of the chain along one
-control direction and adjoint_from_state its transpose for arbitrary
-cotangents of K and of the residual; gradient_from_state feeds the scaled
-dual weights to the latter.  The pair passes the dot-product test
+velocity_tangent, the one linearization of the residual and of K, takes a
+velocity direction of nt levels or of one level that broadcasts;
+tangent_from_state adds the pressure gradient to it along a control
+direction, and adjoint_from_state is its transpose for arbitrary cotangents
+of K and of the residual; gradient_from_state feeds the scaled dual weights
+to the latter.  The pair passes the dot-product test
 <J dc, (kbar, ybar)> = <dc, J^T (kbar, ybar)> to round-off.
 """
 
@@ -40,7 +42,7 @@ from .grid import VectorField, check_finite
 from .norms import PExponent, as_exponent, dual_factor, lp_norm_from_squares
 from .nse import (
     ControlVector, PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
-    momentum_operator, momentum_operator_transpose, pressure_gradient,
+    momentum_operator, momentum_operator_transpose, momentum_residual, pressure_gradient,
     pressure_gradient_transpose, pressure_map, state_fields, velocity_gradient,
     velocity_gradient_transpose, velocity_map, velocity_map_transpose,
 )
@@ -135,11 +137,7 @@ def assemble_state(c, setup, model):
     u = velocity_map(c.psi, g)
     check_finite(u, "velocity")
     u_int, grad_u = u[..., 1:-1, 1:-1], velocity_gradient(u, g)
-    y = momentum_operator(u, g, setup.nu, np.moveaxis(setup.u0[1:-1, 1:-1], -1, 0))
-    y += pressure_gradient(c.pr, g)
-    if setup.include_advection:
-        y += advection(u_int, grad_u)
-    y -= np.moveaxis(setup.f.values[1:, 1:-1, 1:-1], -1, 0)
+    y = momentum_residual(u, setup, lambda: pressure_gradient(c.pr, g), grad_u)
     check_finite(y, "momentum residual")
     k = eval_K(u_int, grad_u, model)
     check_finite(k, "observation misfit")
@@ -163,7 +161,7 @@ def report_from_state(state, setup, p):
 
 @dataclass
 class Tangent:
-    """Forward-mode derivative of the chain along one control direction."""
+    """Forward-mode derivative of the chain along one direction (velocity_tangent)."""
 
     u: np.ndarray       # velocity, (2, nt, ny-2, nx-2)
     grad_u: np.ndarray  # its spatial gradient, (4, nt, ny-2, nx-2)
@@ -171,28 +169,34 @@ class Tangent:
     y: np.ndarray       # momentum residual, (2, nt, ny-2, nx-2)
 
 
-def tangent_from_state(state, setup, model, dc):
-    """Derivative of (u, grad u, K, residual) at the assembled state along dc.
+def velocity_tangent(state, setup, model, v, u_init=None):
+    """Derivative of (u, grad u, K, residual) at the assembled state along a velocity v.
 
-    velocity_map, then momentum_operator with a zero initial slice plus
-    pressure_gradient and the advection linearized as (du.D)u + (u.D)du,
-    then eval_K_jvp.  adjoint_from_state is its exact transpose.  A block
-    of dc that is identically zero moves nothing, so its map is skipped.
+    v (2, nt, ny, nx) is a full-grid direction at levels 1..nt, or one level
+    (2, 1, ny, nx) that broadcasts over the state's levels; u_init
+    (2, ny-2, nx-2) is the interior slice before its first level, zero when
+    None.  momentum_operator plus the advection linearized as
+    (v.D)u + (u.D)v, then eval_K_jvp.
     """
     g = setup.grid
     u, gu = state.u_int, state.grad_u
-    if not dc.psi.any():
-        return Tangent(u=np.zeros(u.shape), grad_u=np.zeros(gu.shape),
-                       K=np.zeros((model.n,) + u.shape[1:]), y=pressure_gradient(dc.pr, g))
-    v = velocity_map(dc.psi, g)
-    dy = momentum_operator(v, g, setup.nu)
-    if dc.pr.any():
-        dy += pressure_gradient(dc.pr, g)
-    du, dgrad = v[..., 1:-1, 1:-1], velocity_gradient(v, g)
+    dv, dgrad = v[..., 1:-1, 1:-1], velocity_gradient(v, g)
+    dy = momentum_operator(v, g, setup.nu, u_init)
     if setup.include_advection:
-        dy += advection(du, gu)
+        dy = dy + advection(dv, gu)  # broadcasts a one-level v over the state's levels
         dy += advection(u, dgrad)
-    return Tangent(u=du, grad_u=dgrad, K=eval_K_jvp(u, du, dgrad, model), y=dy)
+    return Tangent(u=dv, grad_u=dgrad, K=eval_K_jvp(u, dv, dgrad, model), y=dy)
+
+
+def tangent_from_state(state, setup, model, dc):
+    """Derivative of (u, grad u, K, residual) at the assembled state along dc.
+
+    velocity_tangent along velocity_map(dc.psi), plus pressure_gradient(dc.pr)
+    in the residual.  adjoint_from_state is its exact transpose.
+    """
+    t = velocity_tangent(state, setup, model, velocity_map(dc.psi, setup.grid))
+    t.y += pressure_gradient(dc.pr, setup.grid)
+    return t
 
 
 def adjoint_from_state(state, setup, model, kbar, ybar):

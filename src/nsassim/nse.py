@@ -12,11 +12,11 @@ The residual and all norms over the space-time domain are evaluated on
 interior nodes at levels 1..nt only, with uniform quadrature weights;
 one-sided boundary stencils never enter the misfit directly.
 
-The momentum expression has one implementation: momentum_operator on the
-velocity, pressure_gradient on the control's pressure block and advection,
-each linear map followed by its transpose; the assembly, the tangent, the
-adjoint and the reference solver all call them.  The pressure field itself
-(pressure_map) is built only for output and field-level checks.
+The momentum residual has one implementation, momentum_residual, which the
+assembly, residual_y and the reference solver call: momentum_operator, a
+pressure gradient and advection less the forcing, each linear map followed
+by its transpose.  The pressure field itself (pressure_map) is built only
+for output and field-level checks.
 
 The linear maps multiply by read-only, C-contiguous blocks of the 1D
 matrices, cached once per grid (_grid_blocks: velocity_map's d1y[1:-1, 2:-2]
@@ -349,50 +349,48 @@ def advection_transpose_grad_b(ybar, a):
     return out
 
 
-def _momentum_terms(u, p, setup, u0):
-    """Every momentum term except the forcing, interior nodes, levels 1..nt.
+def momentum_residual(u, setup, pressure=None, grad_u=None, u0=None):
+    """momentum_operator(u) + pressure gradient + (u.D)u - f at interior nodes, levels 1..nt.
 
-    u and p are full-grid fields; the result is (nt, ny-2, nx-2, 2), the
-    component axis last: momentum_operator, the centred gradient of the
-    given pressure (a manufactured field carries its own boundary values)
-    and the advection (u.D)u.  The initial slice of the time difference is
-    u0, default setup.u0.
+    u (2, nt, ny, nx) is the full-grid velocity and grad_u its
+    velocity_gradient, computed when None; the result is shaped like
+    momentum_operator's.  pressure returns the pressure-gradient term, or is
+    None for none: a callable, so that its array is built after
+    momentum_operator's temporaries are freed.  u0 (ny, nx, 2) is the
+    initial slice of the time difference, default setup.u0.
     """
     g = setup.grid
-    if u.grid != g or p.grid != g:
-        raise ConfigurationError("field grids do not match setup grid")
     if u0 is None:
         u0 = setup.u0
     elif u0.shape != (g.ny, g.nx, 2):
         raise ConfigurationError(f"u0 shape {u0.shape} != {(g.ny, g.nx, 2)}")
-    uv, pv = np.moveaxis(u.values[1:], -1, 0), p.values[1:]
-    out = momentum_operator(uv, g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
-    out[0] += pv[..., 1:-1, :] @ _grid_blocks(g)[2]
-    out[1] += g.d1y()[1:-1] @ pv[..., 1:-1]
+    y = momentum_operator(u, g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
+    if pressure is not None:
+        y += pressure()
     if setup.include_advection:
-        out += advection(uv[..., 1:-1, 1:-1], velocity_gradient(uv, g))
-    return np.moveaxis(out, 0, -1)
+        y += advection(u[..., 1:-1, 1:-1], velocity_gradient(u, g) if grad_u is None else grad_u)
+    y -= np.moveaxis(setup.f.values[1:, 1:-1, 1:-1], -1, 0)
+    return y
 
 
 def residual_y(u, p, setup, u0=None):
-    """Momentum residual of a candidate state, the model-error field.
+    """momentum_residual of the fields (u, p), zero on the boundary and at level 0.
 
-    Defined on interior nodes at levels 1..nt; boundary entries and level 0
-    of the returned field are zero.  The initial slice entering the backward
-    time difference defaults to setup.u0; checks on externally supplied
-    fields (manufactured solutions) may override it with level 0 of u.
+    The pressure term is the centred gradient of p, which carries its own
+    boundary values; u0 may override the initial slice, with level 0 of a
+    manufactured u for example.  Under a zero forcing the result is the
+    forcing that cancels the residual of (u, p), to the bit.
     """
-    return VectorField.from_interior(setup.grid, _momentum_terms(u, p, setup, u0)
-                                     - setup.f.values[1:, 1:-1, 1:-1])
+    g = setup.grid
+    if u.grid != g or p.grid != g:
+        raise ConfigurationError("field grids do not match setup grid")
+    pv = p.values[1:]
 
+    def centred_gradient():
+        return np.stack([pv[..., 1:-1, :] @ _grid_blocks(g)[2], g.d1y()[1:-1] @ pv[..., 1:-1]])
 
-def consistent_forcing(u, p, setup, u0=None):
-    """Forcing that makes residual_y(u, p) vanish identically.
-
-    Computes the same momentum expression residual_y evaluates, so the
-    cancellation is bit-exact on interior nodes.
-    """
-    return VectorField.from_interior(setup.grid, _momentum_terms(u, p, setup, u0))
+    y = momentum_residual(np.moveaxis(u.values[1:], -1, 0), setup, centred_gradient, u0=u0)
+    return VectorField.from_interior(g, np.moveaxis(y, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +587,7 @@ def reference_solve(setup, tol_ref=None, advection_sweeps=3):
             "increase nt or shrink t_end")
 
     f = np.moveaxis(setup.f.values[:, 1:-1, 1:-1], -1, 0)
-    u_adv = u0 = np.moveaxis(setup.u0, -1, 0)[:, None]
+    u_adv = np.moveaxis(setup.u0, -1, 0)[:, None]
     psi = np.zeros((g.nt + 1, g.ny - 4, g.nx - 4))  # level 0 starts level 1
     if advection_sweeps < 1:
         raise ConfigurationError(f"advection_sweeps must be at least 1, got {advection_sweeps}")
@@ -602,10 +600,7 @@ def reference_solve(setup, tol_ref=None, advection_sweeps=3):
             psi[k:k + 1] = _level_lstsq(psi[k:k + 1], b, a, setup)
             u_adv = velocity_map(psi[k:k + 1], g)
 
-    u = velocity_map(psi[1:], g)
-    target = f[:, 1:] - momentum_operator(u, g, setup.nu, u0[:, 0, 1:-1, 1:-1])
-    if setup.include_advection:
-        target -= advection(u[..., 1:-1, 1:-1], velocity_gradient(u, g))
+    target = -momentum_residual(velocity_map(psi[1:], g), setup)
     control = ControlVector(g, psi[1:], _pressure_fit(target, g)).normalized()
     u, p = state_from_control(control, setup)
     sup_res = float(np.abs(residual_y(u, p, setup).values).max())

@@ -27,8 +27,8 @@ from .norms import (
     oscillating_step_profile, reg_abs,
 )
 from .nse import (
-    ControlVector, PhysicsSetup, consistent_forcing, forcing_preset,
-    initial_velocity_preset, reference_solve, residual_y, velocity_gradient,
+    ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset, reference_solve,
+    residual_y, velocity_gradient,
 )
 from .observation import (
     KINDS, ObservationModel, default_mask, eval_K, eval_K_jvp, n_components, synth_data,
@@ -265,7 +265,7 @@ def check_gradient(seed=17, directions=5):
 
 
 def check_consistent_forcing(u, p):
-    """The forcing consistent_forcing builds for (u, p) cancels the residual.
+    """The residual of (u, p) under a zero forcing, taken as the forcing, cancels it.
 
     Level 0 of u is the initial slice; the cancellation must hold to
     1e-12 of the forcing scale on every interior node.
@@ -273,7 +273,7 @@ def check_consistent_forcing(u, p):
     g = u.grid
     zero = np.zeros((g.ny, g.nx, 2))
     base = PhysicsSetup(grid=g, nu=0.05, lam=0.5, f=forcing_preset(g, "none", 0.0), u0=zero)
-    f = consistent_forcing(u, p, base, u0=u.values[0])
+    f = residual_y(u, p, base, u0=u.values[0])
     setup = PhysicsSetup(grid=g, nu=0.05, lam=0.5, f=f, u0=zero)
     res = residual_y(u, p, setup, u0=u.values[0])
     scale = max(1.0, float(np.abs(f.values).max()))
@@ -314,17 +314,24 @@ def check_oscillation():
 
 
 def check_fields():
-    """Field files round-trip bit-exactly and a flipped byte fails the checksum."""
+    """Field and mask files round-trip bit-exactly and a flipped byte fails the checksum."""
     import tempfile
     g = GridSpec(nx=6, ny=7, nt=3, t_end=0.2)
     rng = np.random.default_rng(3)
     fld = VectorField(g, rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    scalar = ScalarField(g, rng.standard_normal((g.nt + 1, g.ny, g.nx)))
+    mask = rng.random((g.ny - 2, g.nx - 2)) < 0.5
     with tempfile.TemporaryDirectory() as td:
         stem = os.path.join(td, "probe")
         fieldio.write_vector_field(stem, fld)
-        back = fieldio.read_vector_field(stem)
-        if not np.array_equal(back.values, fld.values):
-            return False, "round-trip not bit-exact"
+        fieldio.write_scalar_field(stem + "_p", scalar)
+        fieldio.write_mask(stem + ".txt", mask)
+        for name, back, want in (
+                ("vector field", fieldio.read_vector_field(stem).values, fld.values),
+                ("scalar field", fieldio.read_scalar_field(stem + "_p").values, scalar.values),
+                ("mask", fieldio.read_mask(stem + ".txt"), mask)):
+            if not np.array_equal(back, want):
+                return False, f"{name} round-trip not bit-exact"
         with open(stem + ".bin", "r+b") as fh:
             fh.seek(16)
             b = fh.read(1)
@@ -333,7 +340,7 @@ def check_fields():
         try:
             fieldio.read_vector_field(stem)
         except ConfigurationError:
-            return True, "round-trip bit-exact; corruption detected by checksum"
+            return True, "fields and mask round-trip bit-exactly; corruption detected by checksum"
         return False, "corrupted file was not detected"
 
 

@@ -4,6 +4,7 @@ import pytest
 from nsassim import fieldio
 from nsassim.errors import ConfigurationError
 from nsassim.grid import GridSpec, ScalarField, VectorField
+from nsassim.runner import check_fields
 
 
 @pytest.fixture
@@ -114,3 +115,31 @@ def test_malformed_sidecar_names_stem_and_key(tmp_path, grid, key, line):
     meta.write_text("\n".join(lines + ([line] if line else [])) + "\n")
     with pytest.raises(ConfigurationError, match=f"sidecar.*{key}"):
         fieldio.read_scalar_field(stem)
+
+
+def test_verify_suite_catches_a_wrong_mask(monkeypatch):
+    # the fields suite round-trips the mask too: one flipped entry fails it
+    read = fieldio.read_mask
+
+    def flipped(path):
+        mask = read(path)
+        mask[0, 0] = not mask[0, 0]
+        return mask
+
+    monkeypatch.setattr(fieldio, "read_mask", flipped)
+    ok, detail = check_fields()
+    assert not ok
+    assert "mask" in detail
+
+
+def test_verify_suite_catches_a_wrong_scalar_field(monkeypatch):
+    read = fieldio.read_scalar_field
+
+    def nudged(stem):
+        fld = read(stem)
+        return ScalarField(fld.grid, np.nextafter(fld.values, np.inf))
+
+    monkeypatch.setattr(fieldio, "read_scalar_field", nudged)
+    ok, detail = check_fields()
+    assert not ok
+    assert "scalar field" in detail

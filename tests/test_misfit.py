@@ -11,12 +11,12 @@ from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import GridSpec, VectorField, gradient_kernel
 from nsassim.misfit import (
     AssembledState, MisfitReport, adjoint_from_state, assemble_state, gradient_from_state,
-    report_from_state, tangent_from_state,
+    report_from_state, tangent_from_state, velocity_tangent,
 )
 from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, sup_norm
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset, residual_y,
-    state_from_control, velocity_gradient, velocity_gradient_transpose,
+    state_from_control, velocity_gradient, velocity_gradient_transpose, velocity_map,
 )
 from nsassim.observation import (
     KINDS, ObservationModel, default_mask, eval_K, n_components, synth_data,
@@ -298,6 +298,27 @@ def test_tangent_is_transpose_of_adjoint(kind, advection):
     assert np.allclose(np.moveaxis(du.u, 0, -1), u_full[:, 1:-1, 1:-1], rtol=0, atol=1e-14)
     grad_full = gradient_kernel(u_full, g)[:, 1:-1, 1:-1]
     assert np.allclose(np.moveaxis(du.grad_u, 0, -1), grad_full, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_one_level_velocity_tangent_broadcasts(kind, advection):
+    # a one-level direction with its own interior level as u_init is the
+    # nt-level tangent of that level repeated, to the bit: the per-level
+    # pairings of the diagnostics rest on it
+    g = grid(nx=9, ny=13, nt=4)
+    rng = np.random.default_rng(23)
+    truth = VectorField(g, 0.2 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    model = synth_data(truth, kind, 0.2, seed=3, mask_stride=2)
+    setup = setup_for(g, advection=advection)
+    state = assemble_state(random_control(g, rng), setup, model)
+    v = velocity_map(rng.standard_normal((1, g.ny - 4, g.nx - 4)), g)
+    u_init = v[:, 0, 1:-1, 1:-1]
+    one = velocity_tangent(state, setup, model, v, u_init)
+    full = velocity_tangent(state, setup, model, np.repeat(v, g.nt, axis=1), u_init)
+    for name in ("u", "grad_u", "K", "y"):
+        level, levels = getattr(one, name), getattr(full, name)
+        assert np.array_equal(np.broadcast_to(level, levels.shape), levels), name
 
 
 @pytest.mark.parametrize("advection", [True, False])

@@ -12,9 +12,9 @@ from nsassim.grid import (
 )
 from nsassim.nse import (
     ControlVector, PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
-    consistent_forcing, extend_interior, forcing_preset, initial_velocity_preset,
-    momentum_operator, momentum_operator_transpose, pressure_gradient,
-    pressure_gradient_transpose, pressure_map, reference_solve, residual_y,
+    extend_interior, forcing_preset, initial_velocity_preset, momentum_operator,
+    momentum_operator_transpose, pressure_gradient, pressure_gradient_transpose, pressure_map,
+    reference_solve, residual_y,
     state_from_control, stream_bump, velocity_gradient, velocity_gradient_transpose,
     velocity_map, velocity_map_transpose,
     pressure_metric_inverse, stream_metric_inverse,
@@ -471,14 +471,15 @@ class TestResidual:
         base = PhysicsSetup(grid=g, nu=0.07, lam=0.5,
                             f=forcing_preset(g, "none", 0.0),
                             u0=initial_velocity_preset(g, "zero", 0.0))
-        f = consistent_forcing(u_m, p_m, base, u0=u_m.values[0])
+        # the residual under a zero forcing is the forcing that cancels it
+        f = residual_y(u_m, p_m, base, u0=u_m.values[0])
         setup = PhysicsSetup(grid=g, nu=0.07, lam=0.5, f=f,
                              u0=initial_velocity_preset(g, "zero", 0.0))
         res = residual_y(u_m, p_m, setup, u0=u_m.values[0])
         scale = max(1.0, np.abs(f.values).max())
         assert np.abs(res.values).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("fn", [residual_y, consistent_forcing])
+    @pytest.mark.parametrize("fn", [residual_y])
     def test_misshaped_u0_override_rejected(self, fn):
         g = GridSpec(nx=8, ny=8, nt=3, t_end=0.1)
         setup = basic_setup(g)
@@ -509,7 +510,7 @@ def in_space_manufactured(nx, nt, t_end=0.32, nu=0.01):
                         f=forcing_preset(g, "none", 0.0), u0=u0)
     u_m, p_m = state_from_control(c, base)
     setup = PhysicsSetup(grid=g, nu=nu, lam=0.5,
-                         f=consistent_forcing(u_m, p_m, base), u0=u0)
+                         f=residual_y(u_m, p_m, base), u0=u0)
     return g, setup, u_m
 
 
