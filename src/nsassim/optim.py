@@ -26,19 +26,25 @@ non-finite trial halves.  Every backtrack at least halves the length, so
 _MAX_BACKTRACKS of them end the search below round-off and flag the stage
 as stalled.  All arithmetic is deterministic.
 
-The initial inverse Hessian of the two-loop is gamma M^-1 with
-gamma = s.y / y.M^-1 y (Nocedal & Wright, sec. 7.2), in place of a
-multiple of the identity.  M is block diagonal, the Gram matrix of each
-block's leading term in the residual.  On the stream-function block that
-term is the backward time difference of the curl
-(nse.stream_metric_inverse, h^-2 M_psi^-1 in these variables).  On the
-pressure block it is the pressure gradient G, and M^-1 is
-(h^2 G^T G + kappa I)^-1 per level with kappa = _PRESSURE_KAPPA
-(nse.pressure_metric_inverse); kappa bounds the inverse on the smooth
-modes where h G is small, and each level's constant, G's null mode, keeps
-the identity.  Both are fast diagonalizations (Lynch, Rice & Thomas 1964).
-M^-1 is applied once per gradient evaluation; each curvature pair keeps
-M^-1 y, the difference of M^-1 of its two gradients.
+The initial inverse Hessian is gamma M^-1 with gamma = s.y / y.M^-1 y of
+the newest pair (Nocedal & Wright, sec. 7.2), in place of a multiple of
+the identity.  M is block diagonal, the Gram matrix of each block's
+leading term in the residual.  On the stream-function block that term is
+the backward time difference of the curl (nse.stream_metric_inverse,
+h^-2 M_psi^-1 in these variables).  On the pressure block it is the
+pressure gradient G, and M^-1 is (h^2 G^T G + kappa I)^-1 per level with
+kappa = _PRESSURE_KAPPA (nse.pressure_metric_inverse); kappa bounds the
+inverse on the smooth modes where h G is small, and each level's
+constant, G's null mode, keeps the identity.  Both are fast
+diagonalizations (Lynch, Rice & Thomas 1964).  M^-1 is applied once per
+gradient evaluation; each curvature pair's M^-1 y is the difference of
+M^-1 of its two gradients.
+
+The curvature pairs are held in the compact representation of Byrd,
+Nocedal & Schnabel (1994), see _CurvatureHistory: s and M^-1 y are rows
+of one array filled in ring order, y itself is never kept, and each
+direction takes one stacked reduction and one stacked combination over
+those rows.
 
 With no curvature pair yet, as at the start of every stage, the step is
 -gamma0 M^-1 g at unit length, gamma0 = 1 / (lam w c) with w the
@@ -50,7 +56,6 @@ stage is a Gauss-Newton step of the residual term.
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -147,26 +152,85 @@ def _backtrack(alpha, descent, e0, e_try):
     return min(max(-descent * alpha * alpha / (2.0 * curv), lo * alpha), hi * alpha)
 
 
-def _two_loop(g, mg, pairs):
-    """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4), H0 = gamma M^-1.
+class _CurvatureHistory:
+    """The last `rows` curvature pairs of a stage, in compact form.
 
-    mg is M^-1 g and the my of each pair (s, y, 1/s.y, my) is M^-1 y; M^-1
-    is linear, so M^-1 q needs no new M^-1.
+    H = gamma M^-1 updated by the pairs (s_i, y_i) is applied as
+    H g = gamma M^-1 g + S u - gamma (M^-1 Y) w with w = R^-1 S^T g and
+    u = R^-T (D w + gamma (Y^T M^-1 Y w - (M^-1 Y)^T g)), where R = triu(S^T Y)
+    and D = diag(S^T Y): the compact representation of Byrd, Nocedal &
+    Schnabel (Math. Programming 63, 1994) with H0 = gamma M^-1.
+
+    s and M^-1 y are the rows of sm[0] and sm[1], allocated at the first
+    pair and filled in ring order: pair i, oldest first, sits in row
+    order[i], and a new pair at full memory takes the oldest one's row.  y is
+    not kept; the small chronological matrices R^-1, D and Y^T M^-1 Y gain
+    their new column when a pair enters.  R^-1 gains a bordered column, and
+    evicting the oldest pair keeps its trailing block, the inverse of R's
+    trailing block.  The n-length reductions and combinations run in
+    fixed-order einsum, so their bits do not depend on the BLAS threads.
     """
-    q = g.copy()
-    r = mg.copy()
-    alphas = []
-    for s, yv, rho, my in reversed(pairs):
-        a = rho * dot(s, q)
-        alphas.append(a)
-        q -= a * yv
-        r -= a * my
-    _, yv, rho, my = pairs[-1]
-    r *= 1.0 / (rho * dot(yv, my))
-    for (s, yv, rho, _), a in zip(pairs, reversed(alphas)):
-        b = rho * dot(yv, r)
-        r += (a - b) * s
-    return -r
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.order = np.arange(0)             # ring rows of the pairs held, oldest first
+        self.sm = None                        # (2, rows, n): s rows, then M^-1 y rows
+        self.r_inv = np.zeros((rows, rows))   # R^-1, chronological
+        self.sy = np.zeros(rows)              # D
+        self.ymy = np.zeros((rows, rows))     # Y^T M^-1 Y
+
+    def __len__(self):
+        return self.order.size
+
+    def _reduce(self, v):
+        """(S^T v, (M^-1 Y)^T v) over the pairs held, in chronological order."""
+        return np.einsum("kij,j->ki", self.sm[:, :self.order.size], v)[:, self.order]
+
+    def push(self, s, y, my):
+        """Add the pair (s, y), my = M^-1 y, evicting the oldest pair when full.
+
+        A pair without s.y > 1e-14 |s| |y| is rejected and changes nothing.
+        Returns whether the pair was added.
+        """
+        sy = dot(s, y)
+        if not sy > 1e-14 * math.sqrt(dot(s, s)) * math.sqrt(dot(y, y)):
+            return False
+        if self.sm is None:
+            self.sm = np.empty((2, self.rows, s.size))
+        k = self.order.size
+        if k < self.rows:
+            self.order = np.arange(k + 1)
+        else:  # the newest pair takes the oldest pair's row
+            k -= 1
+            self.r_inv[:k, :k] = self.r_inv[1:, 1:]
+            self.ymy[:k, :k] = self.ymy[1:, 1:]
+            self.sy[:k] = self.sy[1:]
+            self.order = (self.order + 1) % self.rows
+        self.sm[0, self.order[k]] = s
+        self.sm[1, self.order[k]] = my
+        s_y, my_y = self._reduce(y)
+        self.r_inv[:k, k] = (self.r_inv[:k, :k] @ s_y[:k]) / -sy
+        self.r_inv[k, k] = 1.0 / sy
+        self.sy[k] = sy
+        self.ymy[k, :k + 1] = self.ymy[:k + 1, k] = my_y
+        return True
+
+    def direction(self, g, mg):
+        """-H g, with mg = M^-1 g."""
+        k = self.order.size
+        gamma = self.sy[k - 1] / self.ymy[k - 1, k - 1]
+        s_g, my_g = self._reduce(g)
+        r_inv = self.r_inv[:k, :k]
+        w = r_inv @ s_g
+        u = r_inv.T @ (self.sy[:k] * w + gamma * (self.ymy[:k, :k] @ w - my_g))
+        # -H g = gamma ((M^-1 Y) w - S u / gamma - M^-1 g)
+        coef = np.empty((2, k))
+        coef[0, self.order] = u / -gamma
+        coef[1, self.order] = w
+        d = np.einsum("kij,ki->j", self.sm[:, :k], coef)
+        d -= mg
+        d *= gamma
+        return d
 
 
 def minimize_E_p(c0, setup, model, p, opts=None):
@@ -254,12 +318,12 @@ def _descend(entry, setup, model, p, opts):
     g_ref = max(1.0, g_norm)
     trace = [(0, report.e_p, g_norm)]
 
-    pairs = deque(maxlen=opts.memory)
+    history = _CurvatureHistory(min(opts.memory, opts.max_iters))
     converged = g_norm <= opts.grad_tol * g_ref
     stalled = False
     it = backtracks = 0
     while not converged and it < opts.max_iters:
-        d = _two_loop(grad, mg, pairs) if pairs else first_step(state, mg)
+        d = history.direction(grad, mg) if history else first_step(state, mg)
         descent = dot(d, grad)
         if descent >= 0.0:
             d = -grad
@@ -287,11 +351,7 @@ def _descend(entry, setup, model, p, opts):
         state_try = d = None  # only the accepted point outlives its search
         grad_new = gradient(state)
         mg_new = metric(grad_new)
-        s = x_new - x
-        yv = grad_new - grad
-        sy = dot(s, yv)
-        if sy > 1e-14 * math.sqrt(dot(s, s)) * math.sqrt(dot(yv, yv)):
-            pairs.append((s, yv, 1.0 / sy, mg_new - mg))
+        history.push(x_new - x, grad_new - grad, mg_new - mg)
         x, grad, mg = x_new, grad_new, mg_new
         g_norm = math.sqrt(dot(grad, grad))
         it += 1

@@ -463,6 +463,9 @@ for n in (16, 32, 48):
         steps = minimize_E_p(c, setup, model, 16.0, OptimOptions(max_iters=3)).control.to_flat()
         for a in (state.u.values, state.p.values, state.y_int, state.K.values, grad, steps):
             digest.update(np.ascontiguousarray(a).tobytes())
+    if n == 32:  # fourteen steps with memory 4 evict the oldest pairs
+        opts = OptimOptions(max_iters=14, memory=4)
+        digest.update(minimize_E_p(c, setup, model, 16.0, opts).control.to_flat().tobytes())
     if n == 48:
         model = synth_data(state_from_control(truth, setup)[0], "speed-squared", 0.5, 1)
         state = assemble_state(c, setup, model)
@@ -485,7 +488,8 @@ print(digest.hexdigest())
 
 def test_hot_path_bits_independent_of_blas_threads():
     # assemble_state, gradient_from_state and three L-BFGS steps at 16^2,
-    # 32^2 and 48^2 (the assim-48 grid), the stage diagnostics el_residual
+    # 32^2 and 48^2 (the assim-48 grid), fourteen steps with memory 4 at
+    # 32^2 (the history's ring wraps), the stage diagnostics el_residual
     # and bank_pairings at 48^2 with speed-squared data, the
     # reference-solve truth at 16^2, 24^2 and 64^2 (where OpenBLAS threads
     # dgemm), and the L-BFGS metric stream_metric_inverse at 48^2 and 64^2

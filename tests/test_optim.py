@@ -21,7 +21,7 @@ from nsassim.nse import (
 from nsassim.observation import ObservationModel, default_mask, synth_data
 from nsassim.optim import (
     _ARMIJO_SLOPE, _MAX_BACKTRACKS, _PRESSURE_KAPPA, ContinuationSchedule, MinimizeResult,
-    OptimOptions, _backtrack, _two_loop, minimize_E_p, preconditioner_scales,
+    OptimOptions, _backtrack, _CurvatureHistory, minimize_E_p, preconditioner_scales,
     run_continuation, stage_tolerance,
 )
 
@@ -39,6 +39,34 @@ def small_problem(noise=0.25, lam=0.5, advection=True, seed=3, n=8):
     model = synth_data(VectorField.zeros(g), "masked-velocity", noise,
                        seed=seed, mask_stride=2)
     return g, setup, model
+
+
+def bundled_problem(n, sweeps=1):
+    """configs/example.ini's physics on an n x n x 3n/4 grid, with data from
+    a reference solve of the given sweeps."""
+    cfg = load_config(path=EXAMPLE)
+    cfg.nx = cfg.ny = n
+    cfg.nt = 3 * n // 4
+    grid = cfg.validate()
+    setup = cfg.build_setup(grid)
+    ref = reference_solve(setup, advection_sweeps=sweeps)
+    model = synth_data(ref.u, cfg.kind, cfg.noise_amplitude, cfg.seed,
+                       mask_stride=cfg.mask_stride)
+    return grid, setup, model
+
+
+def traced_peak(run):
+    """run() and the traced peak of its allocations in bytes, after one
+    untraced run that fills the operator caches."""
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestOptions:
@@ -352,6 +380,28 @@ class TestAccounting:
         assert res.iterations == 3
         assert peak / c0.to_flat().nbytes <= 27.5
 
+    def test_full_history_traced_peak_in_control_vectors(self):
+        # about 41 vectors at 24x24x18 with ten pairs held: the history keeps
+        # s and M^-1 y, 20 vectors; with y kept beside them it read about 51
+        grid, setup, model = bundled_problem(24)
+        c0 = ControlVector.zeros(grid)
+        res, peak = traced_peak(lambda: minimize_E_p(
+            c0, setup, model, 2.0, OptimOptions(max_iters=15, grad_tol=1e-12, memory=10)))
+        assert res.iterations == 15 and not res.stalled
+        assert peak / c0.to_flat().nbytes <= 42.5
+
+    def test_history_rows_are_capped_by_the_iterations(self):
+        # a memory far above max_iters allocates no more rows than max_iters;
+        # the traced peak of one run moves by a few hundred bytes between runs
+        g, setup, model = small_problem(n=24)
+        c0 = ControlVector.zeros(g)
+        peaks = {}
+        for memory in (5, 10 ** 6):
+            opts = OptimOptions(max_iters=5, grad_tol=1e-12, memory=memory)
+            res, peaks[memory] = traced_peak(lambda: minimize_E_p(c0, setup, model, 4.0, opts))
+            assert res.iterations == 5
+        assert peaks[10 ** 6] <= peaks[5] + 0.01 * c0.to_flat().nbytes
+
 
 def dense_metric_inverse(g):
     """M^-1 in the scaled variables, built densely: h^-2 (B^T B (x) C^T C)^-1 on
@@ -377,41 +427,83 @@ def dense_metric_inverse(g):
     return out, n_psi
 
 
+def metric_pairs(count):
+    """count curvature pairs (s, y, M^-1 y) from a gradient sequence on a
+    quadratic, M^-1 y the difference of M^-1 of its two gradients, with the
+    dense M^-1, the metric and the last gradient."""
+    g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
+    m_inv, n_psi = dense_metric_inverse(g)
+    n = m_inv.shape[0]
+    h2 = min(g.hx, g.hy) ** 2
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((n, n))
+    a = a @ a.T / n + np.eye(n)
+
+    def metric(v):
+        return np.concatenate([
+            stream_metric_inverse(v[:n_psi].reshape(g.nt, 4, 4), g).ravel() / h2,
+            pressure_metric_inverse(v[n_psi:].reshape(g.nt, 6, 6), g,
+                                    _PRESSURE_KAPPA).ravel()])
+
+    grad, pairs = rng.standard_normal(n), []
+    for _ in range(count):
+        s = rng.standard_normal(n)
+        grad_new = grad + a @ s
+        pairs.append((s, grad_new - grad, metric(grad_new) - metric(grad)))
+        grad = grad_new
+    return m_inv, metric, pairs, grad
+
+
+def dense_bfgs(m_inv, pairs):
+    """gamma M^-1 updated by the BFGS formula with each pair (s, y, _) in
+    turn, gamma = s.y / y.M^-1 y of the last pair."""
+    n = m_inv.shape[0]
+    s_new, y_new, _ = pairs[-1]
+    h = (np.dot(s_new, y_new) / (y_new @ m_inv @ y_new)) * m_inv
+    for s, y, _ in pairs:
+        rho = 1.0 / np.dot(s, y)
+        v = np.eye(n) - rho * np.outer(y, s)
+        h = v.T @ h @ v + rho * np.outer(s, s)
+    assert np.abs(h @ y_new - s_new).max() <= 1e-10 * np.abs(s_new).max()
+    return h
+
+
 class TestMetricTwoLoop:
     def test_two_loop_is_bfgs_from_the_metric(self):
-        # pairs from a gradient sequence, each storing M^-1 y as the
-        # difference of M^-1 g; the dense BFGS updates of gamma M^-1 from
-        # the same pairs are the oracle
-        g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
-        m_inv, n_psi = dense_metric_inverse(g)
-        n = m_inv.shape[0]
-        h2 = min(g.hx, g.hy) ** 2
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((n, n))
-        a = a @ a.T / n + np.eye(n)
-
-        def metric(v):
-            return np.concatenate([
-                stream_metric_inverse(v[:n_psi].reshape(g.nt, 4, 4), g).ravel() / h2,
-                pressure_metric_inverse(v[n_psi:].reshape(g.nt, 6, 6), g,
-                                        _PRESSURE_KAPPA).ravel()])
-
-        grads = [rng.standard_normal(n)]
-        pairs = []
-        for _ in range(5):
-            s = rng.standard_normal(n)
-            grads.append(grads[-1] + a @ s)
-            pairs.append((s, grads[-1] - grads[-2], 1.0 / np.dot(s, a @ s),
-                          metric(grads[-1]) - metric(grads[-2])))
-        s_new, y_new = pairs[-1][:2]
-        h = (np.dot(s_new, y_new) / (y_new @ m_inv @ y_new)) * m_inv
-        for s, y, rho, _ in pairs:
-            v = np.eye(n) - rho * np.outer(y, s)
-            h = v.T @ h @ v + rho * np.outer(s, s)
-        assert np.abs(h @ y_new - s_new).max() <= 1e-10 * np.abs(s_new).max()
-        d = _two_loop(grads[-1], metric(grads[-1]), pairs)
-        ref = -h @ grads[-1]
+        # the compact history's direction against the dense BFGS updates of
+        # gamma M^-1 from the same pairs
+        m_inv, metric, pairs, g = metric_pairs(5)
+        history = _CurvatureHistory(10)
+        assert all(history.push(*pair) for pair in pairs)
+        d = history.direction(g, metric(g))
+        ref = -dense_bfgs(m_inv, pairs) @ g
         assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_full_ring_is_bfgs_from_the_last_pairs(self):
+        # memory 3 with 7 pairs pushed: the ring has wrapped twice and the
+        # direction is the dense BFGS update from the last 3 pairs only
+        m_inv, metric, pairs, g = metric_pairs(7)
+        history = _CurvatureHistory(3)
+        assert all(history.push(*pair) for pair in pairs)
+        assert list(history.order) == [1, 2, 0]
+        d = history.direction(g, metric(g))
+        ref = -dense_bfgs(m_inv, pairs[-3:]) @ g
+        assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_rejected_pair_changes_nothing(self, count):
+        # a pair failing s.y > 1e-14 |s| |y| leaves the next direction
+        # bit-identical, below and at full memory
+        _, metric, pairs, g = metric_pairs(count + 1)
+        history = _CurvatureHistory(3)
+        for pair in pairs[:-1]:
+            history.push(*pair)
+        mg = metric(g)
+        before = history.direction(g, mg)
+        s, y, my = pairs[-1]
+        assert not history.push(s, -y, -my)
+        assert not history.push(s, y - (np.dot(s, y) / np.dot(s, s)) * s, my)
+        assert np.array_equal(history.direction(g, mg), before)
 
     def test_one_metric_per_gradient(self, monkeypatch):
         import nsassim.optim as optim
@@ -556,6 +648,30 @@ class TestContinuation:
         for st in stages:  # the handed-over state lives on no result
             assert not any(isinstance(v, AssembledState) for v in vars(st).values())
             assert not any(isinstance(v, AssembledState) for v in vars(st.result).values())
+
+    def test_each_stage_starts_with_the_scaled_metric_step(self, monkeypatch):
+        # no curvature pair crosses a stage: each stage's first trial is the
+        # one minimize_E_p takes from the previous stage's control
+        import nsassim.optim as optim
+        g, setup, model = small_problem()
+        calls = []
+
+        def recording(c, setup_, model_):
+            calls.append(c.to_flat())
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr(optim, "assemble_state", recording)
+        opts = OptimOptions(max_iters=12, grad_tol=1e-12, memory=4)
+        stages = run_continuation(ControlVector.zeros(g), setup, model,
+                                  ContinuationSchedule(p_list=(2.0, 8.0, 32.0)), opts)
+        trials = list(calls)
+        starts = np.cumsum([st.result.forward_evals for st in stages])
+        for prev, st, start in zip(stages, stages[1:], starts):
+            assert prev.result.iterations == 12
+            # the stage's entry state was handed over: trials[start] is its first trial
+            calls.clear()
+            minimize_E_p(prev.control, setup, model, st.p, OptimOptions(max_iters=1))
+            assert np.abs(trials[start] - calls[1]).max() <= 1e-12 * np.abs(calls[1]).max()
 
     def test_every_option_reaches_every_stage(self, monkeypatch):
         import nsassim.optim as optim
