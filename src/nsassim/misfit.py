@@ -41,10 +41,11 @@ from .errors import ConfigurationError
 from .grid import VectorField, check_finite
 from .norms import PExponent, as_exponent, dual_factor, lp_norm_from_squares
 from .nse import (
-    ControlVector, PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
-    momentum_operator, momentum_operator_transpose, momentum_residual, pressure_gradient,
-    pressure_gradient_transpose, pressure_map, state_fields, velocity_gradient,
-    velocity_gradient_transpose, velocity_map, velocity_map_transpose,
+    ControlVector, PhysicsSetup, _over_levels, advection, advection_transpose_a,
+    advection_transpose_grad_b, momentum_operator, momentum_operator_transpose,
+    momentum_residual, pressure_gradient, pressure_gradient_transpose, pressure_map,
+    state_fields, velocity_gradient, velocity_gradient_transpose, velocity_map,
+    velocity_map_transpose,
 )
 from .observation import ObsField, eval_K, eval_K_jvp, eval_K_vjp
 
@@ -128,18 +129,34 @@ class AssembledState:
 def assemble_state(c, setup, model):
     """Run the forward chain once: state, residual, misfit.
 
-    Raises InvalidFieldError if the velocity, residual or misfit is not
-    finite; an overflowing pressure gradient shows in the residual.
+    Three passes over tiles of levels (nse._over_levels), each followed by
+    its finiteness check: the velocity, then its gradient and the residual,
+    then K, each tile writing its slice of the state's arrays.  A tile's
+    time difference opens with the last velocity level before it.  Raises
+    InvalidFieldError if the velocity, residual or misfit is not finite; an
+    overflowing pressure gradient shows in the residual.
     """
     g = setup.grid
     if c.grid != g or model.grid != g:
         raise ConfigurationError("control or observation grid does not match setup grid")
-    u = velocity_map(c.psi, g)
+    nt, inner = g.nt, (g.ny - 2, g.nx - 2)
+    u = np.zeros((2, nt, g.ny, g.nx))
+    _over_levels(lambda lo, hi: velocity_map(c.psi[lo:hi], g, u[:, lo:hi]), nt, g)
     check_finite(u, "velocity")
-    u_int, grad_u = u[..., 1:-1, 1:-1], velocity_gradient(u, g)
-    y = momentum_residual(u, setup, lambda: pressure_gradient(c.pr, g), grad_u)
+    u_int = u[..., 1:-1, 1:-1]
+    grad_u, y = np.empty((4, nt) + inner), np.empty((2, nt) + inner)
+
+    def residual(lo, hi):
+        ub = u[:, lo:hi]
+        u0 = None if lo == 0 else np.moveaxis(u[:, lo - 1], 0, -1)
+        momentum_residual(ub, setup, lambda: pressure_gradient(c.pr[lo:hi], g),
+                          velocity_gradient(ub, g, grad_u[:, lo:hi]), u0, lo, y[:, lo:hi])
+
+    _over_levels(residual, nt, g)
     check_finite(y, "momentum residual")
-    k = eval_K(u_int, grad_u, model)
+    k = np.empty((model.n, nt) + inner)  # after the residual's temporaries are freed
+    _over_levels(lambda lo, hi: eval_K(u_int[:, lo:hi], grad_u[:, lo:hi], model, lo, k[:, lo:hi]),
+                 nt, g)
     check_finite(k, "observation misfit")
     return AssembledState(setup, u, c.pr, u_int, grad_u, k, y, g.interior_weight())
 
@@ -206,26 +223,38 @@ def adjoint_from_state(state, setup, model, kbar, ybar):
     axis first; either may be None for a zero cotangent, whose branch is
     skipped, as is the velocity-gradient transpose when neither the
     advection nor the observation feeds it.  The steps of the tangent in
-    reverse order; returns a ControlVector.
+    reverse order, over tiles of levels (nse._over_levels) that write their
+    slices of the control's blocks; a tile's last level also takes the time
+    difference of the next tile's first.  Returns a ControlVector.
     """
     g = setup.grid
-    u, gu = state.u_int, state.grad_u
-    gbar = None  # the gradient cotangent, built only by a branch that writes it
-    if ybar is None:
-        ubar, prbar = np.zeros(state.u_full.shape), np.zeros(state.pr.shape)
-    else:
-        ubar = momentum_operator_transpose(ybar, g, setup.nu)
-        if setup.include_advection:
-            ubar[..., 1:-1, 1:-1] += advection_transpose_a(ybar, gu)
-            gbar = advection_transpose_grad_b(ybar, u)
-        prbar = pressure_gradient_transpose(ybar, g)
-    if kbar is not None:
-        if gbar is None and model.reads_gradient:
-            gbar = np.zeros(gu.shape)
-        eval_K_vjp(u, kbar, model, ubar[..., 1:-1, 1:-1], gbar)
-    if gbar is not None:
-        velocity_gradient_transpose(gbar, g, ubar)
-    return ControlVector(g, velocity_map_transpose(ubar, g), prbar)
+    nt = g.nt
+    psi_bar = np.empty((nt, g.ny - 4, g.nx - 4))
+    pr_bar = (np.zeros if ybar is None else np.empty)(state.pr.shape)
+
+    def tile(lo, hi):
+        u, gu = state.u_int[:, lo:hi], state.grad_u[:, lo:hi]
+        gbar = None  # the gradient cotangent, built only by a branch that writes it
+        if ybar is None:
+            ubar = np.zeros((2, hi - lo, g.ny, g.nx))
+        else:
+            yb = ybar[:, lo:hi]
+            ubar = momentum_operator_transpose(yb, g, setup.nu,
+                                               None if hi == nt else ybar[:, hi])
+            if setup.include_advection:
+                ubar[..., 1:-1, 1:-1] += advection_transpose_a(yb, gu)
+                gbar = advection_transpose_grad_b(yb, u)
+            pressure_gradient_transpose(yb, g, pr_bar[lo:hi])
+        if kbar is not None:
+            if gbar is None and model.reads_gradient:
+                gbar = np.zeros(gu.shape)
+            eval_K_vjp(u, kbar[:, lo:hi], model, ubar[..., 1:-1, 1:-1], gbar)
+        if gbar is not None:
+            velocity_gradient_transpose(gbar, g, ubar)
+        velocity_map_transpose(ubar, g, psi_bar[lo:hi])
+
+    _over_levels(tile, nt, g)
+    return ControlVector(g, psi_bar, pr_bar)
 
 
 def gradient_from_state(state, setup, model, p):

@@ -24,8 +24,21 @@ and -d1x[1:-1, 2:-2]^T, velocity_gradient's d1x[1:-1]^T; the pressure
 gradient's dx^T and the fast diagonalization's vx^T with their factors) and
 once per (grid, nu) (_viscous_blocks: nu d2x[1:-1]^T and nu d2y[1:-1] for
 momentum_operator, -nu d2x[1:-1] and (-nu d2y[1:-1])^T for its transpose).
+
+Almost all of the chain's arithmetic is local to one time level; only the
+backward time difference couples neighbours.  _over_levels runs such work
+in tiles of levels, on two threads once the control is large enough
+(_SPLIT_SIZE), each tile writing its slice of arrays its caller allocated.
+Every reduction over levels stays serial on the full arrays, so the bits
+depend neither on the split nor on the core or BLAS thread count.
 """
 
+import contextvars
+import os
+from collections import deque
+# imported with the module: its 7 ms (it imports logging) would otherwise land
+# inside the first split, in the timed chain of a short run
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -185,6 +198,78 @@ def pressure_map(pr, grid):
 
 
 # ---------------------------------------------------------------------------
+# level tiles: the chain's level-local work on two threads
+
+# A grid whose control has at least this many entries runs the level-local
+# work on two threads: up to 36x36x27 (58,860 entries) on one, from 40x40x30
+# (82,200) on two.
+_SPLIT_SIZE = 70_000
+# The work is called on tiles of whole levels holding at most this many
+# interior nodes (one level at least), so the temporaries of a call stay
+# small: 48x48x36 takes six tiles of 6 levels, 24x24x18 is one tile.
+_TILE_NODES = 13_000
+
+
+@lru_cache(maxsize=None)
+def _worker():
+    """The one-thread pool that runs the second thread's tiles, started by the first split."""
+    return ThreadPoolExecutor(1, thread_name_prefix="nsassim-levels")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread: it starts its own
+    os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def _cores():
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _over_levels(fn, n, grid):
+    """Run fn(lo, hi) over the level range [0, n), tile by tile, on one thread or two.
+
+    The range is cut into consecutive tiles of whole levels holding at most
+    _TILE_NODES interior nodes (one level at least).  When the grid's
+    control has at least _SPLIT_SIZE entries and the process may run on two
+    cores, the calling thread takes the tiles from the front while _worker
+    takes them from the back, until the two meet: near the middle when both
+    cores run at one speed, and farther from a core that runs slower.  The
+    worker runs in a copy of the caller's context, so numpy's errstate
+    holds in both.  Otherwise the calling thread runs every tile, with no
+    pool.  fn writes its levels' slices of arrays the caller allocated,
+    with the same per-level arithmetic whichever thread runs a tile, so the
+    bits depend neither on the threads nor on the tiles; every reduction
+    over levels stays with the caller.  fn must not split again.  Both
+    threads have ended when this returns or raises; the caller's exception
+    comes first.
+    """
+    nodes = (grid.ny - 2) * (grid.nx - 2)
+    if n * nodes <= _TILE_NODES:  # one tile, and a control far below _SPLIT_SIZE
+        fn(0, n)
+        return
+    step = max(1, _TILE_NODES // nodes)
+    tiles = deque(range(0, n, step))  # pops at either end are thread-safe
+
+    def work(take):
+        while True:
+            try:
+                lo = take()
+            except IndexError:  # every tile is taken
+                return
+            fn(lo, min(lo + step, n))
+
+    if n * (nodes + (grid.ny - 4) * (grid.nx - 4)) < _SPLIT_SIZE or _cores() < 2:
+        work(tiles.popleft)
+        return
+    future = _worker().submit(contextvars.copy_context().run, work, tiles.pop)
+    try:
+        work(tiles.popleft)
+    finally:
+        future.exception()  # waits for the worker without raising its error over the caller's
+    future.result()
+
+
+# ---------------------------------------------------------------------------
 # linear maps, each followed by its transpose; component axis first.  The
 # momentum operators apply the interior rows of the 1D matrices only.  The
 # blocks are C-contiguous because numpy's batched matmul takes about twice
@@ -212,40 +297,41 @@ def _viscous_blocks(grid, nu):
     return _frozen(nu * d2x.T), _frozen(nu * d2y), _frozen(-nu * d2x), _frozen((-nu * d2y).T)
 
 
-def velocity_map(psi, grid):
+def velocity_map(psi, grid, out=None):
     """Velocity from stream-function dofs (nt, ny-4, nx-4), any nt (linear).
 
     The curl of the zero-padded stream function with the boundary ring
     zeroed: shaped (2, nt, ny, nx).  Only the interior blocks of the 1D
     matrices meet nonzero values, so each component is one matmul into the
-    block it fills.
+    block it fills; out, when given, must be zero outside those blocks.
     """
     curl_y, curl_x_t = _grid_blocks(grid)[:2]
-    u = np.zeros((2, psi.shape[0], grid.ny, grid.nx))
+    u = np.zeros((2, psi.shape[0], grid.ny, grid.nx)) if out is None else out
     np.matmul(curl_y, psi, out=u[0, :, 1:-1, 2:-2])
     np.matmul(psi, curl_x_t, out=u[1, :, 2:-2, 1:-1])
     return u
 
 
-def velocity_map_transpose(ubar, grid):
-    """Transpose of velocity_map: (2, nt, ny, nx) -> (nt, ny-4, nx-4).
+def velocity_map_transpose(ubar, grid, out=None):
+    """Transpose of velocity_map: (2, nt, ny, nx) -> (nt, ny-4, nx-4), into out if given.
 
     With the velocity ring zero and two clamped stream-function layers, only
     the interior block of each 1D matrix enters.
     """
     d1x, d1y = grid.d1x()[1:-1, 2:-2], grid.d1y()[1:-1, 2:-2]
-    out = d1y.T @ ubar[0, :, 1:-1, 2:-2]
+    out = np.matmul(d1y.T, ubar[0, :, 1:-1, 2:-2], out=out)
     out -= ubar[1, :, 2:-2, 1:-1] @ d1x
     return out
 
 
-def velocity_gradient(u, grid):
+def velocity_gradient(u, grid, out=None):
     """Spatial gradient of a velocity at interior nodes.
 
     u (2, ..., ny, nx) -> (4, ..., ny-2, nx-2), in gradient_kernel's order
-    du1/dx, du1/dy, du2/dx, du2/dy.
+    du1/dx, du1/dy, du2/dx, du2/dy; written into out when given.
     """
-    out = np.empty((4,) + u.shape[1:-2] + (grid.ny - 2, grid.nx - 2))
+    if out is None:
+        out = np.empty((4,) + u.shape[1:-2] + (grid.ny - 2, grid.nx - 2))
     np.matmul(u[..., 1:-1, :], _grid_blocks(grid)[2], out=out[0::2])
     np.matmul(grid.d1y()[1:-1], u[..., 1:-1], out=out[1::2])
     return out
@@ -261,17 +347,18 @@ def velocity_gradient_transpose(gbar, grid, ubar):
     return ubar
 
 
-def momentum_operator(u, grid, nu, u_init=None):
+def momentum_operator(u, grid, nu, u_init=None, out=None):
     """Linear velocity terms D_t u - nu Lap u of the momentum at interior nodes.
 
     u (2, ..., nt, ny, nx) is the velocity at levels 1..nt on the full
     grid.  D_t is the backward time difference along the level axis,
     u_init (2, ..., ny-2, nx-2) the interior slice before level 1 (zero when
-    None).  Returns (2, ..., nt, ny-2, nx-2).
+    None).  Returns (2, ..., nt, ny-2, nx-2), written into out when given.
     """
     visc_x_t, visc_y = _viscous_blocks(grid, nu)[:2]
     ui = u[..., 1:-1, 1:-1]
-    out = np.empty(ui.shape)
+    if out is None:
+        out = np.empty(ui.shape)
     np.subtract(ui[..., 1:, :, :], ui[..., :-1, :, :], out=out[..., 1:, :, :])
     out[..., 0, :, :] = ui[..., 0, :, :] if u_init is None else ui[..., 0, :, :] - u_init
     out *= 1.0 / grid.dt
@@ -281,12 +368,14 @@ def momentum_operator(u, grid, nu, u_init=None):
     return out
 
 
-def momentum_operator_transpose(ybar, grid, nu):
+def momentum_operator_transpose(ybar, grid, nu, y_next=None):
     """Transpose of momentum_operator with a zero u_init.
 
     ybar (2, ..., nt, ny-2, nx-2) -> the full-grid velocity cotangent
     (2, ..., nt, ny, nx).  Level k of the velocity feeds the time
-    differences of levels k and k+1.
+    differences of levels k and k+1; y_next (2, ..., ny-2, nx-2) is the
+    cotangent of the level after the last, zero when None, so that a block
+    of levels gives its slice of the whole transpose.
     """
     visc_x, visc_y_t = _viscous_blocks(grid, nu)[2:]
     ubar = np.empty((2,) + ybar.shape[1:-2] + (grid.ny, grid.nx))
@@ -298,6 +387,8 @@ def momentum_operator_transpose(ybar, grid, nu):
     ui = ubar[..., 1:-1, 1:-1]
     ui += s
     ui[..., :-1, :, :] -= s[..., 1:, :, :]
+    if y_next is not None:
+        ui[..., -1, :, :] -= y_next * (1.0 / grid.dt)
     return ubar
 
 
@@ -315,10 +406,10 @@ def pressure_gradient(pr, grid):
     return out
 
 
-def pressure_gradient_transpose(v, grid):
-    """Transpose of pressure_gradient: (2, ..., ny-2, nx-2) -> (..., ny-2, nx-2)."""
+def pressure_gradient_transpose(v, grid, out=None):
+    """Transpose of pressure_gradient: (2, ..., ny-2, nx-2) -> (..., ny-2, nx-2), into out if given."""
     dy, dx = _pressure_gradient_factors(grid)[:2]
-    out = v[0] @ dx
+    out = np.matmul(v[0], dx, out=out)
     out += dy.T @ v[1]
     return out
 
@@ -349,27 +440,28 @@ def advection_transpose_grad_b(ybar, a):
     return out
 
 
-def momentum_residual(u, setup, pressure=None, grad_u=None, u0=None):
+def momentum_residual(u, setup, pressure=None, grad_u=None, u0=None, first=0, out=None):
     """momentum_operator(u) + pressure gradient + (u.D)u - f at interior nodes, levels 1..nt.
 
-    u (2, nt, ny, nx) is the full-grid velocity and grad_u its
-    velocity_gradient, computed when None; the result is shaped like
-    momentum_operator's.  pressure returns the pressure-gradient term, or is
+    u (2, n, ny, nx) is the full-grid velocity at levels first+1..first+n,
+    all of them by default, and grad_u its velocity_gradient, computed when
+    None; the result is shaped like momentum_operator's and written into
+    out when given.  pressure returns the pressure-gradient term, or is
     None for none: a callable, so that its array is built after
     momentum_operator's temporaries are freed.  u0 (ny, nx, 2) is the
-    initial slice of the time difference, default setup.u0.
+    slice before u's first level, default setup.u0, which opens level 1.
     """
     g = setup.grid
     if u0 is None:
         u0 = setup.u0
     elif u0.shape != (g.ny, g.nx, 2):
         raise ConfigurationError(f"u0 shape {u0.shape} != {(g.ny, g.nx, 2)}")
-    y = momentum_operator(u, g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0))
+    y = momentum_operator(u, g, setup.nu, np.moveaxis(u0[1:-1, 1:-1], -1, 0), out)
     if pressure is not None:
         y += pressure()
     if setup.include_advection:
         y += advection(u[..., 1:-1, 1:-1], velocity_gradient(u, g) if grad_u is None else grad_u)
-    y -= np.moveaxis(setup.f.values[1:, 1:-1, 1:-1], -1, 0)
+    y -= np.moveaxis(setup.f.values[1 + first:1 + first + y.shape[1], 1:-1, 1:-1], -1, 0)
     return y
 
 
@@ -424,10 +516,13 @@ def _fast_diagonalization(dy, dx, null_mode):
     return _frozen(vy), _frozen(vx), _frozen(vx.T), _frozen(1.0 / lam)
 
 
-def _diagonalized_solve(s, vy, vx, vx_t, inv):
-    """The Kronecker-sum inverse of _fast_diagonalization applied to s (..., ny, nx)."""
+def _diagonalized_solve(s, vy, vx, vx_t, inv, out=None):
+    """The Kronecker-sum inverse of _fast_diagonalization applied to s (..., ny, nx).
+
+    Written into out when given, which must not overlap s.
+    """
     a = vy.T @ s
-    b = a @ vx
+    b = np.matmul(a, vx, out=out)
     b *= inv
     np.matmul(vy, b, out=a)
     return np.matmul(a, vx_t, out=b)
@@ -467,18 +562,24 @@ def _time_gram_inverse(nt):
     return out
 
 
-def stream_metric_inverse(psi, grid):
+def stream_metric_inverse(psi, grid, out=None):
     """M_psi^-1 psi for M_psi = (B^T B) (x) (C^T C), psi (nt, ny-4, nx-4).
 
     M_psi is the Gram matrix of the residual's leading stream-function term,
     the backward time difference of velocity_map, up to the factor 1/dt^2:
     C^T C inverted per level by the fast diagonalization of
-    _curl_gram_factors, then one cached nt x nt product over the levels.
+    _curl_gram_factors, in tiles of levels, then one cached nt x nt product
+    over the levels, written into out (C-contiguous) when given.
     Symmetric.
     """
-    nt = psi.shape[0]
-    levels = _diagonalized_solve(psi, *_curl_gram_factors(grid))
-    return (_time_gram_inverse(nt) @ levels.reshape(nt, -1)).reshape(psi.shape)
+    nt, factors = psi.shape[0], _curl_gram_factors(grid)
+    levels = np.empty(psi.shape)
+    _over_levels(lambda lo, hi: _diagonalized_solve(psi[lo:hi], *factors, out=levels[lo:hi]),
+                 nt, grid)
+    if out is None:
+        out = np.empty(psi.shape)
+    np.matmul(_time_gram_inverse(nt), levels.reshape(nt, -1), out=out.reshape(nt, -1))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -493,16 +594,22 @@ def _pressure_metric_factors(grid, kappa):
     return vy, vx, vx_t, _frozen(out)
 
 
-def pressure_metric_inverse(pr, grid, kappa):
-    """(h^2 G^T G + kappa I)^-1 pr per level, pr (..., ny-2, nx-2), h = min(hx, hy).
+def pressure_metric_inverse(pr, grid, kappa, out=None):
+    """(h^2 G^T G + kappa I)^-1 pr per level, pr (n, ny-2, nx-2), h = min(hx, hy).
 
     h^2 G^T G is the Gram matrix of the residual's pressure term in the
     pressure block scaled by h (optim.preconditioner_scales), and kappa > 0
     bounds its inverse where h G is small.  The constant, G's null mode on
     every level, is mapped to itself.  Applied through the fast
-    diagonalization of _pressure_gradient_factors; symmetric.
+    diagonalization of _pressure_gradient_factors, in tiles of levels, and
+    written into out when given; symmetric.
     """
-    return _diagonalized_solve(pr, *_pressure_metric_factors(grid, kappa))
+    factors = _pressure_metric_factors(grid, kappa)
+    if out is None:
+        out = np.empty(pr.shape)
+    _over_levels(lambda lo, hi: _diagonalized_solve(pr[lo:hi], *factors, out=out[lo:hi]),
+                 pr.shape[0], grid)
+    return out
 
 
 def _pressure_fit(v, grid):

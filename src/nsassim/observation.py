@@ -106,22 +106,31 @@ class ObsField:
             raise InvalidFieldError("observation field contains non-finite values")
 
 
-def eval_K(u, grad_u, model):
+def eval_K(u, grad_u, model, first=0, out=None):
     """Misfit K = Q(state) - q at interior nodes, levels 1..nt.
 
-    Component axis first: u is the interior velocity (2, nt, ny-2, nx-2),
-    grad_u its spatial gradient (4, ...) in velocity_gradient's order; the
-    result is shaped (N, ...).  eval_K_jvp is its tangent.
+    Component axis first: u is the interior velocity (2, n, ny-2, nx-2) at
+    levels first+1..first+n, all of them by default, grad_u its spatial
+    gradient (4, ...) in velocity_gradient's order; the result is shaped
+    (N, ...) and written into out when given.  eval_K_jvp is its tangent.
     """
     kind = model.kind
-    q = np.moveaxis(model.data_q, -1, 0)
+    q = np.moveaxis(model.data_q[first:first + u.shape[1]], -1, 0)
+    if out is None:
+        out = np.empty(q.shape)
     if kind == "masked-velocity":
-        return (u - q) * model.interior_mask()
-    if kind == "vorticity":
-        return (grad_u[2] - grad_u[1])[None] - q
-    if kind == "speed-squared":
-        return (u[0] ** 2 + u[1] ** 2)[None] - q
-    raise ConfigurationError(f"unknown observation kind {kind!r}")
+        np.subtract(u, q, out=out)
+        out *= model.interior_mask()
+    elif kind == "vorticity":
+        np.subtract(grad_u[2], grad_u[1], out=out[0])
+        out -= q
+    elif kind == "speed-squared":
+        np.square(u[0], out=out[0])
+        out[0] += np.square(u[1])
+        out -= q
+    else:
+        raise ConfigurationError(f"unknown observation kind {kind!r}")
+    return out
 
 
 def eval_K_jvp(u, du, dgrad, model):

@@ -279,12 +279,13 @@ def _descend(entry, setup, model, p, opts):
     n_psi = math.prod(psi_shape)
     h2 = min(grid.hx, grid.hy) ** 2
 
-    def metric(g):  # M^-1 g, once per gradient
+    def metric(g):  # M^-1 g, once per gradient, both blocks written into one flat array
         out = np.empty_like(g)
-        np.divide(stream_metric_inverse(g[:n_psi].reshape(psi_shape), grid).ravel(), h2,
-                  out=out[:n_psi])
-        out[n_psi:] = pressure_metric_inverse(g[n_psi:].reshape(pr_shape), grid,
-                                              _PRESSURE_KAPPA).ravel()
+        stream_metric_inverse(g[:n_psi].reshape(psi_shape), grid,
+                              out[:n_psi].reshape(psi_shape))
+        out[:n_psi] /= h2
+        pressure_metric_inverse(g[n_psi:].reshape(pr_shape), grid, _PRESSURE_KAPPA,
+                                out[n_psi:].reshape(pr_shape))
         return out
 
     def first_step(state, mg):  # -gamma0 M^-1 g, with no curvature pairs

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import nsassim
+import nsassim.nse as nse
 
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import GridSpec, VectorField, gradient_kernel
@@ -422,6 +424,88 @@ def test_overflowing_pressure_gradient_is_invalid():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvalidFieldError, match="residual"):
             assemble_state(c, setup_for(g), noisy_model(g))
+
+
+# 84,940 control entries, above nse._SPLIT_SIZE; the odd nt splits the levels 15 + 16
+BLOCK_GRID = GridSpec(nx=40, ny=40, nt=31, t_end=0.31)
+OVERFLOW_GRID = GridSpec(nx=48, ny=48, nt=36, t_end=0.36)
+
+
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", KINDS)
+def test_two_threads_keep_every_bit(kind, advection, level_blocks):
+    # one call over all levels against two threads, with the default tiles
+    # (9 levels) and with one-level tiles: every field, report, gradient and
+    # adjoint is the same to the bit
+    g = BLOCK_GRID
+    assert g.nt * ((g.ny - 4) * (g.nx - 4) + (g.ny - 2) * (g.nx - 2)) >= nse._SPLIT_SIZE
+    rng = np.random.default_rng(40)
+    setup = setup_for(g, advection=advection)
+    truth = VectorField(g, 0.2 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    model = synth_data(truth, kind, 0.2, seed=7, mask_stride=3)
+    c = random_control(g, rng, 0.01)
+
+    def chain():
+        state = assemble_state(c, setup, model)
+        m_k, m_y = state.dual_weights(PExponent(8.0))
+        out = [state.u_full, state.grad_u, state.misfit, state.residual,
+               gradient_from_state(state, setup, model, 16.0).to_flat(),
+               adjoint_from_state(state, setup, model, None, m_y).to_flat(),
+               adjoint_from_state(state, setup, model, m_k, None).to_flat()]
+        for p in (2.0, 16.0, 128.0, math.inf):
+            r = report_from_state(state, setup, p)
+            out.append(np.array([r.e_p, r.term_K, r.term_y, r.sup_K, r.sup_y]))
+        return out
+
+    worker = level_blocks(1, tile=10 ** 9)
+    one = chain()
+    assert not worker.futures
+    for tile in (None, 1):
+        worker = level_blocks(2, tile)
+        two = chain()
+        # the assembly's three passes, the gradient's adjoint and two more adjoints
+        assert len(worker.futures) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(one, two))
+
+
+def overflow_problem(kind, advection=True):
+    g = OVERFLOW_GRID
+    model = synth_data(VectorField.zeros(g), kind, 0.2, seed=3, mask_stride=4)
+    c = ControlVector(g, np.full((g.nt, g.ny - 4, g.nx - 4), 1e160),
+                      np.zeros((g.nt, g.ny - 2, g.nx - 2)))
+    return setup_for(g, advection=advection), model, c
+
+
+def test_overflow_on_two_threads_is_invalid(level_blocks):
+    # at 48x48x36 on two threads, under pytest's RuntimeWarning filter:
+    # the worker runs under the caller's errstate, so its overflow is the
+    # assembly's InvalidFieldError with the one-block message
+    worker = level_blocks(2)
+    with np.errstate(over="ignore"):
+        for kind in KINDS:
+            setup, model, c = overflow_problem(kind)
+            with pytest.raises(InvalidFieldError,
+                               match="^momentum residual contains non-finite values$"):
+                assemble_state(c, setup, model)
+        setup, model, c = overflow_problem("speed-squared", advection=False)
+        with pytest.raises(InvalidFieldError,
+                           match="^observation misfit contains non-finite values$"):
+            assemble_state(c, setup, model)
+    assert len(worker.futures) == 3 * 2 + 3  # a residual check stops after two passes
+    assert all(f.done() for f in worker.futures)
+
+
+def test_a_raising_tile_waits_for_the_worker(level_blocks):
+    # only the first half of the levels overflows; under errstate "raise" the
+    # caller's first tile raises while the worker, started late, still runs:
+    # the assembly raises only once the worker has ended
+    worker = level_blocks(2, delay=0.2)
+    setup, model, c = overflow_problem("vorticity")
+    c.psi[c.psi.shape[0] // 2:] = 0.0
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        assemble_state(c, setup, model)
+    assert len(worker.futures) == 2
+    assert all(f.done() for f in worker.futures)
 
 
 def test_gradient_is_adjoint_of_scaled_dual_weights():

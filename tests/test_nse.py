@@ -1,4 +1,6 @@
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -742,3 +744,103 @@ class TestPressureMetric:
         ref = dense_pressure_metric_inverse(g, kappa)
         assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(m - m.T).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestLevelBlocks:
+    """nse._over_levels: tiles of levels on two threads, every bit kept."""
+
+    # 84,940 control entries, above _SPLIT_SIZE; 38 x 38 interior nodes a level
+    g = GridSpec(40, 40, 31, 1.0, 1.0, 0.31)
+
+    def calls(self, n, grid, caller_delay=0.0):
+        """(lo, hi, errstate over, ran on the calling thread) per call, in call order."""
+        seen, caller = [], threading.get_ident()
+
+        def record(lo, hi):
+            on_caller = threading.get_ident() == caller
+            if on_caller:
+                time.sleep(caller_delay)
+            seen.append((lo, hi, np.geterr()["over"], on_caller))
+
+        nse._over_levels(record, n, grid)
+        return seen
+
+    def test_tiles_from_both_ends(self, level_blocks):
+        # the caller takes tiles of 9 levels from the front, the worker from
+        # the back; while the caller sleeps on its first tile, the worker
+        # takes the rest, under the caller's errstate
+        worker = level_blocks(2)
+        assert nse._TILE_NODES // (38 * 38) == 9
+        with np.errstate(over="ignore"):
+            seen = self.calls(31, self.g, caller_delay=0.2)
+        assert sorted(seen) == [(0, 9, "ignore", True), (9, 18, "ignore", False),
+                                (18, 27, "ignore", False), (27, 31, "ignore", False)]
+        assert [s[0] for s in seen if not s[3]] == [27, 18, 9]
+        assert len(worker.futures) == 1
+
+    def test_one_thread_without_a_pool(self, level_blocks, monkeypatch):
+        def no_pool():
+            raise AssertionError("one thread needs no worker")
+
+        level_blocks(1)
+        monkeypatch.setattr(nse, "_worker", no_pool)
+        assert [s[:2] for s in self.calls(31, self.g)] == [(0, 9), (9, 18), (18, 27), (27, 31)]
+        level_blocks(2)
+        monkeypatch.setattr(nse, "_worker", no_pool)
+        small = GridSpec(24, 24, 18, 1.0, 1.0, 0.36)  # 15,912 entries: one thread, one call
+        assert [s[:2] for s in self.calls(18, small)] == [(0, 18)]
+        assert [s[:2] for s in self.calls(1, self.g)] == [(0, 1)]
+
+    def test_caller_error_comes_first_after_the_worker_ends(self, level_blocks):
+        worker = level_blocks(2, delay=0.2)
+        caller, ran = threading.get_ident(), []
+
+        def fn(lo, hi):
+            ran.append(lo)
+            if threading.get_ident() == caller:
+                raise ValueError("caller")
+            raise KeyError("worker")
+
+        with pytest.raises(ValueError, match="caller"):
+            nse._over_levels(fn, 31, self.g)
+        assert worker.futures[0].done() and ran == [0, 27]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        # the child inherits the parent's started pool but not its thread
+        import multiprocessing
+        monkeypatch.setattr(nse, "_cores", lambda: 2)
+        psi = np.random.default_rng(3).standard_normal((self.g.nt, 36, 36))
+        want = stream_metric_inverse(psi, self.g)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(
+            target=lambda: queue.put(np.array_equal(stream_metric_inverse(psi, self.g), want)))
+        child.start()
+        try:
+            assert queue.get(timeout=60)
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.terminate()
+
+    def test_metric_inverses_keep_every_bit(self, level_blocks):
+        g = self.g
+        rng = np.random.default_rng(31)
+        psi, pr = rng.standard_normal((g.nt, 36, 36)), rng.standard_normal((g.nt, 38, 38))
+
+        def both():
+            return stream_metric_inverse(psi, g), pressure_metric_inverse(pr, g, 0.03)
+
+        worker = level_blocks(1, tile=10 ** 9)
+        one = both()
+        assert not worker.futures
+        for tile in (None, 1):
+            worker = level_blocks(2, tile)
+            two = both()
+            assert len(worker.futures) == 2
+            assert all(np.array_equal(a, b) for a, b in zip(one, two))
+        out = np.empty_like(psi), np.empty_like(pr)
+        stream_metric_inverse(psi, g, out[0])
+        pressure_metric_inverse(pr, g, 0.03, out[1])
+        assert all(np.array_equal(a, b) for a, b in zip(one, out))

@@ -149,6 +149,33 @@ class TestMinimize:
         values = [row[1] for row in res.trace]
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_overflowing_trial_on_two_threads_backtracks(self, level_blocks, monkeypatch):
+        # at 48x48x36 on two threads, under pytest's RuntimeWarning filter:
+        # the first trial overflows at every level, the assembly says
+        # InvalidFieldError, and the line search backtracks over it
+        g, setup, model = small_problem(n=48)
+        worker = level_blocks(2)
+        calls, raised = [], []
+
+        def first_trial_overflows(c, setup_, model_):
+            calls.append(c)
+            if len(calls) == 2:  # call 1 is the start point, call 2 the first trial
+                c = ControlVector(g, np.full_like(c.psi, 1e160), c.pr)
+                try:
+                    return assemble_state(c, setup_, model_)
+                except InvalidFieldError as err:
+                    raised.append(str(err))
+                    raise
+            return assemble_state(c, setup_, model_)
+
+        monkeypatch.setattr("nsassim.optim.assemble_state", first_trial_overflows)
+        with np.errstate(over="ignore"):
+            res = minimize_E_p(ControlVector.zeros(g), setup, model, 4.0,
+                               OptimOptions(max_iters=2, grad_tol=1e-12))
+        assert raised == ["momentum residual contains non-finite values"]
+        assert res.iterations == 2 and not res.stalled and res.backtracks >= 1
+        assert worker.futures and all(f.done() for f in worker.futures)
+
     def test_exhausted_line_search_stalls_at_the_start(self, monkeypatch):
         g, setup, model = small_problem()
         c0 = ControlVector.zeros(g)
@@ -360,10 +387,11 @@ class TestAccounting:
             assert res.forward_evals == entry + res.iterations + res.backtracks
 
     def test_traced_peak_in_control_vectors(self):
-        # 27.0 vectors: the iterate and the accepted point, their gradients
+        # 27.4 vectors: the iterate and the accepted point, their gradients
         # and M^-1 of them, two curvature pairs of three vectors, the
         # accepted state and the adjoint's temporaries while the last
-        # gradient is taken.  Keeping the last accepted state and the trial
+        # gradient is taken (its output blocks exist before its tiles run:
+        # 27.0 when they were allocated last).  Keeping the last accepted state and the trial
         # point through the next trial's report read 28.6; keeping only the
         # trial point alive during its forward, 27.8
         g, setup, model = small_problem(n=24)
