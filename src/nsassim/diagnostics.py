@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import trapezoid_weights
 from .misfit import AssembledState, adjoint_from_state, assemble_state, velocity_tangent
-from .norms import as_exponent, dot, dual_factor, lp_norm_from_squares, magnitudes
+from .norms import as_exponent, dot, dual_factor, lp_terms, magnitudes
 from .nse import (
     pressure_gradient, pressure_gradient_transpose, velocity_map, velocity_map_transpose,
 )
@@ -62,8 +62,8 @@ def _measure(vals, weight, p):
         raise ConfigurationError("dual weights require a finite exponent")
     flat = vals.reshape(-1, vals.shape[-1])
     sq = np.einsum("...i,...i->...", flat, flat)
-    r, norm = lp_norm_from_squares(sq, weight, p.value)
-    return DiscreteMeasure(flat * dual_factor(r, norm, p.value)[:, None],
+    terms = lp_terms(sq, weight, p.value)
+    return DiscreteMeasure(flat * dual_factor(sq, *terms, p.value)[:, None],
                            np.full(flat.shape[0], weight), np.sqrt(sq, out=sq))
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import VectorField, check_finite
-from .norms import PExponent, as_exponent, dual_factor, lp_norm_from_squares
+from .norms import PExponent, as_exponent, dual_factor, lp_terms
 from .nse import (
     ControlVector, PhysicsSetup, _over_levels, advection, advection_transpose_a,
     advection_transpose_grad_b, momentum_operator, momentum_operator_transpose,
@@ -93,17 +93,16 @@ class AssembledState:
         return tuple(np.einsum("i...,i...->...", v, v) for v in (self.misfit, self.residual))
 
     def lp_norms(self, p):
-        """(r, norm) per channel (K, y): regularized magnitudes and p-norm.
+        """(t, s, norm) per channel (K, y): the p-norm's terms, their weighted sum and the norm.
 
-        Computed once per finite exponent (lp_norm_from_squares) and shared
-        by the report, the gradient and the diagnostics.
+        Computed once per finite exponent (norms.lp_terms) and shared by the
+        report, the gradient and the diagnostics.
         """
         out = self._lp.get(p.value)
         if out is None:
             if not p.is_finite:
                 raise ConfigurationError("p-norms and dual weights require a finite exponent")
-            out = tuple(lp_norm_from_squares(sq, self.weight, p.value)
-                        for sq in self.squared_magnitudes)
+            out = tuple(lp_terms(sq, self.weight, p.value) for sq in self.squared_magnitudes)
             self._lp[p.value] = out
         return out
 
@@ -112,8 +111,9 @@ class AssembledState:
 
         Equal to the bit to dual_weight on the same samples.
         """
-        return tuple(v * dual_factor(r, norm, p.value)
-                     for v, (r, norm) in zip((self.misfit, self.residual), self.lp_norms(p)))
+        return tuple(v * dual_factor(sq, *terms, p.value) for v, sq, terms
+                     in zip((self.misfit, self.residual), self.squared_magnitudes,
+                            self.lp_norms(p)))
 
     @cached_property
     def _fields(self):
@@ -167,7 +167,7 @@ def report_from_state(state, setup, p):
     # sqrt is monotone and correctly rounded: the largest magnitude, to the bit
     s_k, s_y = (float(np.sqrt(np.max(sq))) for sq in state.squared_magnitudes)
     if p.is_finite:
-        (_, n_k), (_, n_y) = state.lp_norms(p)
+        (*_, n_k), (*_, n_y) = state.lp_norms(p)
     else:
         n_k, n_y = s_k, s_y
     term_k = (1.0 - setup.lam) * n_k

@@ -8,6 +8,7 @@ exactly 1/p.
 
 All p-th powers are taken in log space after factoring out the largest
 sample magnitude; naive powers overflow double precision for p near 128.
+The dual weights reuse the p-norm's terms, with no second log-space pass.
 Reductions use numpy sums (pairwise summation, fixed order), so results are
 reproducible bit for bit.
 """
@@ -20,10 +21,10 @@ import numpy as np
 from .errors import ConfigurationError, InvalidFieldError
 
 _EXP_CLIP = 700.0  # exp(700) is near the float64 overflow edge
-# exp(-600) ~ 1e-261: a p-norm term or dual factor below it is flushed to zero.
-# The largest term is the weight itself and the largest factor at least
-# 1/norm, so the flushed ones lie far below their round-off, and left in
-# place they make the arithmetic subnormal and slow.
+# exp(-600) ~ 1e-261: a p-norm term below it is flushed to zero, and so is
+# its dual factor.  The largest term is one, so the flushed ones lie far
+# below the sum's round-off, and left in place they make the arithmetic
+# subnormal and slow.
 _EXP_FLOOR = -600.0
 
 
@@ -123,72 +124,74 @@ def reg_abs(v, p):
     return np.sqrt(sq + p.value ** -2)
 
 
-def lp_norm_from_magnitudes(r, weights, p):
-    """Averaged p-norm from regularized magnitudes r (float p, finite).
+def lp_terms(sq, weight, p, pos=None):
+    """(t, s, norm): the p-norm's terms, their weighted sum and the averaged p-norm (float p).
 
-    r holds the positively weighted samples only; weights is their weight
-    array or one uniform weight.  Computed as m * (sum_i w_i (r_i/m)^p)^(1/p)
-    with m the largest magnitude, so no intermediate power overflows; terms
-    (r_i/m)^p below exp(_EXP_FLOOR) are zero.  No input is validated:
-    dotted_lp_norm is the checked entry point.
+    sq holds squared magnitudes; weight is one uniform weight, factored out
+    of the sum, or an array of weights.  The terms are t = (r/m)^p with r =
+    sqrt(sq + p^-2) the regularized magnitude and m its largest value, taken
+    as exp((p/2) log(r^2/m^2)) so no power overflows and no sqrt is needed;
+    terms below exp(_EXP_FLOOR) are zero.  s = sum w t and norm = m s^(1/p).
+    With a boolean mask pos, m is the largest over those samples only and
+    the others' exponents are clipped at _EXP_CLIP: pos must hold every
+    sample of positive weight.  No input is validated: dotted_lp_norm is
+    the checked entry point.
     """
-    log_m = np.log(np.max(r))
-    expo = np.log(r)
-    expo -= log_m
-    expo *= p
+    expo = np.add(sq, p ** -2)
+    np.log(expo, out=expo)
+    log_m2 = float(np.max(expo if pos is None else expo[pos]))
+    expo -= log_m2
+    expo *= 0.5 * p
     expo[expo < _EXP_FLOOR] = -np.inf
-    terms = np.exp(expo, out=expo)
-    terms *= weights
-    return float(np.exp(log_m + np.log(np.sum(terms)) / p))
+    if pos is not None:
+        np.minimum(expo, _EXP_CLIP, out=expo)
+    t = np.exp(expo, out=expo)
+    s = weight * float(np.sum(t)) if np.ndim(weight) == 0 else float(np.sum(weight * t))
+    return t, s, math.exp(0.5 * log_m2 + math.log(s) / p)
 
 
-def lp_norm_from_squares(sq, weight, p):
-    """(r, norm): magnitudes sqrt(sq + p^-2) of samples sharing one weight, and their p-norm.
+def dual_factor(sq, t, s, norm, p):
+    """Per-sample factor r^(p-2) / norm^(p-1) of the dual-weight map from lp_terms' output.
 
-    Unvalidated; equal to the bit to dotted_lp_norm on the same samples.
+    Since norm^p = m^p s, the factor is t / r^2 * norm / s with r^2 = sq +
+    p^-2: no log or exp pass.  A flushed term gives a zero factor.
+    dual_weight is the checked entry point.
     """
-    r = np.add(sq, p ** -2)
-    np.sqrt(r, out=r)
-    return r, lp_norm_from_magnitudes(r, weight, p)
+    f = np.add(sq, p ** -2)
+    np.divide(t, f, out=f)
+    f *= norm / s
+    return f
 
 
-def dual_factor(r, norm, p):
-    """Per-sample factor r^(p-2) / norm^(p-1) of the dual-weight map (float p).
-
-    Evaluated in log space; the exponent is clipped only for zero-weight
-    samples, which carry no mass, and factors below exp(_EXP_FLOOR) are
-    zero.  dual_weight is the checked entry point.
-    """
-    expo = np.log(r)
-    expo *= p - 2.0
-    expo -= (p - 1.0) * math.log(norm)
-    expo[expo < _EXP_FLOOR] = -np.inf
-    np.minimum(expo, _EXP_CLIP, out=expo)
-    return np.exp(expo, out=expo)
-
-
-def peak_curvature(r, norm, p):
+def peak_curvature(s, norm, p):
     """Largest pointwise curvature (p-1) rho^(p-2) / norm of the p-norm, rho = max(r) / norm.
 
+    From lp_terms' weighted sum s of the terms (r/max r)^p: rho^p = 1/s.
     Per unit quadrature weight w: w times it bounds the Hessian of the
-    averaged p-norm in any one sample's vector (float p).  Since
-    norm^p >= w max(r)^p, rho^(p-2) < 1/w and nothing overflows.
+    averaged p-norm in any one sample's vector (float p).  Since s >= w,
+    rho^(p-2) < 1/w and nothing overflows.
     """
-    return (p - 1.0) * (float(np.max(r)) / norm) ** (p - 2.0) / norm
+    return (p - 1.0) * s ** (-(p - 2.0) / p) / norm
+
+
+def _checked_terms(h, p):
+    """(sq, t, s, norm) of WeightedSamples h by lp_terms, a uniform weight factored out."""
+    if not p.is_finite:
+        raise ConfigurationError("p-norms and dual weights require a finite exponent")
+    sq = np.einsum("...i,...i->...", h.values, h.values)
+    w = h.weights
+    if np.all(w == w[0]):
+        return (sq,) + lp_terms(sq, w[0], p.value)
+    return (sq,) + lp_terms(sq, w, p.value, w > 0.0)
 
 
 def dotted_lp_norm(h, p):
     """Averaged p-norm of the regularized magnitude.
 
     The largest magnitude among positively weighted samples is factored out
-    (see lp_norm_from_magnitudes).  The result is at least 1/p.
+    (see lp_terms).  The result is at least 1/p.
     """
-    p = as_exponent(p)
-    if not p.is_finite:
-        raise ConfigurationError("dotted_lp_norm requires a finite exponent")
-    r = reg_abs(h.values, p)
-    pos = h.weights > 0.0
-    return lp_norm_from_magnitudes(r[pos], h.weights[pos], p.value)
+    return _checked_terms(h, as_exponent(p))[3]
 
 
 def sup_norm(h):
@@ -204,12 +207,8 @@ def dual_weight(h, p):
     averaged conjugate-exponent norm.
     """
     p = as_exponent(p)
-    if not p.is_finite:
-        raise ConfigurationError("dual_weight requires a finite exponent")
-    r = reg_abs(h.values, p)
-    pos = h.weights > 0.0
-    norm = lp_norm_from_magnitudes(r[pos], h.weights[pos], p.value)
-    return WeightedSamples(h.values * dual_factor(r, norm, p.value)[:, None], h.weights)
+    sq, *terms = _checked_terms(h, p)
+    return WeightedSamples(h.values * dual_factor(sq, *terms, p.value)[:, None], h.weights)
 
 
 def holder_gap(q, p):

@@ -42,9 +42,9 @@ M^-1 of its two gradients.
 
 The curvature pairs are held in the compact representation of Byrd,
 Nocedal & Schnabel (1994), see _CurvatureHistory: s and M^-1 y are rows
-of one array filled in ring order, y itself is never kept, and each
-direction takes one stacked reduction and one stacked combination over
-those rows.
+of one array filled in ring order, y itself is never kept, and an
+iteration reads those rows twice: the push's stacked reduction of y, which
+also updates S^T g, and the direction's stacked combination.
 
 With no curvature pair yet, as at the start of every stage, the step is
 -gamma0 M^-1 g at unit length, gamma0 = 1 / (lam w c) with w the
@@ -169,15 +169,22 @@ class _CurvatureHistory:
     evicting the oldest pair keeps its trailing block, the inverse of R's
     trailing block.  The n-length reductions and combinations run in
     fixed-order einsum, so their bits do not depend on the BLAS threads.
+
+    S^T g and (M^-1 Y)^T g of the newest gradient g are kept for the
+    direction: a push given g adds its reductions of y to the old rows' and
+    takes the new row's as dots, so g is reduced afresh only after a push
+    without g or a rejected pair.
     """
 
     def __init__(self, rows):
         self.rows = rows
-        self.order = np.arange(0)             # ring rows of the pairs held, oldest first
         self.sm = None                        # (2, rows, n): s rows, then M^-1 y rows
-        self.r_inv = np.zeros((rows, rows))   # R^-1, chronological
+        self.r_inv = np.zeros((rows, rows))   # R^-1, chronological; its lower triangle stays 0
         self.sy = np.zeros(rows)              # D
         self.ymy = np.zeros((rows, rows))     # Y^T M^-1 Y
+        self.g_red = np.zeros((2, rows))      # S^T g and (M^-1 Y)^T g, chronological
+        self.order = np.arange(0)             # ring rows of the pairs held, oldest first
+        self.g_kept = True                    # whether g_red holds the newest gradient's
 
     def __len__(self):
         return self.order.size
@@ -186,14 +193,15 @@ class _CurvatureHistory:
         """(S^T v, (M^-1 Y)^T v) over the pairs held, in chronological order."""
         return np.einsum("kij,j->ki", self.sm[:, :self.order.size], v)[:, self.order]
 
-    def push(self, s, y, my):
+    def push(self, s, y, my, g=None):
         """Add the pair (s, y), my = M^-1 y, evicting the oldest pair when full.
 
-        A pair without s.y > 1e-14 |s| |y| is rejected and changes nothing.
-        Returns whether the pair was added.
+        g is the gradient y ends at.  A pair without s.y > 1e-14 |s| |y| is
+        rejected and changes no pair.  Returns whether the pair was added.
         """
         sy = dot(s, y)
         if not sy > 1e-14 * math.sqrt(dot(s, s)) * math.sqrt(dot(y, y)):
+            self.g_kept = False
             return False
         if self.sm is None:
             self.sm = np.empty((2, self.rows, s.size))
@@ -205,21 +213,29 @@ class _CurvatureHistory:
             self.r_inv[:k, :k] = self.r_inv[1:, 1:]
             self.ymy[:k, :k] = self.ymy[1:, 1:]
             self.sy[:k] = self.sy[1:]
+            self.g_red[:, :k] = self.g_red[:, 1:]
             self.order = (self.order + 1) % self.rows
         self.sm[0, self.order[k]] = s
         self.sm[1, self.order[k]] = my
-        s_y, my_y = self._reduce(y)
+        s_y, my_y = y_red = self._reduce(y)
         self.r_inv[:k, k] = (self.r_inv[:k, :k] @ s_y[:k]) / -sy
         self.r_inv[k, k] = 1.0 / sy
         self.sy[k] = sy
         self.ymy[k, :k + 1] = self.ymy[:k + 1, k] = my_y
+        self.g_kept = self.g_kept and g is not None
+        if self.g_kept:
+            self.g_red[:, :k] += y_red[:, :k]
+            self.g_red[:, k] = dot(s, g), dot(my, g)
         return True
 
     def direction(self, g, mg):
-        """-H g, with mg = M^-1 g."""
+        """-H g, with mg = M^-1 g and g the gradient of the last push, if it was given one."""
         k = self.order.size
         gamma = self.sy[k - 1] / self.ymy[k - 1, k - 1]
-        s_g, my_g = self._reduce(g)
+        if not self.g_kept:
+            self.g_red[:, :k] = self._reduce(g)
+            self.g_kept = True
+        s_g, my_g = self.g_red[:, :k]
         r_inv = self.r_inv[:k, :k]
         w = r_inv @ s_g
         u = r_inv.T @ (self.sy[:k] * w + gamma * (self.ymy[:k, :k] @ w - my_g))
@@ -289,13 +305,15 @@ def _descend(entry, setup, model, p, opts):
         return out
 
     def first_step(state, mg):  # -gamma0 M^-1 g, with no curvature pairs
-        r_y, n_y = state.lp_norms(p)[1]
-        gamma0 = 1.0 / (setup.lam * state.weight * peak_curvature(r_y, n_y, p.value))
+        _, s_y, n_y = state.lp_norms(p)[1]
+        gamma0 = 1.0 / (setup.lam * state.weight * peak_curvature(s_y, n_y, p.value))
         return -gamma0 * mg
 
-    def control(z):  # two fresh blocks: a state keeps only the pressure one alive
+    def control(z):  # two fresh blocks after one check of flat z: a state keeps only pr alive
+        if not np.isfinite(z).all():
+            raise InvalidFieldError("control vector contains non-finite values")
         return ControlVector(grid, (s_psi * z[:n_psi]).reshape(psi_shape),
-                             (s_pr * z[n_psi:]).reshape(pr_shape))
+                             (s_pr * z[n_psi:]).reshape(pr_shape), validate=False)
 
     def forward(z):
         return assemble_state(control(z), setup, model)
@@ -352,7 +370,7 @@ def _descend(entry, setup, model, p, opts):
         state_try = d = None  # only the accepted point outlives its search
         grad_new = gradient(state)
         mg_new = metric(grad_new)
-        history.push(x_new - x, grad_new - grad, mg_new - mg)
+        history.push(x_new - x, grad_new - grad, mg_new - mg, grad_new)
         x, grad, mg = x_new, grad_new, mg_new
         g_norm = math.sqrt(dot(grad, grad))
         it += 1

@@ -6,7 +6,7 @@ import pytest
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.norms import (
     PExponent, WeightedSamples, dotted_lp_norm, dual_factor, dual_weight, holder_gap,
-    lp_norm_from_squares, oscillating_step_profile, peak_curvature, reg_abs, sup_norm,
+    lp_terms, oscillating_step_profile, peak_curvature, reg_abs, sup_norm,
 )
 
 
@@ -173,36 +173,43 @@ class TestDualWeight:
         for m in (1, 2):
             vals = rng.uniform(0.01, 4.0) * rng.standard_normal((50, m))
             h = WeightedSamples.uniform(vals)
-            r, norm = lp_norm_from_squares(np.einsum("ij,ij->i", vals, vals), 1.0 / 50, p)
+            sq = np.einsum("ij,ij->i", vals, vals)
+            t, s, norm = lp_terms(sq, 1.0 / 50, p)
             assert norm == dotted_lp_norm(h, p)
-            assert np.array_equal(vals * dual_factor(r, norm, p)[:, None],
+            assert np.array_equal(vals * dual_factor(sq, t, s, norm, p)[:, None],
                                   dual_weight(h, p).values)
 
     def test_factor_has_no_subnormals(self):
         # at p = 128 magnitudes from 1/p to 4 spread the factor's exponent
-        # over about -780..10: below exp(-600) it is zero, never subnormal,
-        # and above it exp of the exponent to the bit
+        # over about -780..10: a factor is zero exactly where its term is
+        # flushed, never subnormal, and otherwise the log-space closed form
+        # r^(p-2) / norm^(p-1)
         p = 128.0
         r = np.geomspace(1.0 / p, 4.0, 2000)
-        _, norm = lp_norm_from_squares(r * r - p ** -2, 1.0 / r.size, p)
+        sq = r * r - p ** -2
+        t, s, norm = lp_terms(sq, 1.0 / r.size, p)
         expo = (p - 2.0) * np.log(r) - (p - 1.0) * math.log(norm)
         assert expo.min() < math.log(np.finfo(float).tiny) < -600.0 < expo.max()
-        f = dual_factor(r, norm, p)
+        f = dual_factor(sq, t, s, norm, p)
         assert not np.any((f > 0.0) & (f < np.finfo(float).tiny))
-        assert np.all(f[expo < -600.0] == 0.0)
-        assert np.array_equal(f[expo >= -600.0], np.exp(expo[expo >= -600.0]))
+        assert np.array_equal(f == 0.0, t == 0.0)
+        assert np.count_nonzero(t == 0.0) > 400
+        kept = t > 0.0
+        assert np.allclose(f[kept], np.exp(expo[kept]), rtol=1e-12, atol=0.0)
 
     def test_norm_flushes_subnormal_terms_to_the_same_bits(self):
         # at p = 128, 1,400 of the 2,000 terms (r_i/m)^p lie below the
-        # smallest normal float; the largest term is the weight itself, so
-        # zeroing them leaves every bit of the unflushed sum
+        # smallest normal float; the largest term is one, so zeroing them
+        # leaves every bit of the unflushed sum
         p = 128.0
         r = np.concatenate([np.geomspace(1.0 / p, 0.015, 1400), np.geomspace(0.015, 4.0, 600)])
         w = 1.0 / r.size
-        r, norm = lp_norm_from_squares(r * r - p ** -2, w, p)
-        terms = np.exp(p * (np.log(r) - np.log(r.max())))
+        sq = r * r - p ** -2
+        _, _, norm = lp_terms(sq, w, p)
+        log_q = np.log(sq + p ** -2)
+        terms = np.exp(0.5 * p * (log_q - log_q.max()))
         assert np.count_nonzero(terms < np.finfo(float).tiny) > 1000
-        unflushed = float(np.exp(np.log(r.max()) + np.log(np.sum(w * terms)) / p))
+        unflushed = math.exp(0.5 * log_q.max() + math.log(w * float(np.sum(terms))) / p)
         assert norm == unflushed
 
     @pytest.mark.parametrize("p", [2.0, 16.0, 128.0])
@@ -215,13 +222,14 @@ class TestDualWeight:
         w = 1.0 / len(vals)
 
         def grad_of(v, k):
-            r, norm = lp_norm_from_squares(np.einsum("ij,ij->i", v, v), w, p)
-            return w * dual_factor(r, norm, p)[k] * v[k]
+            sq = np.einsum("ij,ij->i", v, v)
+            return w * dual_factor(sq, *lp_terms(sq, w, p), p)[k] * v[k]
 
-        r, norm = lp_norm_from_squares(np.einsum("ij,ij->i", vals, vals), w, p)
-        bound = w * peak_curvature(r, norm, p)
+        sq = np.einsum("ij,ij->i", vals, vals)
+        _, s, norm = lp_terms(sq, w, p)
+        bound = w * peak_curvature(s, norm, p)
         eps = 1e-6
-        for k in (int(np.argmax(r)), int(np.argmin(r))):
+        for k in (int(np.argmax(sq)), int(np.argmin(sq))):
             hess = np.empty((2, 2))
             for j in range(2):
                 up, down = vals.copy(), vals.copy()

@@ -176,6 +176,35 @@ class TestMinimize:
         assert res.iterations == 2 and not res.stalled and res.backtracks >= 1
         assert worker.futures and all(f.done() for f in worker.futures)
 
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_non_finite_trial_vector_is_not_assembled(self, n, level_blocks, monkeypatch):
+        # under pytest's RuntimeWarning filter, and at 48x48x36 on two
+        # threads: from the second iteration on the direction is infinite,
+        # with d.g = -inf and no inf - inf, so every trial point x + alpha d
+        # is not finite.  The line search backtracks over all of them without
+        # assembling one and stalls, raising nothing
+        import nsassim.optim as optim
+        g, setup, model = small_problem(n=n)
+        worker = level_blocks(2)
+        calls = []
+
+        def counted(c, setup_, model_):
+            calls.append(c)
+            return assemble_state(c, setup_, model_)
+
+        def infinite(self, grad, mg):
+            return np.where(grad > 0.0, -np.inf, np.where(grad < 0.0, np.inf, 0.0))
+
+        monkeypatch.setattr(optim, "assemble_state", counted)
+        monkeypatch.setattr(_CurvatureHistory, "direction", infinite)
+        res = minimize_E_p(ControlVector.zeros(g), setup, model, 4.0,
+                           OptimOptions(max_iters=3, grad_tol=1e-12))
+        assert res.stalled and res.iterations == 1
+        # forward_evals counts every trial; the last 61 never reached the assembly
+        assert res.forward_evals == len(calls) + _MAX_BACKTRACKS + 1
+        assert all(np.isfinite(c.to_flat()).all() for c in calls)
+        assert bool(worker.futures) == (n == 48)
+
     def test_exhausted_line_search_stalls_at_the_start(self, monkeypatch):
         g, setup, model = small_problem()
         c0 = ControlVector.zeros(g)
@@ -532,6 +561,39 @@ class TestMetricTwoLoop:
         assert not history.push(s, -y, -my)
         assert not history.push(s, y - (np.dot(s, y) / np.dot(s, s)) * s, my)
         assert np.array_equal(history.direction(g, mg), before)
+
+    def test_kept_reductions_equal_fresh_ones(self):
+        # 30 pairs through a memory of 4, so the ring wraps, the 13th pair
+        # rejected, with a direction after each push as in the descent: the
+        # kept S^T g and (M^-1 Y)^T g, propagated by the pushes' reductions of
+        # y, equal a fresh reduction of the newest gradient, and the direction
+        # taken from them is the dense BFGS update's
+        m_inv, metric, pairs, g = metric_pairs(30)
+        grads = [g]  # the gradient each pair's y ends at
+        for _, y, _ in reversed(pairs[1:]):
+            grads.append(grads[-1] - y)
+        grads.reverse()
+        history = _CurvatureHistory(4)
+        worst = 0.0
+        for i, ((s, y, my), g_i) in enumerate(zip(pairs, grads)):
+            if i == 12:
+                assert not history.push(s, -y, -my, g_i)
+            else:
+                assert history.push(s, y, my, g_i)
+            kept = history.g_red[:, :len(history)].copy()
+            fresh = history._reduce(g_i)
+            if i != 12:  # after a rejected pair the direction reduces g afresh
+                assert history.g_kept
+                worst = max(worst, float(np.max(np.abs(kept - fresh).max(axis=1)
+                                                / np.abs(fresh).max(axis=1))))
+            d = history.direction(g_i, metric(g_i))
+            assert np.array_equal(history.g_red[:, :len(history)],
+                                  kept if i != 12 else fresh)
+            if i in (2, 16, 29):
+                ref = -dense_bfgs(m_inv, pairs[max(0, i - 3):i + 1]) @ g_i
+                assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert list(history.order) == [1, 2, 3, 0]  # 29 pairs through 4 rows
+        assert worst <= 1e-12
 
     def test_one_metric_per_gradient(self, monkeypatch):
         import nsassim.optim as optim
