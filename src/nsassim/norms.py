@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidFieldError
 
-_EXP_CLIP = 700.0  # exp(700) is near the float64 overflow edge
 # exp(-600) ~ 1e-261: a p-norm term below it is flushed to zero, and so is
 # its dual factor.  The largest term is one, so the flushed ones lie far
 # below the sum's round-off, and left in place they make the arithmetic
@@ -133,9 +132,9 @@ def lp_terms(sq, weight, p, pos=None):
     as exp((p/2) log(r^2/m^2)) so no power overflows and no sqrt is needed;
     terms below exp(_EXP_FLOOR) are zero.  s = sum w t and norm = m s^(1/p).
     With a boolean mask pos, m is the largest over those samples only and
-    the others' exponents are clipped at _EXP_CLIP: pos must hold every
-    sample of positive weight.  No input is validated: dotted_lp_norm is
-    the checked entry point.
+    the others' terms are zero, as are their dual factors: pos must hold
+    every sample of positive weight.  No input is validated: dotted_lp_norm
+    is the checked entry point.
     """
     expo = np.add(sq, p ** -2)
     np.log(expo, out=expo)
@@ -144,7 +143,7 @@ def lp_terms(sq, weight, p, pos=None):
     expo *= 0.5 * p
     expo[expo < _EXP_FLOOR] = -np.inf
     if pos is not None:
-        np.minimum(expo, _EXP_CLIP, out=expo)
+        expo[~pos] = -np.inf
     t = np.exp(expo, out=expo)
     s = weight * float(np.sum(t)) if np.ndim(weight) == 0 else float(np.sum(weight * t))
     return t, s, math.exp(0.5 * log_m2 + math.log(s) / p)
@@ -204,7 +203,7 @@ def dual_weight(h, p):
     """Pointwise dual-weight map |v|_(p)^(p-2) v / norm^(p-1).
 
     The output carries the same weights and lies in the unit ball of the
-    averaged conjugate-exponent norm.
+    averaged conjugate-exponent norm.  Samples of zero weight map to zero.
     """
     p = as_exponent(p)
     sq, *terms = _checked_terms(h, p)

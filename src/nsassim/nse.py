@@ -39,7 +39,7 @@ from collections import deque
 # imported with the module: its 7 ms (it imports logging) would otherwise land
 # inside the first split, in the timed chain of a short run
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -85,11 +85,8 @@ class ControlVector:
     grid: GridSpec
     psi: np.ndarray
     pr: np.ndarray
-    validate: InitVar[bool] = True  # False: float64 blocks of these shapes, known finite
 
-    def __post_init__(self, validate):
-        if not validate:
-            return
+    def __post_init__(self):
         g = self.grid
         self.psi = np.asarray(self.psi, dtype=np.float64)
         self.pr = np.asarray(self.pr, dtype=np.float64)

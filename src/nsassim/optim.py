@@ -309,11 +309,9 @@ def _descend(entry, setup, model, p, opts):
         gamma0 = 1.0 / (setup.lam * state.weight * peak_curvature(s_y, n_y, p.value))
         return -gamma0 * mg
 
-    def control(z):  # two fresh blocks after one check of flat z: a state keeps only pr alive
-        if not np.isfinite(z).all():
-            raise InvalidFieldError("control vector contains non-finite values")
+    def control(z):  # two fresh blocks: a state keeps only the pressure one alive
         return ControlVector(grid, (s_psi * z[:n_psi]).reshape(psi_shape),
-                             (s_pr * z[n_psi:]).reshape(pr_shape), validate=False)
+                             (s_pr * z[n_psi:]).reshape(pr_shape))
 
     def forward(z):
         return assemble_state(control(z), setup, model)

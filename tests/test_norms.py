@@ -111,6 +111,18 @@ class TestDottedNorm:
         h = WeightedSamples(vals, np.array([1.0, 0.0]))
         assert dotted_lp_norm(h, 2.0) == pytest.approx(math.sqrt(1.25), rel=1e-13)
         assert sup_norm(h) == pytest.approx(1.0)
+        # at p = 128 a large zero-weight sample beside a tiny-weight peak:
+        # its term would overflow the factor, so it maps to zero, and the
+        # positively weighted samples' dual weights are those without it
+        p = 128.0
+        vals = np.vstack([[[1.0, 0.0]], np.full((50, 2), 0.5 / p), [[1000.0, 0.0]]])
+        w = np.r_[1e-12, np.full(50, (1.0 - 1e-12) / 50), 0.0]
+        dw = dual_weight(WeightedSamples(vals, w), p)
+        assert np.array_equal(dw.values[-1], [0.0, 0.0])
+        without = dual_weight(WeightedSamples(vals[:-1], w[:-1]), p)
+        assert np.array_equal(dw.values[:-1], without.values)
+        assert dw.values[0, 0] == pytest.approx((1.0 + p ** -2) ** -0.5 * 1e12 ** ((p - 1) / p),
+                                                rel=1e-12)
 
 
 class TestSupNorm:
@@ -182,8 +194,8 @@ class TestDualWeight:
     def test_factor_has_no_subnormals(self):
         # at p = 128 magnitudes from 1/p to 4 spread the factor's exponent
         # over about -780..10: a factor is zero exactly where its term is
-        # flushed, never subnormal, and otherwise the log-space closed form
-        # r^(p-2) / norm^(p-1)
+        # flushed, which covers every exponent below -600, never subnormal,
+        # and otherwise the log-space closed form r^(p-2) / norm^(p-1)
         p = 128.0
         r = np.geomspace(1.0 / p, 4.0, 2000)
         sq = r * r - p ** -2
@@ -194,6 +206,7 @@ class TestDualWeight:
         assert not np.any((f > 0.0) & (f < np.finfo(float).tiny))
         assert np.array_equal(f == 0.0, t == 0.0)
         assert np.count_nonzero(t == 0.0) > 400
+        assert np.all(f[expo < -600.0] == 0.0)
         kept = t > 0.0
         assert np.allclose(f[kept], np.exp(expo[kept]), rtol=1e-12, atol=0.0)
 

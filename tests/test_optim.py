@@ -595,6 +595,44 @@ class TestMetricTwoLoop:
         assert list(history.order) == [1, 2, 3, 0]  # 29 pairs through 4 rows
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("problem, drop", [("small", 1e3), ("bundled", 30.0)])
+    def test_kept_reductions_along_a_descent(self, problem, drop, monkeypatch):
+        # a descent to grad_tol 1e-12, where the gradient falls by more than
+        # eight orders: each pair's kept entries carry the round-off of every
+        # push since it entered, so their error is bounded by the largest
+        # gradient in the window, not the newest one, which falls below it by
+        # more than drop; the direction still matches the freshly reduced one
+        g, setup, model = small_problem() if problem == "small" else bundled_problem(24)
+        direction = _CurvatureHistory.direction
+        g_norms, errs, gaps, ratios = [], [], [], []
+
+        def checked(self, grad, mg):
+            g_norms.append(math.sqrt(float(grad @ grad)))
+            if not self.g_kept:
+                return direction(self, grad, mg)
+            k = len(self)
+            kept = self.g_red[:, :k].copy()
+            fresh = self._reduce(grad)
+            rows = np.sqrt(np.einsum("kij,kij->ki", self.sm[:, :k], self.sm[:, :k]))[:, self.order]
+            window = max(g_norms[-(self.rows + 1):])
+            errs.append(float(np.max(np.abs(kept - fresh) / rows)) / window)
+            ratios.append(window / g_norms[-1])
+            self.g_red[:, :k] = fresh
+            d_fresh = direction(self, grad, mg)
+            self.g_red[:, :k] = kept
+            d = direction(self, grad, mg)
+            gaps.append(float(np.abs(d - d_fresh).max() / np.abs(d_fresh).max()))
+            return d
+
+        monkeypatch.setattr(_CurvatureHistory, "direction", checked)
+        res = minimize_E_p(ControlVector.zeros(g), setup, model, 2.0,
+                           OptimOptions(max_iters=400, grad_tol=1e-12))
+        assert res.converged and res.trace[-1][2] <= 1e-8 * res.trace[0][2]
+        assert len(errs) >= res.iterations - 5
+        assert max(ratios) > drop
+        assert max(errs) <= 1e-14
+        assert max(gaps) <= 1e-10
+
     def test_one_metric_per_gradient(self, monkeypatch):
         import nsassim.optim as optim
         g, setup, model = small_problem()
