@@ -3,21 +3,19 @@
 The domain is a node-centered rectangle [0,lx] x [0,ly] sampled at nx x ny
 nodes, with nt time levels after t = 0 (level 0 holds initial data).  All
 spatial derivatives are second-order: centered three-point stencils at
-interior nodes, one-sided second-order stencils at boundary nodes.  The
-kernels here (curl, gradient, divergence, zero-mean projection) act on raw
-full-grid arrays over the trailing (ny, nx[, component]) axes.  The
-momentum operator, the interior velocity gradient and the advection term,
-each with its transpose, live in nse: they apply only the interior rows of
-the 1D matrices.
+interior nodes, one-sided second-order stencils at boundary nodes.  Two
+kernels here act on raw full-grid arrays: curl_kernel, which builds the
+vortex preset's initial velocity, and zero_mean_kernel, the one zero-mean
+projection.  The linear maps of the chain (velocity map and gradient,
+momentum operator, pressure gradient, advection), each with its transpose,
+live in nse: they apply only the interior rows of the 1D matrices.
 
 Derivative operators along each axis are dense 1D matrices applied by
 matmul, so operators acting on different axes commute exactly.  That makes
 the discrete divergence of a stream-function curl vanish to round-off,
 which is what keeps the velocity parametrization exactly solenoidal.  The
-matrices are cached read-only per (n, h); apply_y multiplies by the matrix
-from the left, apply_x by a C-contiguous copy of its transpose from the
-right.  The interior blocks the nse maps multiply by are cached in nse,
-per grid and per (grid, nu).
+matrices are cached read-only per (n, h); the interior blocks the nse maps
+multiply by are cached in nse, per grid and per (grid, nu).
 """
 
 from dataclasses import dataclass
@@ -137,20 +135,6 @@ def _d2_matrix(n, h):
     return d
 
 
-def apply_x(a, m):
-    """Apply 1D matrix m along the last (x) axis of a.
-
-    m^T is copied C-contiguous first: numpy's batched matmul takes about
-    twice as long with the transposed view, and the copy is one n x n matrix.
-    """
-    return a @ np.ascontiguousarray(m.T)
-
-
-def apply_y(a, m):
-    """Apply 1D matrix m along the second-to-last (y) axis of a."""
-    return m @ a
-
-
 def check_finite(values, what):
     if not np.all(np.isfinite(values)):
         raise InvalidFieldError(f"{what} contains non-finite values")
@@ -210,31 +194,8 @@ class VectorField:
 
 def curl_kernel(psi, grid):
     """(d psi/dy, -d psi/dx) for psi shaped (..., ny, nx), components along the last axis."""
-    return np.stack([apply_y(psi, grid.d1y()), -apply_x(psi, grid.d1x())], axis=-1)
-
-
-def gradient_kernel(u, grid):
-    """Spatial gradient of (..., ny, nx, 2) -> (..., ny, nx, 4)."""
-    d1x, d1y = grid.d1x(), grid.d1y()
-    u1, u2 = u[..., 0], u[..., 1]
-    return np.stack(
-        [apply_x(u1, d1x), apply_y(u1, d1y), apply_x(u2, d1x), apply_y(u2, d1y)],
-        axis=-1)
-
-
-def divergence_kernel(u, grid):
-    """du1/dx + du2/dy for u shaped (..., ny, nx, 2)."""
-    return apply_x(u[..., 0], grid.d1x()) + apply_y(u[..., 1], grid.d1y())
-
-
-def zero_boundary_ring(u):
-    """Zero the boundary-node ring of (..., ny, nx, ncomp) in place-free form."""
-    out = u.copy()
-    out[..., 0, :, :] = 0.0
-    out[..., -1, :, :] = 0.0
-    out[..., :, 0, :] = 0.0
-    out[..., :, -1, :] = 0.0
-    return out
+    # d1x^T copied C-contiguous: batched matmul takes twice as long with the view
+    return np.stack([grid.d1y() @ psi, -(psi @ np.ascontiguousarray(grid.d1x().T))], axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +214,7 @@ def trapezoid_weights(ny, nx):
     return w
 
 
-def zero_mean_kernel(p, grid):
-    """Subtract the trapezoidal spatial mean from each level of (t, ny, nx)."""
-    means = np.einsum("yx,tyx->t", trapezoid_weights(grid.ny, grid.nx), p)
+def zero_mean_kernel(p):
+    """Subtract from each level of (t, ny, nx) its trapezoidal mean over the last two axes."""
+    means = np.einsum("yx,tyx->t", trapezoid_weights(*p.shape[-2:]), p)
     return p - means[:, None, None]

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import VectorField, check_finite
-from .norms import PExponent, as_exponent, dual_factor, lp_terms
+from .norms import PExponent, as_exponent, dual_factor, lp_terms, squared_magnitudes
 from .nse import (
     ControlVector, PhysicsSetup, _over_levels, advection, advection_transpose_a,
     advection_transpose_grad_b, momentum_operator, momentum_operator_transpose,
@@ -86,22 +86,17 @@ class AssembledState:
 
     @cached_property
     def squared_magnitudes(self):
-        """|K|^2 and |y|^2 per node, summed as norms.magnitudes and reg_abs do.
-
-        Computed once per state: the sup norms and every lp_norms read it.
-        """
-        return tuple(np.einsum("i...,i...->...", v, v) for v in (self.misfit, self.residual))
+        """|K|^2 and |y|^2 per node, once per state: the sup norms and every lp_norms read it."""
+        return tuple(squared_magnitudes(v) for v in (self.misfit, self.residual))
 
     def lp_norms(self, p):
         """(t, s, norm) per channel (K, y): the p-norm's terms, their weighted sum and the norm.
 
-        Computed once per finite exponent (norms.lp_terms) and shared by the
-        report, the gradient and the diagnostics.
+        Computed once per exponent (norms.lp_terms, which rejects an infinite
+        one) and shared by the report, the gradient and the diagnostics.
         """
         out = self._lp.get(p.value)
         if out is None:
-            if not p.is_finite:
-                raise ConfigurationError("p-norms and dual weights require a finite exponent")
             out = tuple(lp_terms(sq, self.weight, p.value) for sq in self.squared_magnitudes)
             self._lp[p.value] = out
         return out
@@ -263,12 +258,10 @@ def gradient_from_state(state, setup, model, p):
     adjoint_from_state applied to the dual weights of both channels, scaled
     by their misfit weights and the quadrature weight; passing either
     cotangent alone to adjoint_from_state gives that channel's gradient.
+    The sup-misfit is not differentiable: an infinite p raises.
     """
-    p = as_exponent(p)
-    if not p.is_finite:
-        raise ConfigurationError("the sup-misfit is not differentiable; use finite p")
     w = state.weight
-    m_k, m_y = state.dual_weights(p)
+    m_k, m_y = state.dual_weights(as_exponent(p))
     m_k *= (1.0 - setup.lam) * w
     m_y *= setup.lam * w
     return adjoint_from_state(state, setup, model, m_k, m_y)

@@ -9,6 +9,8 @@ exactly 1/p.
 All p-th powers are taken in log space after factoring out the largest
 sample magnitude; naive powers overflow double precision for p near 128.
 The dual weights reuse the p-norm's terms, with no second log-space pass.
+Every p-norm and dual weight takes the same steps, component axis first:
+squared_magnitudes, lp_terms (which rejects an infinite p), dual_factor.
 Reductions use numpy sums (pairwise summation, fixed order), so results are
 reproducible bit for bit.
 """
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidFieldError
+from .errors import ConfigurationError
+from .grid import check_finite
 
 # exp(-600) ~ 1e-261: a p-norm term below it is flushed to zero, and so is
 # its dual factor.  The largest term is one, so the flushed ones lie far
@@ -86,8 +89,7 @@ class WeightedSamples:
         if self.weights.shape[0] != self.values.shape[0]:
             raise ConfigurationError(
                 f"{self.weights.shape[0]} weights for {self.values.shape[0]} samples")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidFieldError("samples contain non-finite values")
+        check_finite(self.values, "sample set")
         if np.any(self.weights < 0.0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ConfigurationError("weights must be nonnegative and sum to 1")
 
@@ -102,6 +104,12 @@ class WeightedSamples:
     @property
     def magnitudes(self):
         return magnitudes(self.values)
+
+    @property
+    def lp_weight(self):
+        """(weight, pos) for lp_terms: a uniform weight factored out, or all and w > 0."""
+        w = self.weights
+        return (w[0], None) if np.all(w == w[0]) else (w, w > 0.0)
 
 
 def magnitudes(values):
@@ -123,6 +131,11 @@ def reg_abs(v, p):
     return np.sqrt(sq + p.value ** -2)
 
 
+def squared_magnitudes(values):
+    """|v|^2 per sample, summed over the first (component) axis of values."""
+    return np.einsum("i...,i...->...", values, values)
+
+
 def lp_terms(sq, weight, p, pos=None):
     """(t, s, norm): the p-norm's terms, their weighted sum and the averaged p-norm (float p).
 
@@ -133,9 +146,11 @@ def lp_terms(sq, weight, p, pos=None):
     terms below exp(_EXP_FLOOR) are zero.  s = sum w t and norm = m s^(1/p).
     With a boolean mask pos, m is the largest over those samples only and
     the others' terms are zero, as are their dual factors: pos must hold
-    every sample of positive weight.  No input is validated: dotted_lp_norm
-    is the checked entry point.
+    every sample of positive weight.  This is the one check that rejects an
+    infinite p, for every p-norm and dual weight.
     """
+    if not math.isfinite(p):
+        raise ConfigurationError("p-norms and dual weights require a finite exponent")
     expo = np.add(sq, p ** -2)
     np.log(expo, out=expo)
     log_m2 = float(np.max(expo if pos is None else expo[pos]))
@@ -154,7 +169,6 @@ def dual_factor(sq, t, s, norm, p):
 
     Since norm^p = m^p s, the factor is t / r^2 * norm / s with r^2 = sq +
     p^-2: no log or exp pass.  A flushed term gives a zero factor.
-    dual_weight is the checked entry point.
     """
     f = np.add(sq, p ** -2)
     np.divide(t, f, out=f)
@@ -173,24 +187,14 @@ def peak_curvature(s, norm, p):
     return (p - 1.0) * s ** (-(p - 2.0) / p) / norm
 
 
-def _checked_terms(h, p):
-    """(sq, t, s, norm) of WeightedSamples h by lp_terms, a uniform weight factored out."""
-    if not p.is_finite:
-        raise ConfigurationError("p-norms and dual weights require a finite exponent")
-    sq = np.einsum("...i,...i->...", h.values, h.values)
-    w = h.weights
-    if np.all(w == w[0]):
-        return (sq,) + lp_terms(sq, w[0], p.value)
-    return (sq,) + lp_terms(sq, w, p.value, w > 0.0)
-
-
 def dotted_lp_norm(h, p):
     """Averaged p-norm of the regularized magnitude.
 
     The largest magnitude among positively weighted samples is factored out
     (see lp_terms).  The result is at least 1/p.
     """
-    return _checked_terms(h, as_exponent(p))[3]
+    w, pos = h.lp_weight
+    return lp_terms(squared_magnitudes(h.values.T), w, as_exponent(p).value, pos)[2]
 
 
 def sup_norm(h):
@@ -205,9 +209,9 @@ def dual_weight(h, p):
     The output carries the same weights and lies in the unit ball of the
     averaged conjugate-exponent norm.  Samples of zero weight map to zero.
     """
-    p = as_exponent(p)
-    sq, *terms = _checked_terms(h, p)
-    return WeightedSamples(h.values * dual_factor(sq, *terms, p.value)[:, None], h.weights)
+    p, (w, pos), v = as_exponent(p).value, h.lp_weight, h.values.T
+    sq = squared_magnitudes(v)
+    return WeightedSamples((v * dual_factor(sq, *lp_terms(sq, w, p, pos), p)).T, h.weights)
 
 
 def holder_gap(q, p):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidFieldError
-from .grid import GridSpec
+from .errors import ConfigurationError
+from .grid import GridSpec, check_finite
 from .nse import velocity_gradient
 
 KINDS = ("masked-velocity", "vorticity", "speed-squared")
@@ -64,8 +64,7 @@ class ObservationModel:
         if self.data_q.shape != expected:
             raise ConfigurationError(
                 f"data_q shape {self.data_q.shape} != {expected} for kind {self.kind!r}")
-        if not np.all(np.isfinite(self.data_q)):
-            raise InvalidFieldError("observation data contains non-finite values")
+        check_finite(self.data_q, "observation data")
         if self.kind == "masked-velocity":
             if self.mask is None:
                 raise ConfigurationError("masked-velocity requires a mask")
@@ -102,8 +101,7 @@ class ObsField:
                 self.grid.nt, self.grid.ny - 2, self.grid.nx - 2):
             raise ConfigurationError(
                 f"observation field shape {self.values.shape} does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidFieldError("observation field contains non-finite values")
+        check_finite(self.values, "observation field")
 
 
 def eval_K(u, grad_u, model, first=0, out=None):

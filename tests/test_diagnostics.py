@@ -10,10 +10,7 @@ from nsassim.diagnostics import (
     default_test_bank, density_bound_check, el_residual,
     sigma_infty_support_check,
 )
-from nsassim.grid import (
-    GridSpec, VectorField, apply_x, apply_y, curl_kernel, gradient_kernel, trapezoid_weights,
-    zero_boundary_ring,
-)
+from nsassim.grid import GridSpec, VectorField, curl_kernel, trapezoid_weights
 from nsassim.misfit import adjoint_from_state, assemble_state, tangent_from_state
 from nsassim.norms import PExponent, reg_abs
 from nsassim.nse import (
@@ -272,8 +269,13 @@ def blocks(pair):
 
 def full_grid_laplacian(u, g):
     """Componentwise Laplacian of (..., ny, nx, 2) with the full 1D matrices."""
-    return np.stack([apply_x(u[..., c], g.d2x()) + apply_y(u[..., c], g.d2y())
-                     for c in (0, 1)], axis=-1)
+    return np.stack([u[..., c] @ g.d2x().T + g.d2y() @ u[..., c] for c in (0, 1)], axis=-1)
+
+
+def full_grid_gradient(u, g):
+    """du1/dx, du1/dy, du2/dx, du2/dy of (..., ny, nx, 2) with the full 1D matrices."""
+    return np.stack([d for c in (0, 1) for d in (u[..., c] @ g.d1x().T, g.d1y() @ u[..., c])],
+                    axis=-1)
 
 
 def full_grid_advection(a, grad_b):
@@ -295,7 +297,7 @@ def direct_bank_evaluation(c_star, p, setup, model, bank):
     # the dual weights in this reference's layout, component axis last
     m_k, m_y = (np.moveaxis(m, 0, -1) for m in state.dual_weights(PExponent(p)))
     u_star = state.u.values[1:]
-    gu_star = gradient_kernel(u_star, g)
+    gu_star = full_grid_gradient(u_star, g)
     inner = (slice(None), slice(1, -1), slice(1, -1))
     mask = model.interior_mask()[:, :, None] if model.mask is not None else None
 
@@ -316,8 +318,9 @@ def direct_bank_evaluation(c_star, p, setup, model, bank):
         if psi is not None:
             psi_full = np.zeros((g.nt, g.ny, g.nx))
             psi_full[:, 2:-2, 2:-2] = psi
-            u_t = zero_boundary_ring(curl_kernel(psi_full, g))
-            du_t = gradient_kernel(u_t, g)
+            u_t = curl_kernel(psi_full, g)
+            u_t[..., 0, :, :] = u_t[..., -1, :, :] = u_t[..., 0, :] = u_t[..., -1, :] = 0.0
+            du_t = full_grid_gradient(u_t, g)
             k_dir = k_direction(u_t, du_t)
             prev = np.concatenate([np.zeros_like(u_t[:1]), u_t[:-1]], axis=0)
             lin = (u_t - prev) / g.dt - setup.nu * full_grid_laplacian(u_t, g)
@@ -332,7 +335,7 @@ def direct_bank_evaluation(c_star, p, setup, model, bank):
             big = w * np.sum(k_dir * m_k)
         if pr is not None:
             p_t = extend_interior(pr, g)
-            dp = np.stack([apply_x(p_t, g.d1x()), apply_y(p_t, g.d1y())], axis=-1)[inner]
+            dp = np.stack([p_t @ g.d1x().T, g.d1y() @ p_t], axis=-1)[inner]
             sig = w * np.sum(dp * m_y)
             r_pr = max(r_pr, abs(sig) / np.sqrt(w * np.sum(dp ** 2)))
         rows.append((pair.label, sig, big))

@@ -3,10 +3,11 @@ import pytest
 
 from nsassim.errors import ConfigurationError, InvalidFieldError
 from nsassim.grid import (
-    GridSpec, ScalarField, apply_x, apply_y, curl_kernel, divergence_kernel, gradient_kernel,
-    trapezoid_weights, zero_boundary_ring, zero_mean_kernel,
+    GridSpec, ScalarField, curl_kernel, trapezoid_weights, zero_mean_kernel, _d1_matrix,
 )
-from nsassim.nse import advection, momentum_operator, velocity_gradient
+from nsassim.nse import (
+    advection, initial_velocity_preset, momentum_operator, stream_bump, velocity_gradient,
+)
 
 
 def grid(nx=17, ny=17, nt=4, t_end=0.4):
@@ -21,6 +22,17 @@ def steady(g, *components):
     if len(components) == 1:
         vals = vals[..., 0]
     return np.broadcast_to(vals, (g.nt + 1,) + vals.shape)
+
+
+def gradient(u, g):
+    """velocity_gradient of (..., ny, nx, 2) at interior nodes, component axis kept last."""
+    return np.moveaxis(velocity_gradient(np.moveaxis(u, -1, 0), g), 0, -1)
+
+
+def divergence(u, g):
+    """du1/dx + du2/dy at interior nodes: the trace of velocity_gradient."""
+    grad = gradient(u, g)
+    return grad[..., 0] + grad[..., 3]
 
 
 def vector_laplacian(u, g):
@@ -88,7 +100,7 @@ class TestCurlStream:
         g = GridSpec(nx=65, ny=65, nt=2, t_end=0.1)
         xx, yy = g.mesh()
         u = curl_kernel(steady(g, np.sin(np.pi * xx) * np.sin(np.pi * yy)), g)
-        div = divergence_kernel(u, g)[:, 1:-1, 1:-1]
+        div = divergence(u, g)
         assert np.abs(div).max() <= 1e-12 * np.abs(u).max()
 
     def test_divergence_free_random(self):
@@ -96,8 +108,8 @@ class TestCurlStream:
         g = grid()
         rng = np.random.default_rng(0)
         u = curl_kernel(rng.standard_normal((g.nt + 1, g.ny, g.nx)), g)
-        grad = gradient_kernel(u, g)
-        div = divergence_kernel(u, g)[:, 1:-1, 1:-1]
+        grad = gradient(u, g)
+        div = divergence(u, g)
         assert np.abs(div).max() <= 1e-12 * (1.0 + np.abs(grad).max())
 
     def test_non_finite_rejected(self):
@@ -111,12 +123,12 @@ class TestCurlStream:
 class TestSpatialGradient:
     def test_constant(self):
         g = grid()
-        assert np.abs(gradient_kernel(steady(g, 3.0, -2.0), g)).max() <= 1e-13
+        assert np.abs(gradient(steady(g, 3.0, -2.0), g)).max() <= 1e-13
 
     def test_linear_exact(self):
         g = grid()
         xx, yy = g.mesh()
-        dv = gradient_kernel(steady(g, xx, -yy), g)
+        dv = gradient(steady(g, xx, -yy), g)
         assert np.allclose(dv[..., 0], 1.0, atol=1e-12)
         assert np.allclose(dv[..., 1], 0.0, atol=1e-12)
         assert np.allclose(dv[..., 2], 0.0, atol=1e-12)
@@ -126,11 +138,22 @@ class TestSpatialGradient:
         def err(n):
             g = GridSpec(nx=n, ny=n, nt=2, t_end=0.1)
             xx, yy = g.mesh()
-            dv = gradient_kernel(steady(g, np.sin(yy), np.cos(xx)), g)[0]
+            dv = gradient(steady(g, np.sin(yy), np.cos(xx)), g)[0]
             exact = np.stack(
                 [np.zeros_like(xx), np.cos(yy), -np.sin(xx), np.zeros_like(xx)],
-                axis=-1)
+                axis=-1)[1:-1, 1:-1]
             return np.abs(dv - exact).max()
+
+        ratio = err(33) / err(65)
+        assert 3.5 <= ratio <= 4.5
+
+    def test_one_sided_end_rows_second_order(self):
+        # velocity_gradient uses the interior rows only; the end rows feed
+        # pressure_gradient through the extension of the pressure block
+        def err(n):
+            x = np.linspace(0.0, 1.0, n)
+            d = _d1_matrix(n, x[1] - x[0]) @ np.sin(x)
+            return np.abs(d - np.cos(x))[[0, -1]].max()
 
         ratio = err(33) / err(65)
         assert 3.5 <= ratio <= 4.5
@@ -138,7 +161,7 @@ class TestSpatialGradient:
     def test_vorticity_of_rotation(self):
         g = grid()
         xx, yy = g.mesh()
-        du = gradient_kernel(steady(g, yy, -xx), g)
+        du = gradient(steady(g, yy, -xx), g)
         assert np.allclose(du[..., 2] - du[..., 1], -2.0, atol=1e-12)
 
 
@@ -221,14 +244,14 @@ class TestZeroMeanProject:
     def test_constant_killed(self):
         g = grid()
         p = 7.0 * np.ones((g.nt + 1, g.ny, g.nx))
-        assert np.abs(zero_mean_kernel(p, g)).max() <= 1e-13
+        assert np.abs(zero_mean_kernel(p)).max() <= 1e-13
 
     def test_idempotent_projection(self):
         g = grid()
         rng = np.random.default_rng(1)
         p = rng.standard_normal((g.nt + 1, g.ny, g.nx))
-        once = zero_mean_kernel(p, g)
-        twice = zero_mean_kernel(once, g)
+        once = zero_mean_kernel(p)
+        twice = zero_mean_kernel(once)
         assert np.abs(twice - once).max() <= 1e-14 * np.abs(p).max()
         w = trapezoid_weights(g.ny, g.nx)
         means = np.einsum("yx,tyx->t", w, once)
@@ -238,7 +261,7 @@ class TestZeroMeanProject:
         # trapezoidal mean of x over the unit square is exactly 1/2
         g = grid()
         xx, _ = g.mesh()
-        out = zero_mean_kernel(steady(g, xx), g)
+        out = zero_mean_kernel(steady(g, xx))
         assert np.allclose(out, xx - 0.5, atol=1e-14)
 
     def test_linearity(self):
@@ -246,8 +269,8 @@ class TestZeroMeanProject:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((g.nt + 1, g.ny, g.nx))
         b = rng.standard_normal((g.nt + 1, g.ny, g.nx))
-        lhs = zero_mean_kernel(2.0 * a - 3.0 * b, g)
-        rhs = 2.0 * zero_mean_kernel(a, g) - 3.0 * zero_mean_kernel(b, g)
+        lhs = zero_mean_kernel(2.0 * a - 3.0 * b)
+        rhs = 2.0 * zero_mean_kernel(a) - 3.0 * zero_mean_kernel(b)
         assert np.abs(lhs - rhs).max() <= 1e-13
 
 
@@ -256,7 +279,7 @@ def test_operator_linearity_on_random_fields():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((g.nt + 1, g.ny, g.nx, 2))
     b = rng.standard_normal((g.nt + 1, g.ny, g.nx, 2))
-    for op in (gradient_kernel, vector_laplacian, divergence_kernel):
+    for op in (gradient, vector_laplacian, divergence):
         lhs = op(1.3 * a + 0.7 * b, g)
         rhs = 1.3 * op(a, g) + 0.7 * op(b, g)
         scale = max(np.abs(lhs).max(), 1.0)
@@ -264,28 +287,28 @@ def test_operator_linearity_on_random_fields():
 
 
 def test_zero_boundary_ring():
-    rng = np.random.default_rng(4)
-    u = rng.standard_normal((3, 6, 7, 2))
-    z = zero_boundary_ring(u)
-    assert np.all(z[:, 0] == 0.0) and np.all(z[:, -1] == 0.0)
-    assert np.all(z[:, :, 0] == 0.0) and np.all(z[:, :, -1] == 0.0)
-    assert np.array_equal(z[:, 1:-1, 1:-1], u[:, 1:-1, 1:-1])
+    # the vortex preset is curl_kernel of the clamped bump with its boundary
+    # ring zeroed, to the bit
+    for n in (16, 24, 48):
+        g = grid(nx=n, ny=n, nt=4)
+        u = initial_velocity_preset(g, "vortex", 0.3)
+        assert np.all(u[0] == 0.0) and np.all(u[-1] == 0.0)
+        assert np.all(u[:, 0] == 0.0) and np.all(u[:, -1] == 0.0)
+        ref = curl_kernel(stream_bump(g, 0.3, power=2)[None], g)[0]
+        assert np.array_equal(u[1:-1, 1:-1], ref[1:-1, 1:-1])
 
 
 @pytest.mark.parametrize("nx, ny", [(48, 37), (11, 17)])
 def test_axis_application_matches_dense_form_and_adjoint(nx, ny):
-    # the parent expressions: a m^T along x, the y axis swapped to the end and back
+    # curl_kernel applies d1y along y and d1x along x: the parent expressions,
+    # the y axis swapped to the end and back, and the transpose of the map
     g = grid(nx=nx, ny=ny, nt=4)
     rng = np.random.default_rng(nx * ny)
     a = rng.standard_normal((2, g.nt, ny, nx))
-    b = rng.standard_normal((2, g.nt, ny, nx))
-    for m in (g.d1x(), g.d2x()):
-        ref = a @ m.T
-        assert np.abs(apply_x(a, m) - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert float(np.vdot(apply_x(a, m), b)) == pytest.approx(
-            float(np.vdot(a, apply_x(b, m.T))), rel=1e-12)
-    for m in (g.d1y(), g.d2y()):
-        ref = np.swapaxes(np.swapaxes(a, -1, -2) @ m.T, -1, -2)
-        assert np.abs(apply_y(a, m) - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert float(np.vdot(apply_y(a, m), b)) == pytest.approx(
-            float(np.vdot(a, apply_y(b, m.T))), rel=1e-12)
+    b = rng.standard_normal((2, g.nt, ny, nx, 2))
+    u = curl_kernel(a, g)
+    for got, ref in ((u[..., 0], np.swapaxes(np.swapaxes(a, -1, -2) @ g.d1y().T, -1, -2)),
+                     (u[..., 1], -(a @ g.d1x().T))):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    back = g.d1y().T @ b[..., 0] - b[..., 1] @ g.d1x()
+    assert float(np.vdot(u, b)) == pytest.approx(float(np.vdot(a, back)), rel=1e-12)

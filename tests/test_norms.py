@@ -67,8 +67,10 @@ class TestRegAbs:
         assert prev == pytest.approx(0.5, abs=1e-6)
 
     def test_requires_finite_p(self):
-        with pytest.raises(ConfigurationError):
-            reg_abs(np.ones(2), PExponent.infinity())
+        h = WeightedSamples.uniform(np.ones((3, 2)))
+        for fn, arg in ((reg_abs, np.ones(2)), (dotted_lp_norm, h), (dual_weight, h)):
+            with pytest.raises(ConfigurationError):
+                fn(arg, PExponent.infinity())
 
 
 class TestDottedNorm:

@@ -9,8 +9,7 @@ from nsassim import nse
 from nsassim.config import load_config
 from nsassim.errors import ConfigurationError, InvalidFieldError, SolverError
 from nsassim.grid import (
-    GridSpec, ScalarField, VectorField, curl_kernel, divergence_kernel, gradient_kernel,
-    trapezoid_weights, zero_boundary_ring, _d1_matrix,
+    GridSpec, ScalarField, VectorField, curl_kernel, trapezoid_weights, _d1_matrix,
 )
 from nsassim.nse import (
     ControlVector, PhysicsSetup, advection, advection_transpose_a, advection_transpose_grad_b,
@@ -29,6 +28,13 @@ EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs", "example.ini"
 
 def grid(nx=10, ny=10, nt=5, t_end=0.25):
     return GridSpec(nx=nx, ny=ny, nt=nt, t_end=t_end)
+
+
+def zero_ring(u):
+    """A copy of (..., ny, nx, 2) values with the boundary-node ring zeroed."""
+    out = u.copy()
+    out[..., 0, :, :] = out[..., -1, :, :] = out[..., :, 0, :] = out[..., :, -1, :] = 0.0
+    return out
 
 
 def basic_setup(g, nu=0.01, lam=0.5, amp=0.1, advection=True):
@@ -353,18 +359,22 @@ class TestPhysicsSetup:
                          f=forcing_preset(g, "none", 0.0), u0=u0)
 
     def test_u0_divergence_enforced(self):
-        g = grid()
-        xx, yy = g.mesh()
-        u0 = np.zeros((g.ny, g.nx, 2))
-        u0[..., 0] = np.sin(np.pi * xx) * np.sin(np.pi * yy)  # not solenoidal
-        u0 = zero_boundary_ring(u0[None])[0]
-        with pytest.raises(ConfigurationError, match="divergence"):
-            PhysicsSetup(grid=g, nu=0.1, lam=0.5,
-                         f=forcing_preset(g, "none", 0.0), u0=u0)
+        # the check's scale is the largest interior velocity gradient
+        for n in (8, 10, 16, 24, 48):
+            g = grid(nx=n, ny=n)
+            xx, yy = g.mesh()
+            u0 = np.zeros((g.ny, g.nx, 2))
+            u0[..., 0] = np.sin(np.pi * xx) * np.sin(np.pi * yy)  # not solenoidal
+            with pytest.raises(ConfigurationError, match="divergence"):
+                PhysicsSetup(grid=g, nu=0.1, lam=0.5,
+                             f=forcing_preset(g, "none", 0.0), u0=zero_ring(u0))
 
     def test_presets_satisfy_invariants(self):
-        g = grid()
-        basic_setup(g, amp=0.3)  # construction runs the invariant checks
+        for n in (8, 10, 16, 24, 48):  # construction runs the invariant checks
+            g = grid(nx=n, ny=n)
+            for name in ("zero", "vortex"):
+                PhysicsSetup(grid=g, nu=0.1, lam=0.5, f=forcing_preset(g, "none", 0.0),
+                             u0=initial_velocity_preset(g, name, 0.3))
 
 
 class TestStateFromControl:
@@ -383,8 +393,9 @@ class TestStateFromControl:
         c = ControlVector(g, rng.standard_normal((g.nt, g.ny - 4, g.nx - 4)),
                           rng.standard_normal((g.nt, g.ny - 2, g.nx - 2)))
         u, p = state_from_control(c, setup)
-        grad = gradient_kernel(u.values, g)
-        div = divergence_kernel(u.values, g)[1:, 1:-1, 1:-1]
+        # the trace of velocity_gradient
+        grad = velocity_gradient(np.moveaxis(u.values[1:], -1, 0), g)
+        div = grad[0] + grad[3]
         assert np.abs(div).max() <= 1e-12 * (1.0 + np.abs(grad).max())
         ring = np.concatenate([u.values[1:, 0].ravel(), u.values[1:, -1].ravel(),
                                u.values[1:, :, 0].ravel(), u.values[1:, :, -1].ravel()])
@@ -426,7 +437,7 @@ class TestStateFromControl:
         for j in range(nfy):
             for i in range(nfx):
                 e[2 + j, 2 + i] = 1.0
-                cols.append(zero_boundary_ring(curl_kernel(e[None], g))[0].ravel())
+                cols.append(zero_ring(curl_kernel(e, g)).ravel())
                 e[2 + j, 2 + i] = 0.0
         sol = np.linalg.lstsq(np.array(cols).T, setup.u0.ravel(), rcond=None)[0]
         c = ControlVector(g, np.tile(sol.reshape(nfy, nfx), (g.nt, 1, 1)),
@@ -507,7 +518,7 @@ def in_space_manufactured(nx, nt, t_end=0.32, nu=0.01):
     c = ControlVector(g, psi_dofs, pr).normalized()
     psi0 = np.zeros((g.ny, g.nx))
     psi0[2:-2, 2:-2] = amp(0.0) * shape[2:-2, 2:-2]
-    u0 = zero_boundary_ring(curl_kernel(psi0[None], g))[0]
+    u0 = zero_ring(curl_kernel(psi0, g))
     base = PhysicsSetup(grid=g, nu=nu, lam=0.5,
                         f=forcing_preset(g, "none", 0.0), u0=u0)
     u_m, p_m = state_from_control(c, base)
@@ -622,7 +633,7 @@ class TestReducedLevelSolve:
         e = np.zeros((1, g.ny, g.nx))
         for j, i in np.ndindex(g.ny - 4, g.nx - 4):
             e[0, 2 + j, 2 + i] = 1.0
-            u = np.moveaxis(zero_boundary_ring(curl_kernel(e, g)), -1, 0)  # one level
+            u = np.moveaxis(zero_ring(curl_kernel(e, g)), -1, 0)  # one level
             e[0, 2 + j, 2 + i] = 0.0
             col = momentum_operator(u, g, setup.nu)
             if advect:
