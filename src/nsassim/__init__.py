@@ -10,7 +10,7 @@ dual-weighted residual fields.
 
 from .grid import GridSpec, ScalarField, VectorField
 from .misfit import MisfitReport, assemble_state, gradient_from_state, report_from_state
-from .norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, holder_gap, sup_norm
+from .norms import WeightedSamples, dotted_lp_norm, dual_weight, holder_gap, sup_norm
 from .nse import ControlVector, PhysicsSetup, reference_solve, residual_y, state_from_control
 from .observation import ObservationModel, synth_data
 from .optim import ContinuationSchedule, OptimOptions, minimize_E_p, run_continuation
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec", "ScalarField", "VectorField",
-    "PExponent", "WeightedSamples", "dotted_lp_norm", "sup_norm",
+    "WeightedSamples", "dotted_lp_norm", "sup_norm",
     "dual_weight", "holder_gap",
     "ObservationModel", "synth_data",
     "ControlVector", "PhysicsSetup", "state_from_control", "residual_y",

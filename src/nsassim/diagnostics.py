@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import zero_mean_kernel
 from .misfit import AssembledState, adjoint_from_state, assemble_state, velocity_tangent
-from .norms import as_exponent, dot, dual_factor, lp_terms, magnitudes, squared_magnitudes
+from .norms import check_exponent, dot, dual_factor, lp_terms, magnitudes, squared_magnitudes
 from .nse import (
     pressure_gradient, pressure_gradient_transpose, velocity_map, velocity_map_transpose,
 )
@@ -57,7 +57,6 @@ class DiscreteMeasure:
 
 def _measure(vals, weight, p):
     """Measure of (..., m) samples sharing one cell weight, as AssembledState.dual_weights."""
-    p = as_exponent(p).value
     v = vals.reshape(-1, vals.shape[-1]).T  # component axis first
     sq = squared_magnitudes(v)
     return DiscreteMeasure((v * dual_factor(sq, *lp_terms(sq, weight, p), p)).T,
@@ -97,7 +96,7 @@ def density_bound_check(y, p, eps, sup_proxy=None):
 
     Returns (lhs, rhs, passed) with passed allowing 1e-8 relative slack.
     """
-    p = as_exponent(p)
+    p = check_exponent(p)
     measure = y if isinstance(y, DiscreteMeasure) else build_sigma(y, p)
     m_sup = float(measure.field_magnitudes.max()) if sup_proxy is None else float(sup_proxy)
     if not (0.0 < eps < m_sup):
@@ -107,7 +106,7 @@ def density_bound_check(y, p, eps, sup_proxy=None):
     if vol == 0.0:
         raise ConfigurationError("sub-level set is empty; nothing to check")
     lhs = measure.mass_on(sub) / vol
-    rhs = (1.0 - eps / (2.0 * m_sup - eps)) ** (p.value - 1.0)
+    rhs = (1.0 - eps / (2.0 * m_sup - eps)) ** (p - 1.0)
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-8))
 
 
@@ -245,7 +244,7 @@ def el_residual(state, p, setup, model, test_bank=None):
         raise ConfigurationError("empty test bank")
     state = _assembled(state, setup, model)
     w = state.weight
-    m_k, m_y = state.dual_weights(as_exponent(p))
+    m_k, m_y = state.dual_weights(p)
     lam = setup.lam
 
     r_momentum = r_pressure = 0.0
@@ -288,7 +287,7 @@ def bank_pairings(state, p, setup, model, test_bank=None):
         test_bank = default_test_bank(g)
     state = _assembled(state, setup, model)
     w = state.weight
-    m_k, m_y = state.dual_weights(as_exponent(p))
+    m_k, m_y = state.dual_weights(p)
     # sigma pairs with the test velocity, or with the test pressure gradient
     sigma_y = w * m_y
     sigma_psi = velocity_map_transpose(np.pad(sigma_y, ((0, 0), (0, 0), (1, 1), (1, 1))), g)

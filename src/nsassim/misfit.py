@@ -32,6 +32,7 @@ to the latter.  The pair passes the dot-product test
 <J dc, (kbar, ybar)> = <dc, J^T (kbar, ybar)> to round-off.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import VectorField, check_finite
-from .norms import PExponent, as_exponent, dual_factor, lp_terms, squared_magnitudes
+from .norms import check_exponent, dual_factor, lp_terms, squared_magnitudes
 from .nse import (
     ControlVector, PhysicsSetup, _over_levels, advection, advection_transpose_a,
     advection_transpose_grad_b, momentum_operator, momentum_operator_transpose,
@@ -54,7 +55,7 @@ from .observation import ObsField, eval_K, eval_K_jvp, eval_K_vjp
 class MisfitReport:
     """One misfit evaluation: total, both channel terms, and sup norms."""
 
-    p: PExponent
+    p: float
     e_p: float
     term_K: float
     term_y: float
@@ -92,13 +93,14 @@ class AssembledState:
     def lp_norms(self, p):
         """(t, s, norm) per channel (K, y): the p-norm's terms, their weighted sum and the norm.
 
-        Computed once per exponent (norms.lp_terms, which rejects an infinite
-        one) and shared by the report, the gradient and the diagnostics.
+        Computed once per exponent, an int and its float alike (norms.lp_terms,
+        which rejects an infinite one), and shared by the report, the
+        gradient and the diagnostics.
         """
-        out = self._lp.get(p.value)
+        out = self._lp.get(p)
         if out is None:
-            out = tuple(lp_terms(sq, self.weight, p.value) for sq in self.squared_magnitudes)
-            self._lp[p.value] = out
+            out = tuple(lp_terms(sq, self.weight, p) for sq in self.squared_magnitudes)
+            self._lp[p] = out
         return out
 
     def dual_weights(self, p):
@@ -106,7 +108,7 @@ class AssembledState:
 
         Equal to the bit to dual_weight on the same samples.
         """
-        return tuple(v * dual_factor(sq, *terms, p.value) for v, sq, terms
+        return tuple(v * dual_factor(sq, *terms, p) for v, sq, terms
                      in zip((self.misfit, self.residual), self.squared_magnitudes,
                             self.lp_norms(p)))
 
@@ -158,10 +160,10 @@ def assemble_state(c, setup, model):
 
 def report_from_state(state, setup, p):
     """Misfit report at exponent p (finite or infinite) for assembled state."""
-    p = as_exponent(p)
+    p = check_exponent(p)  # before the branch: NaN is not finite either
     # sqrt is monotone and correctly rounded: the largest magnitude, to the bit
     s_k, s_y = (float(np.sqrt(np.max(sq))) for sq in state.squared_magnitudes)
-    if p.is_finite:
+    if math.isfinite(p):
         (*_, n_k), (*_, n_y) = state.lp_norms(p)
     else:
         n_k, n_y = s_k, s_y
@@ -261,7 +263,7 @@ def gradient_from_state(state, setup, model, p):
     The sup-misfit is not differentiable: an infinite p raises.
     """
     w = state.weight
-    m_k, m_y = state.dual_weights(as_exponent(p))
+    m_k, m_y = state.dual_weights(p)
     m_k *= (1.0 - setup.lam) * w
     m_y *= setup.lam * w
     return adjoint_from_state(state, setup, model, m_k, m_y)

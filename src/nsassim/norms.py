@@ -9,8 +9,10 @@ exactly 1/p.
 All p-th powers are taken in log space after factoring out the largest
 sample magnitude; naive powers overflow double precision for p near 128.
 The dual weights reuse the p-norm's terms, with no second log-space pass.
-Every p-norm and dual weight takes the same steps, component axis first:
-squared_magnitudes, lp_terms (which rejects an infinite p), dual_factor.
+An exponent is a plain float, math.inf for the sup-norm; check_exponent is
+the one check of it.  Every p-norm and dual weight takes the same steps,
+component axis first: squared_magnitudes, lp_terms (which checks p and
+rejects an infinite one), dual_factor.
 Reductions use numpy sums (pairwise summation, fixed order), so results are
 reproducible bit for bit.
 """
@@ -30,44 +32,16 @@ from .grid import check_finite
 _EXP_FLOOR = -600.0
 
 
-@dataclass(frozen=True)
-class PExponent:
-    """A norm exponent: finite p >= 1 or infinity."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v) or v < 1.0:
-            raise ConfigurationError(f"exponent must be >= 1 or inf, got {self.value}")
-        object.__setattr__(self, "value", v)
-
-    @classmethod
-    def infinity(cls):
-        return cls(math.inf)
-
-    @property
-    def is_finite(self):
-        return math.isfinite(self.value)
-
-    @property
-    def conjugate(self):
-        """The dual exponent p/(p-1); 1 and infinity are conjugate to each other."""
-        if not self.is_finite:
-            return 1.0
-        if self.value == 1.0:
-            return math.inf
-        return self.value / (self.value - 1.0)
+def check_exponent(p):
+    """p as a float, the one exponent check: p >= 1 or inf; NaN fails."""
+    if not float(p) >= 1.0:
+        raise ConfigurationError(f"exponent must be >= 1 or inf, got {p}")
+    return float(p)
 
 
 def dot(a, b):
     """Inner product as a fixed-order numpy sum: unlike BLAS, bits independent of threads."""
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
-
-
-def as_exponent(p):
-    """p as a PExponent: a PExponent passes through, a number is converted."""
-    return p if isinstance(p, PExponent) else PExponent(float(p))
 
 
 @dataclass
@@ -123,12 +97,12 @@ def reg_abs(v, p):
     v is a single vector or an (n, m) batch; the result is a scalar or an
     array of per-row magnitudes.  Always at least 1/p.
     """
-    p = as_exponent(p)
-    if not p.is_finite:
+    p = check_exponent(p)
+    if not math.isfinite(p):
         raise ConfigurationError("reg_abs requires a finite exponent")
     v = np.asarray(v, dtype=np.float64)
     sq = np.sum(v * v, axis=-1)
-    return np.sqrt(sq + p.value ** -2)
+    return np.sqrt(sq + p ** -2)
 
 
 def squared_magnitudes(values):
@@ -137,7 +111,7 @@ def squared_magnitudes(values):
 
 
 def lp_terms(sq, weight, p, pos=None):
-    """(t, s, norm): the p-norm's terms, their weighted sum and the averaged p-norm (float p).
+    """(t, s, norm): the p-norm's terms, their weighted sum and the averaged p-norm.
 
     sq holds squared magnitudes; weight is one uniform weight, factored out
     of the sum, or an array of weights.  The terms are t = (r/m)^p with r =
@@ -146,9 +120,11 @@ def lp_terms(sq, weight, p, pos=None):
     terms below exp(_EXP_FLOOR) are zero.  s = sum w t and norm = m s^(1/p).
     With a boolean mask pos, m is the largest over those samples only and
     the others' terms are zero, as are their dual factors: pos must hold
-    every sample of positive weight.  This is the one check that rejects an
-    infinite p, for every p-norm and dual weight.
+    every sample of positive weight.  p passes check_exponent here, and this
+    is the one check that rejects an infinite p, for every p-norm and dual
+    weight.
     """
+    p = check_exponent(p)
     if not math.isfinite(p):
         raise ConfigurationError("p-norms and dual weights require a finite exponent")
     expo = np.add(sq, p ** -2)
@@ -181,7 +157,7 @@ def peak_curvature(s, norm, p):
 
     From lp_terms' weighted sum s of the terms (r/max r)^p: rho^p = 1/s.
     Per unit quadrature weight w: w times it bounds the Hessian of the
-    averaged p-norm in any one sample's vector (float p).  Since s >= w,
+    averaged p-norm in any one sample's vector.  Since s >= w,
     rho^(p-2) < 1/w and nothing overflows.
     """
     return (p - 1.0) * s ** (-(p - 2.0) / p) / norm
@@ -194,7 +170,7 @@ def dotted_lp_norm(h, p):
     (see lp_terms).  The result is at least 1/p.
     """
     w, pos = h.lp_weight
-    return lp_terms(squared_magnitudes(h.values.T), w, as_exponent(p).value, pos)[2]
+    return lp_terms(squared_magnitudes(h.values.T), w, p, pos)[2]
 
 
 def sup_norm(h):
@@ -209,7 +185,7 @@ def dual_weight(h, p):
     The output carries the same weights and lies in the unit ball of the
     averaged conjugate-exponent norm.  Samples of zero weight map to zero.
     """
-    p, (w, pos), v = as_exponent(p).value, h.lp_weight, h.values.T
+    (w, pos), v = h.lp_weight, h.values.T
     sq = squared_magnitudes(v)
     return WeightedSamples((v * dual_factor(sq, *lp_terms(sq, w, p, pos), p)).T, h.weights)
 
@@ -220,11 +196,10 @@ def holder_gap(q, p):
     For 1 <= q <= p the q-norm exceeds the p-norm by at most this amount;
     p may be infinite, in which case the gap is 1/q.
     """
-    q, p = as_exponent(q), as_exponent(p)
-    if q.value > p.value:
-        raise ConfigurationError(f"need q <= p, got q={q.value}, p={p.value}")
-    p_term = 0.0 if not p.is_finite else p.value ** -2
-    return math.sqrt(q.value ** -2 - p_term)
+    q, p = check_exponent(q), check_exponent(p)
+    if q > p:
+        raise ConfigurationError(f"need q <= p, got q={q}, p={p}")
+    return math.sqrt(q ** -2 - p ** -2)  # inf ** -2 is 0
 
 
 def oscillating_step_profile(p, cells_per_interval=4):

@@ -15,6 +15,7 @@ tangent eval_K_jvp and their transpose eval_K_vjp work component axis
 first, like the nse operators; data_q and ObsField keep it last.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,8 +180,8 @@ def synth_data(u_truth, kind, noise_amplitude, seed, mask_stride=4):
     the data is deterministic given the seed and bounded by the amplitude.
     With zero amplitude the misfit of the truth state vanishes identically.
     """
-    if noise_amplitude < 0.0:
-        raise ConfigurationError(f"noise amplitude must be >= 0, got {noise_amplitude}")
+    if not 0.0 <= noise_amplitude < math.inf:
+        raise ConfigurationError(f"noise amplitude must be finite and >= 0, got {noise_amplitude}")
     grid = u_truth.grid
     mask = default_mask(grid, mask_stride) if kind == "masked-velocity" else None
     u = np.moveaxis(u_truth.values[1:], -1, 0)

@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidFieldError
 from .misfit import assemble_state, gradient_from_state, report_from_state
-from .norms import PExponent, as_exponent, dot, peak_curvature
+from .norms import dot, peak_curvature
 from .nse import ControlVector, pressure_metric_inverse, stream_metric_inverse
 
 _ARMIJO_SLOPE = 1e-4
@@ -130,7 +130,9 @@ def preconditioner_scales(grid):
 
 
 def _scaled(c, grid):
-    """The flat preconditioned variables of control c."""
+    """The flat preconditioned variables of control c, which must live on grid."""
+    if c.grid != grid:
+        raise ConfigurationError("control or observation grid does not match setup grid")
     s_psi, s_pr = preconditioner_scales(grid)
     return np.concatenate([c.psi.ravel() / s_psi, c.pr.ravel() / s_pr])
 
@@ -287,7 +289,6 @@ def _descend(entry, setup, model, p, opts):
     stalled search assembled its last point again.
     """
     opts = opts or OptimOptions()
-    p = as_exponent(p)
     grid = setup.grid
     s_psi, s_pr = preconditioner_scales(grid)
     psi_shape = (grid.nt, grid.ny - 4, grid.nx - 4)
@@ -306,7 +307,7 @@ def _descend(entry, setup, model, p, opts):
 
     def first_step(state, mg):  # -gamma0 M^-1 g, with no curvature pairs
         _, s_y, n_y = state.lp_norms(p)[1]
-        gamma0 = 1.0 / (setup.lam * state.weight * peak_curvature(s_y, n_y, p.value))
+        gamma0 = 1.0 / (setup.lam * state.weight * peak_curvature(s_y, n_y, p))
         return -gamma0 * mg
 
     def control(z):  # two fresh blocks: a state keeps only the pressure one alive
@@ -383,7 +384,7 @@ def _descend(entry, setup, model, p, opts):
         # one vector: results outlive the stage, and two blocks each left
         # heap holes that raised the peak RSS of the later diagnostics
         control=ControlVector.from_flat(grid, control(x).to_flat()), report=report,
-        report_inf=report_from_state(state, setup, PExponent.infinity()),
+        report_inf=report_from_state(state, setup, math.inf),
         converged=converged, stalled=stalled, iterations=it,
         grad_norm=g_norm, trace=trace,
         forward_evals=extra_evals + it + backtracks, backtracks=backtracks)

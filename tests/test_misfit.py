@@ -15,7 +15,7 @@ from nsassim.misfit import (
     AssembledState, MisfitReport, adjoint_from_state, assemble_state, gradient_from_state,
     report_from_state, tangent_from_state, velocity_tangent,
 )
-from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm, dual_weight, sup_norm
+from nsassim.norms import WeightedSamples, dotted_lp_norm, dual_weight, sup_norm
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset, residual_y,
     state_from_control, velocity_gradient, velocity_gradient_transpose, velocity_map,
@@ -74,7 +74,7 @@ class TestReports:
 
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ConfigurationError):
-            MisfitReport(PExponent(2.0), 1.0, 0.2, 0.3, 0.0, 0.0)
+            MisfitReport(2.0, 1.0, 0.2, 0.3, 0.0, 0.0)
 
     def test_zero_everything_is_floor(self):
         # exact-data configuration: f, u0, q all zero and zero control give
@@ -89,7 +89,7 @@ class TestReports:
         for p in (2.0, 8.0, 64.0):
             rep = report_at(c, setup, model, p)
             assert rep.e_p == pytest.approx(1.0 / p, abs=1e-15)
-        rep_inf = report_at(c, setup, model, PExponent.infinity())
+        rep_inf = report_at(c, setup, model, math.inf)
         assert rep_inf.e_p == 0.0
 
     def test_constant_misfit_sup(self):
@@ -101,7 +101,7 @@ class TestReports:
                              u0=initial_velocity_preset(g, "zero", 0.0))
         q = np.full((g.nt, g.ny - 2, g.nx - 2, 1), -2.5)
         model = ObservationModel("speed-squared", g, q)
-        rep = report_at(ControlVector.zeros(g), setup, model, PExponent.infinity())
+        rep = report_at(ControlVector.zeros(g), setup, model, math.inf)
         assert rep.e_p == pytest.approx((1 - lam) * 2.5, rel=1e-14)
         assert rep.sup_y == 0.0
 
@@ -208,7 +208,7 @@ class TestGradient:
         c = random_control(g, rng)
         state = assemble_state(c, setup, model)
         both = gradient_from_state(state, setup, model, 4.0).to_flat()
-        m_k, m_y = state.dual_weights(PExponent(4.0))
+        m_k, m_y = state.dual_weights(4.0)
         w = state.weight
         obs = adjoint_from_state(state, setup, model, ((1.0 - setup.lam) * w) * m_k,
                                  None).to_flat()
@@ -219,8 +219,7 @@ class TestGradient:
     def test_sup_misfit_not_differentiable(self):
         g = grid()
         with pytest.raises(ConfigurationError):
-            gradient_at(ControlVector.zeros(g), setup_for(g), noisy_model(g),
-                        PExponent.infinity())
+            gradient_at(ControlVector.zeros(g), setup_for(g), noisy_model(g), math.inf)
 
 
 def test_sup_misfit_bounded_by_high_exponent_norms():
@@ -231,7 +230,7 @@ def test_sup_misfit_bounded_by_high_exponent_norms():
     model = noisy_model(g, amplitude=0.5)
     rng = np.random.default_rng(8)
     c = random_control(g, rng)
-    rep_inf = report_at(c, setup, model, PExponent.infinity())
+    rep_inf = report_at(c, setup, model, math.inf)
     n = g.nt * g.n_interior
     gaps = []
     for p in (16.0, 32.0, 64.0, 128.0):
@@ -272,6 +271,68 @@ def test_reused_norms_equal_public_api_bitwise(kind, monkeypatch):
             m.setattr(AssembledState, "dual_weights", public_dual_weights)
             expect = gradient_from_state(state, setup, model, p).to_flat()
         assert np.array_equal(grad, expect)
+
+
+def taylor_problem(kind, advection):
+    """The tests' 8^2 problem with data of the given kind, a control c and a direction d."""
+    g = grid()
+    rng = np.random.default_rng(31)
+    truth = VectorField(g, 0.2 * rng.standard_normal((g.nt + 1, g.ny, g.nx, 2)))
+    model = synth_data(truth, kind, 0.2, seed=7, mask_stride=2)
+    c, d = random_control(g, rng), random_control(g, rng)
+    return g, setup_for(g, advection=advection), model, c, d
+
+
+def orders(remainders):
+    """Observed orders log2(R(h) / R(h/2)) of remainders at halving h."""
+    return np.log2(np.array(remainders[:-1]) / np.array(remainders[1:]))
+
+
+@pytest.mark.parametrize("p", [2.0, 16.0, 128.0])
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_gradient_taylor_remainder_is_second_order(kind, advection, p):
+    # R(h) = |E(c+hd) - E(c) - h<g, d>| falls like h^2.  The h range:
+    # h = 2^-k / p, k = 4..8, with |d| about |c|.  The norm's curvature grows
+    # like p, so the third-order term, relative to the second, grows like
+    # h p: the range shrinks with p.  From k = 4 on every case is within
+    # 0.03 of order 2; at k = 8 R still exceeds the round-off of E by four
+    # orders of magnitude.
+    g, setup, model, c, d = taylor_problem(kind, advection)
+    x, dx = c.to_flat(), d.to_flat()
+    state = assemble_state(c, setup, model)
+    e0 = report_from_state(state, setup, p).e_p
+    slope = float(gradient_from_state(state, setup, model, p).to_flat() @ dx)
+    rem = []
+    for h in 2.0 ** -np.arange(4, 9) / p:
+        e = report_at(ControlVector.from_flat(g, x + h * dx), setup, model, p).e_p
+        rem.append(abs(e - e0 - h * slope))
+    assert np.all(np.abs(orders(rem) - 2.0) <= 0.1), orders(rem)
+
+
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("kind", ["masked-velocity", "vorticity", "speed-squared"])
+def test_tangent_taylor_remainder_is_second_order(kind, advection):
+    # per channel, R(h) = |F(c+hd) - F(c) - h J d| for F = K and F = y: the
+    # chain is quadratic in the control (advection; K of speed-squared) or
+    # affine, so R falls exactly like h^2 for any h, h = 2^-k, k = 0..4,
+    # or is round-off of F, far below h |J d|
+    g, setup, model, c, d = taylor_problem(kind, advection)
+    x, dx = c.to_flat(), d.to_flat()
+    state = assemble_state(c, setup, model)
+    t = tangent_from_state(state, setup, model, d)
+    hs = 2.0 ** -np.arange(5)
+    rem = {"K": [], "y": []}
+    for h in hs:
+        s = assemble_state(ControlVector.from_flat(g, x + h * dx), setup, model)
+        rem["K"].append(np.linalg.norm(s.misfit - state.misfit - h * t.K))
+        rem["y"].append(np.linalg.norm(s.residual - state.residual - h * t.y))
+    quadratic = {"K": kind == "speed-squared", "y": advection}
+    for name, jd in (("K", t.K), ("y", t.y)):
+        if quadratic[name]:
+            assert np.all(np.abs(orders(rem[name]) - 2.0) <= 0.1), (name, orders(rem[name]))
+        else:
+            assert np.all(np.array(rem[name]) <= 1e-12 * hs * np.linalg.norm(jd)), name
 
 
 @pytest.mark.parametrize("advection", [True, False])
@@ -450,7 +511,7 @@ def test_two_threads_keep_every_bit(kind, advection, level_blocks):
 
     def chain():
         state = assemble_state(c, setup, model)
-        m_k, m_y = state.dual_weights(PExponent(8.0))
+        m_k, m_y = state.dual_weights(8.0)
         out = [state.u_full, state.grad_u, state.misfit, state.residual,
                gradient_from_state(state, setup, model, 16.0).to_flat(),
                adjoint_from_state(state, setup, model, None, m_y).to_flat(),
@@ -516,7 +577,7 @@ def test_gradient_is_adjoint_of_scaled_dual_weights():
     rng = np.random.default_rng(4)
     setup, model = setup_for(g), noisy_model(g)
     state = assemble_state(random_control(g, rng), setup, model)
-    m_k, m_y = state.dual_weights(PExponent(8.0))
+    m_k, m_y = state.dual_weights(8.0)
     w = state.weight
     expect = adjoint_from_state(state, setup, model, (1 - setup.lam) * w * m_k,
                                 setup.lam * w * m_y).to_flat()

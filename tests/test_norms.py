@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from nsassim.diagnostics import build_sigma, density_bound_check, el_residual
 from nsassim.errors import ConfigurationError, InvalidFieldError
+from nsassim.grid import GridSpec, VectorField
+from nsassim.misfit import MisfitReport, assemble_state, gradient_from_state, report_from_state
 from nsassim.norms import (
-    PExponent, WeightedSamples, dotted_lp_norm, dual_factor, dual_weight, holder_gap,
-    lp_terms, oscillating_step_profile, peak_curvature, reg_abs, sup_norm,
+    WeightedSamples, dotted_lp_norm, dual_factor, dual_weight, holder_gap, lp_terms,
+    oscillating_step_profile, peak_curvature, reg_abs, sup_norm,
 )
+from nsassim.nse import ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset
+from nsassim.observation import synth_data
+from nsassim.optim import OptimOptions, minimize_E_p
 
 
 def random_samples(rng, n=None, m=None, scale=None):
@@ -19,18 +25,72 @@ def random_samples(rng, n=None, m=None, scale=None):
     return WeightedSamples(vals, w / w.sum())
 
 
-class TestPExponent:
-    def test_conjugates(self):
-        assert PExponent(2.0).conjugate == pytest.approx(2.0)
-        assert PExponent(4.0).conjugate == pytest.approx(4.0 / 3.0)
-        assert PExponent(1.0).conjugate == math.inf
-        assert PExponent.infinity().conjugate == 1.0
-        assert not PExponent.infinity().is_finite
+def exponent_problem():
+    """An assembled 8x8x6 state with its setup and model, for the exponent contract."""
+    g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
+    setup = PhysicsSetup(grid=g, nu=0.02, lam=0.5, f=forcing_preset(g, "none", 0.0),
+                         u0=initial_velocity_preset(g, "vortex", 0.1))
+    model = synth_data(VectorField.zeros(g), "masked-velocity", 0.2, seed=3, mask_stride=2)
+    c = ControlVector(g, 0.3 * np.ones((g.nt, g.ny - 4, g.nx - 4)),
+                      0.1 * np.ones((g.nt, g.ny - 2, g.nx - 2)))
+    return c, setup, model
+
+
+def exponent_takers(c, setup, model):
+    """Every public function that takes p, as a one-argument call, keyed by name."""
+    state = assemble_state(c, setup, model)  # each call's own, so no norm is cached
+    h = WeightedSamples.uniform(np.arange(12.0).reshape(6, 2))
+    return {
+        "report_from_state": lambda p: report_from_state(state, setup, p),
+        "gradient_from_state": lambda p: gradient_from_state(state, setup, model, p).to_flat(),
+        "lp_norms": lambda p: state.lp_norms(p),
+        "dual_weights": lambda p: state.dual_weights(p),
+        "build_sigma": lambda p: build_sigma(state.y, p).vector_weights,
+        "el_residual": lambda p: el_residual(state, p, setup, model),
+        "dotted_lp_norm": lambda p: dotted_lp_norm(h, p),
+        "dual_weight": lambda p: dual_weight(h, p).values,
+        "reg_abs": lambda p: reg_abs(h.values, p),
+        "holder_gap": lambda p: holder_gap(1.0, p),
+        "holder_gap_lower": lambda p: holder_gap(p, math.inf),
+        "density_bound_check": lambda p: density_bound_check(state.y, p, 1e-3),
+        "minimize_E_p": lambda p: minimize_E_p(c, setup, model, p, OptimOptions(max_iters=1)),
+    }
+
+
+def same_bits(a, b):
+    if isinstance(a, MisfitReport):
+        return a == b and type(a.p) is type(b.p) is float
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+
+
+class TestExponent:
+    """An exponent is a number: a float >= 1, math.inf for the sup-norm."""
 
     @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0, float("nan")])
     def test_invalid(self, bad):
-        with pytest.raises(ConfigurationError):
-            PExponent(bad)
+        for fn in exponent_takers(*exponent_problem()).values():
+            with pytest.raises(ConfigurationError, match="exponent must be >= 1 or inf"):
+                fn(bad)
+
+    def test_int_and_float_give_the_same_bits(self):
+        problem = exponent_problem()
+        for p in (2, 8, 128):
+            ints, floats = exponent_takers(*problem), exponent_takers(*problem)
+            for name in ints.keys() - {"minimize_E_p"}:
+                assert same_bits(ints[name](p), floats[name](float(p))), (name, p)
+
+    def test_infinity(self):
+        takers = exponent_takers(*exponent_problem())
+        rep = takers["report_from_state"](math.inf)
+        assert rep.p == math.inf and rep.e_p == rep.term_K + rep.term_y
+        assert (rep.term_K, rep.term_y) == (0.5 * rep.sup_K, 0.5 * rep.sup_y)
+        assert takers["holder_gap"](math.inf) == 1.0
+        assert takers["holder_gap_lower"](math.inf) == 0.0
+        for name in takers.keys() - {"report_from_state", "holder_gap", "holder_gap_lower"}:
+            with pytest.raises(ConfigurationError, match="finite exponent"):
+                takers[name](math.inf)
 
 
 class TestWeightedSamples:
@@ -70,7 +130,7 @@ class TestRegAbs:
         h = WeightedSamples.uniform(np.ones((3, 2)))
         for fn, arg in ((reg_abs, np.ones(2)), (dotted_lp_norm, h), (dual_weight, h)):
             with pytest.raises(ConfigurationError):
-                fn(arg, PExponent.infinity())
+                fn(arg, math.inf)
 
 
 class TestDottedNorm:
@@ -161,7 +221,7 @@ class TestDualWeight:
         for _ in range(25):
             h = random_samples(rng)
             out = dual_weight(h, p)
-            pc = PExponent(p).conjugate
+            pc = p / (p - 1.0)
             mags = np.sqrt(np.einsum("ij,ij->i", out.values, out.values))
             ball = float(np.sum(h.weights * mags ** pc) ** (1.0 / pc))
             assert ball <= 1.0 + 1e-10
@@ -266,7 +326,7 @@ class TestHolderGap:
         assert holder_gap(2.0, 4.0) == pytest.approx(0.433013, abs=1e-6)
 
     def test_infinite_upper(self):
-        assert holder_gap(2.0, PExponent.infinity()) == pytest.approx(0.5)
+        assert holder_gap(2.0, math.inf) == pytest.approx(0.5)
 
     def test_order_enforced(self):
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,12 @@ class TestSynthData:
     def test_negative_amplitude_rejected(self, grid):
         with pytest.raises(ConfigurationError):
             synth_data(VectorField.zeros(grid), "vorticity", -0.1, seed=0)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, grid, amplitude):
+        # a NaN amplitude would pass both comparisons and return noise-free data
+        with pytest.raises(ConfigurationError, match="noise amplitude"):
+            synth_data(VectorField.zeros(grid), "vorticity", amplitude, seed=0)
 
 
 def test_obs_field_validation(grid):

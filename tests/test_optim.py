@@ -12,7 +12,7 @@ from nsassim.grid import GridSpec, VectorField
 from nsassim.misfit import (
     AssembledState, assemble_state, gradient_from_state, report_from_state,
 )
-from nsassim.norms import PExponent, WeightedSamples, dotted_lp_norm
+from nsassim.norms import WeightedSamples, dotted_lp_norm
 from nsassim.nse import (
     ControlVector, PhysicsSetup, forcing_preset, initial_velocity_preset,
     pressure_gradient, pressure_metric_inverse, reference_solve, stream_metric_inverse,
@@ -106,6 +106,18 @@ class TestOptions:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("other", [GridSpec(nx=8, ny=8, nt=6, t_end=0.6),
+                                       GridSpec(nx=9, ny=8, nt=6, t_end=0.3)])
+    def test_start_control_on_another_grid_rejected(self, other):
+        # a same-shape control is not relabelled onto the setup's grid, and
+        # one of another shape fails before any reshape
+        g, setup, model = small_problem()
+        c0 = ControlVector.zeros(other)
+        for run in (lambda: minimize_E_p(c0, setup, model, 4.0),
+                    lambda: run_continuation(c0, setup, model)):
+            with pytest.raises(ConfigurationError, match="does not match setup grid"):
+                run()
+
     def test_stationary_start_returns_immediately(self):
         # zero-everything configuration: the zero control is stationary
         g = GridSpec(nx=8, ny=8, nt=6, t_end=0.3)
@@ -224,7 +236,7 @@ class TestMinimize:
         assert np.array_equal(res.control.to_flat(), c0.to_flat())
         start = assemble_state(c0, setup, model)
         assert res.report == report_from_state(start, setup, 4.0)
-        assert res.report_inf == report_from_state(start, setup, PExponent.infinity())
+        assert res.report_inf == report_from_state(start, setup, math.inf)
 
     def test_converged_gradient_below_tolerance(self):
         g, setup, model = small_problem()
@@ -834,7 +846,7 @@ class TestContinuation:
             assert isinstance(st.result, MinimizeResult)
             assert st.wall_ms >= 0.0
             state = assemble_state(st.control, setup, model)
-            assert st.report_inf == report_from_state(state, setup, PExponent.infinity())
+            assert st.report_inf == report_from_state(state, setup, math.inf)
 
     def test_warm_start_iteration_report(self):
         # statistical comparison, reported rather than asserted hard
